@@ -14,9 +14,7 @@ from .exceptions import (
 from .linalg import (
     EigenPair,
     SymmetricMatrix,
-    build_p_matrix,
     default_epsilon,
-    diag_part,
     matrix_exp,
     matrix_log,
     regularize_psd,

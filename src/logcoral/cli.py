@@ -16,8 +16,8 @@ import numpy as np
 
 from . import data as D
 from . import training
-from .exceptions import LogCoralError, NumericalFailure, ParseError, InvalidInput
-from .gradcheck import THRESHOLDS, run_gradcheck, spd_with_gaps
+from .exceptions import LogCoralError, NotPositiveDefinite, NumericalFailure, ParseError, InvalidInput
+from .gradcheck import THRESHOLDS, run_gradcheck
 from .losses import LossWeights, coral_loss, logcoral_loss, mean_loss
 from .stats import batch_covariance, batch_mean
 from .training import RunConfig
@@ -140,16 +140,10 @@ def cmd_gradcheck(args) -> int:
         out_dir = args.out or "."
         os.makedirs(out_dir, exist_ok=True)
         dump = os.path.join(out_dir, "gradcheck_failure.npz")
-        arrays = {}
-        for name, case in result.worst_case.items():
-            if case is None or result.errors[name] <= THRESHOLDS[name]:
-                continue
-            seed, dim = case
-            rng = np.random.default_rng(seed)
-            arrays[f"{name}_cov_s"] = spd_with_gaps(dim, rng).data
-            arrays[f"{name}_cov_t"] = spd_with_gaps(dim, rng).data
-            arrays[f"{name}_seed"] = np.array(seed)
-            arrays[f"{name}_dim"] = np.array(dim)
+        arrays = {f"{name}_{key}": np.asarray(value)
+                  for name, case in result.worst_case.items()
+                  if result.errors[name] > THRESHOLDS[name]
+                  for key, value in case.items()}
         np.savez(dump, **arrays)
         print(f"worst-case inputs written to {dump}", file=sys.stderr)
         return 1
@@ -178,7 +172,7 @@ def cmd_train(args) -> int:
         state, records = training.train(config, dataset, state=state,
                                         metrics_path=metrics_path,
                                         checkpoint_path=checkpoint_path)
-    except NumericalFailure as exc:
+    except (NumericalFailure, NotPositiveDefinite) as exc:
         print(f"numerical failure: {exc}; last good state saved to {checkpoint_path}",
               file=sys.stderr)
         return 1

@@ -20,8 +20,9 @@ THRESHOLDS = {
 
 
 def spd_with_gaps(dim: int, rng: np.random.Generator, min_gap: float = 1e-3) -> SymmetricMatrix:
-    """Random SPD matrix whose eigenvalue spacing is at least min_gap, so the
-    inverse-gap matrix stays well conditioned."""
+    """Random SPD matrix with eigenvalues from 0.5 upward, spaced at least
+    min_gap apart. This sweep covers well-separated spectra only; degenerate
+    ones are checked in the loss tests."""
     vals = np.sort(rng.uniform(0.5, 3.0, size=dim))
     vals += np.arange(dim) * max(min_gap * 2.0, 1e-3)
     q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
@@ -50,7 +51,7 @@ def _check_pair_loss(fn, x_s, x_t, bundle, rng, h, n_dirs, corrupt_target_sign=F
 class GradCheckResult:
     errors: dict          # loss name -> worst relative error seen
     passed: bool
-    worst_case: dict      # loss name -> (seed, dim) of the worst draw
+    worst_case: dict      # loss name -> {seed, dim, inputs...} of the worst draw
 
 
 def run_gradcheck(dims=(2, 5, 16), seeds=range(100), h: float = 1e-5, n_dirs: int = 2,
@@ -61,10 +62,11 @@ def run_gradcheck(dims=(2, 5, 16), seeds=range(100), h: float = 1e-5, n_dirs: in
     errors = {k: 0.0 for k in THRESHOLDS}
     worst_case = {k: None for k in THRESHOLDS}
 
-    def note(name, err, seed, dim):
+    def note(name, err, seed, dim, **inputs):
+        # inputs are kept by reference, never copied: this runs for every draw
         if err > errors[name]:
             errors[name] = err
-            worst_case[name] = (seed, dim)
+            worst_case[name] = {"seed": seed, "dim": dim, **inputs}
 
     for seed in seeds:
         rng = np.random.default_rng(seed)
@@ -77,21 +79,21 @@ def run_gradcheck(dims=(2, 5, 16), seeds=range(100), h: float = 1e-5, n_dirs: in
                 lambda a, b: L.coral_loss(SymmetricMatrix.from_array(a, symmetrize=True),
                                           SymmetricMatrix.from_array(b, symmetrize=True)).value,
                 c_s.data, c_t.data, bundle, rng, h, n_dirs, corrupt_target_sign)
-            note("coral", err, seed, dim)
+            note("coral", err, seed, dim, cov_s=c_s.data, cov_t=c_t.data)
 
             bundle = L.logcoral_loss(c_s, c_t, epsilon=0.0)
             err = _check_pair_loss(
                 lambda a, b: L.logcoral_loss(SymmetricMatrix.from_array(a, symmetrize=True),
                                              SymmetricMatrix.from_array(b, symmetrize=True)).value,
                 c_s.data, c_t.data, bundle, rng, h, n_dirs, corrupt_target_sign)
-            note("logcoral", err, seed, dim)
+            note("logcoral", err, seed, dim, cov_s=c_s.data, cov_t=c_t.data)
 
             m_s = rng.standard_normal(dim)
             m_t = rng.standard_normal(dim)
             bundle = L.mean_loss(m_s, m_t)
             err = _check_pair_loss(lambda a, b: L.mean_loss(a, b).value,
                                    m_s, m_t, bundle, rng, h, n_dirs, corrupt_target_sign)
-            note("mean", err, seed, dim)
+            note("mean", err, seed, dim, mean_s=m_s, mean_t=m_t)
 
             n = 8
             logits = rng.standard_normal((n, dim if dim > 1 else 2))
@@ -104,7 +106,7 @@ def run_gradcheck(dims=(2, 5, 16), seeds=range(100), h: float = 1e-5, n_dirs: in
                 fd = (L.softmax_cross_entropy(logits + h * v, labels).value
                       - L.softmax_cross_entropy(logits - h * v, labels).value) / (2 * h)
                 worst = max(worst, _rel_err(fd, float(np.sum(bundle.grad_source * v))))
-            note("cross_entropy", worst, seed, dim)
+            note("cross_entropy", worst, seed, dim, logits=logits, labels=labels)
 
     passed = all(errors[k] <= THRESHOLDS[k] for k in THRESHOLDS)
     return GradCheckResult(errors=errors, passed=passed, worst_case=worst_case)

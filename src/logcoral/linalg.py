@@ -1,6 +1,6 @@
-"""Dense symmetric linear algebra: eigendecomposition, matrix log/exp and the
-structured helpers (sym, diag, eigenvalue-gap matrix) used by the Log-Euclidean
-backward pass.
+"""Dense symmetric linear algebra: eigendecomposition, spectral functions
+U f(Sigma) U^T (matrix log and exp) and the Daleckii-Krein backward pass
+through the matrix logarithm used by the Log-Euclidean loss.
 
 All functions are pure; SymmetricMatrix and EigenPair are immutable values.
 """
@@ -11,10 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidInput, NotPositiveDefinite, NumericalFailure
-
-# Off-diagonal gap entries below this (relative) threshold are zeroed instead
-# of producing huge 1/(sigma_i - sigma_j) factors.
-DEGENERACY_THRESHOLD = 1e-10
 
 
 @dataclass(frozen=True)
@@ -63,7 +59,7 @@ class EigenPair:
     vectors: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.values) @ self.vectors.T
+        return spectral_apply(self.vectors, self.values)
 
 
 def _as_array(m) -> np.ndarray:
@@ -108,38 +104,42 @@ def default_epsilon(m: SymmetricMatrix, relative: float = 1e-6) -> float:
     return relative * mean_diag if mean_diag > 0 else relative
 
 
+def spectral_apply(vectors: np.ndarray, f_values: np.ndarray) -> np.ndarray:
+    """U f(Sigma) U^T from the eigenvectors U and the values f(sigma_i),
+    symmetrized."""
+    return sym_part((vectors * f_values) @ vectors.T)
+
+
 def matrix_log(m: SymmetricMatrix) -> SymmetricMatrix:
     """Principal logarithm of an SPD matrix: U log(Sigma) U^T."""
     pair = sym_eig(m)
     if pair.values[0] <= 0:
         raise NotPositiveDefinite(float(pair.values[0]))
-    out = (pair.vectors * np.log(pair.values)) @ pair.vectors.T
-    return SymmetricMatrix(sym_part(out))
+    return SymmetricMatrix(spectral_apply(pair.vectors, np.log(pair.values)))
 
 
 def matrix_exp(m: SymmetricMatrix) -> SymmetricMatrix:
     """Exponential of a symmetric matrix: U exp(Sigma) U^T."""
     pair = sym_eig(m)
-    out = (pair.vectors * np.exp(pair.values)) @ pair.vectors.T
-    return SymmetricMatrix(sym_part(out))
+    return SymmetricMatrix(spectral_apply(pair.vectors, np.exp(pair.values)))
 
 
-def build_p_matrix(values: np.ndarray) -> np.ndarray:
-    """Antisymmetric matrix of inverse eigenvalue gaps: entry (i, j) is
-    1/(sigma_i - sigma_j) off the diagonal, zero on it. Near-degenerate pairs
-    are zeroed instead of blowing up."""
-    sigma = np.asarray(values, dtype=float)
-    if sigma.ndim != 1:
-        raise InvalidInput(f"expected a vector of eigenvalues, got shape {sigma.shape}")
-    if not np.all(np.isfinite(sigma)):
-        raise InvalidInput("eigenvalues must be finite")
-    gap = sigma[:, None] - sigma[None, :]
-    scale = np.maximum(1.0, np.maximum(np.abs(sigma)[:, None], np.abs(sigma)[None, :]))
-    degenerate = np.abs(gap) < DEGENERACY_THRESHOLD * scale
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = np.where(degenerate, 0.0, 1.0 / np.where(degenerate, 1.0, gap))
-    np.fill_diagonal(p, 0.0)
-    return p
+def matrix_log_backward(vectors: np.ndarray, values: np.ndarray, upstream: np.ndarray) -> np.ndarray:
+    """Gradient with respect to C of a loss whose gradient with respect to
+    log(C) = U log(Sigma) U^T is upstream, by the Daleckii-Krein formula
+    U (K o U^T sym(upstream) U) U^T.
+
+    K is the Loewner matrix of log: (log s_i - log s_j) / (s_i - s_j), with
+    the limit 1/s_i where s_i = s_j. It is evaluated as log1p(x) / (x lo)
+    with x = hi/lo - 1 >= 0, lo and hi the smaller and larger of each pair.
+    That stays accurate inside the near-degenerate clusters that dead
+    rectifier units put into tap covariances, and at any condition number.
+    """
+    lo = np.minimum.outer(values, values)
+    x = np.maximum.outer(values, values) / lo - 1.0
+    loewner = np.divide(np.log1p(x), x, out=np.ones_like(x), where=x != 0.0) / lo
+    inner = loewner * (vectors.T @ sym_part(upstream) @ vectors)
+    return sym_part(vectors @ inner @ vectors.T)
 
 
 def sym_part(m) -> np.ndarray:
@@ -148,11 +148,3 @@ def sym_part(m) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidInput(f"expected a square matrix, got shape {a.shape}")
     return 0.5 * (a + a.T)
-
-
-def diag_part(m) -> np.ndarray:
-    """Keep the diagonal of m, zero everywhere else."""
-    a = _as_array(m)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidInput(f"expected a square matrix, got shape {a.shape}")
-    return np.diag(np.diag(a))

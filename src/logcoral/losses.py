@@ -1,9 +1,9 @@
 """Forward and backward passes of the alignment losses.
 
 Three distances between domain statistics are implemented: the Euclidean
-covariance distance, its Log-Euclidean (geodesic) counterpart with a
-hand-derived backward pass through the symmetric eigendecomposition, and a
-first-order mean distance. Gradients use the symmetric-perturbation
+covariance distance, its Log-Euclidean (geodesic) counterpart, whose backward
+pass through the matrix logarithm is the Daleckii-Krein form in `linalg`, and
+a first-order mean distance. Gradients use the symmetric-perturbation
 convention: for a symmetric direction V, dL = <grad, V>.
 """
 from __future__ import annotations
@@ -16,8 +16,9 @@ import numpy as np
 from .exceptions import InvalidInput, NotPositiveDefinite
 from .linalg import (
     SymmetricMatrix,
-    build_p_matrix,
+    matrix_log_backward,
     regularize_psd,
+    spectral_apply,
     sym_eig,
     sym_part,
 )
@@ -86,7 +87,7 @@ def coral_loss(cov_s: SymmetricMatrix, cov_t: SymmetricMatrix) -> LossBundle:
 
 def _log_eig(cov: SymmetricMatrix, epsilon: float):
     """Regularize, decompose and take the spectral log. Returns
-    (eigvecs, eigvals, log_eigvals, log_matrix)."""
+    (eigvecs, eigvals, log_matrix); eigenvalues are floored at epsilon."""
     if epsilon > 0:
         cov = regularize_psd(cov, epsilon)
     pair = sym_eig(cov)
@@ -95,26 +96,7 @@ def _log_eig(cov: SymmetricMatrix, epsilon: float):
         raise NotPositiveDefinite(float(values[0]))
     if epsilon > 0:
         values = np.maximum(values, epsilon)
-    log_values = np.log(values)
-    log_mat = sym_part((pair.vectors * log_values) @ pair.vectors.T)
-    return pair.vectors, values, log_values, log_mat
-
-
-def _logcoral_backward(u, sigma, log_sigma, upstream) -> np.ndarray:
-    """Backward pass through log(C) = U log(Sigma) U^T.
-
-    upstream is dL/d(log C). The eigenvector and eigenvalue sensitivities are
-    dU = 2 sym(upstream) U log(Sigma) and dSigma = Sigma^-1 diag(U^T
-    sym(upstream) U); they recombine through the inverse-gap matrix as
-    U (sym(P^T o U^T dU) + diag(dSigma)) U^T.
-    """
-    g = sym_part(upstream)
-    du = 2.0 * g @ (u * log_sigma)
-    b = u.T @ g @ u
-    dsigma = np.diag(b) / sigma
-    p = build_p_matrix(sigma)
-    inner = sym_part(p.T * (u.T @ du)) + np.diag(dsigma)
-    return sym_part(u @ inner @ u.T)
+    return pair.vectors, values, spectral_apply(pair.vectors, np.log(values))
 
 
 def logcoral_loss(cov_s: SymmetricMatrix, cov_t: SymmetricMatrix, epsilon: float = 0.0) -> LossBundle:
@@ -125,13 +107,13 @@ def logcoral_loss(cov_s: SymmetricMatrix, cov_t: SymmetricMatrix, epsilon: float
     if epsilon < 0:
         raise InvalidInput(f"epsilon must be nonnegative, got {epsilon}")
     d = cov_s.dim
-    u_s, sig_s, logsig_s, log_s = _log_eig(cov_s, epsilon)
-    u_t, sig_t, logsig_t, log_t = _log_eig(cov_t, epsilon)
+    u_s, sig_s, log_s = _log_eig(cov_s, epsilon)
+    u_t, sig_t, log_t = _log_eig(cov_t, epsilon)
     diff = log_s - log_t
     value = float(np.sum(diff * diff)) / (4.0 * d * d)
     upstream = diff / (2.0 * d * d)
-    grad_s = _logcoral_backward(u_s, sig_s, logsig_s, upstream)
-    grad_t = _logcoral_backward(u_t, sig_t, logsig_t, -upstream)
+    grad_s = matrix_log_backward(u_s, sig_s, upstream)
+    grad_t = matrix_log_backward(u_t, sig_t, -upstream)
     return LossBundle(value=value, grad_source=grad_s, grad_target=grad_t)
 
 

@@ -136,31 +136,6 @@ class TrainState:
     stats_momentum: float = 0.9
     epsilon: float = 0.0  # 0 -> scale-relative default per covariance
 
-    @classmethod
-    def init(cls, model: MlpModel, lr=1e-3, opt_momentum=0.9, stats_momentum=0.9,
-             epsilon=0.0, cov_tap=None, mean_tap=None, seed=0) -> "TrainState":
-        taps = model.tap_names
-        hidden = taps[:-1]
-        if not hidden:
-            raise InvalidInput("model needs at least one hidden layer for alignment taps")
-        # second-order losses sit on the last hidden layer, the mean loss one
-        # layer earlier (falling back to the same tap for 1-hidden-layer nets)
-        cov_tap = cov_tap or hidden[-1]
-        mean_tap = mean_tap or (hidden[-2] if len(hidden) >= 2 else hidden[-1])
-        state = cls(
-            model=model, lr=lr, opt_momentum=opt_momentum,
-            velocity_w=[np.zeros_like(w) for w in model.weights],
-            velocity_b=[np.zeros_like(b) for b in model.biases],
-            stats_source=SmoothedStats(momentum=stats_momentum),
-            stats_target=SmoothedStats(momentum=stats_momentum),
-            mean_stats_source=SmoothedStats(momentum=stats_momentum),
-            mean_stats_target=SmoothedStats(momentum=stats_momentum),
-            rng=np.random.default_rng(seed),
-            cov_tap=cov_tap, mean_tap=mean_tap,
-            stats_momentum=stats_momentum, epsilon=epsilon,
-        )
-        return state
-
 
 def _smoothed_pair(old_stats, tap_batch):
     """Update a SmoothedStats with this batch's tap statistics. Returns
@@ -193,14 +168,14 @@ def train_step(state: TrainState, source: FeatureBatch, target: FeatureBatch,
     # second-order statistics at the covariance tap
     tap_s = FeatureBatch(cache_s.tap(state.cov_tap))
     tap_t = FeatureBatch(cache_t.tap(state.cov_tap))
-    state.stats_source, cov_s, _, scale_s = _smoothed_pair(state.stats_source, tap_s)
-    state.stats_target, cov_t, _, scale_t = _smoothed_pair(state.stats_target, tap_t)
+    stats_s, cov_s, _, scale_s = _smoothed_pair(state.stats_source, tap_s)
+    stats_t, cov_t, _, scale_t = _smoothed_pair(state.stats_target, tap_t)
 
     # first-order statistics at the mean tap
     mtap_s = FeatureBatch(cache_s.tap(state.mean_tap))
     mtap_t = FeatureBatch(cache_t.tap(state.mean_tap))
-    state.mean_stats_source, _, mean_s, mscale_s = _smoothed_pair(state.mean_stats_source, mtap_s)
-    state.mean_stats_target, _, mean_t, mscale_t = _smoothed_pair(state.mean_stats_target, mtap_t)
+    mean_stats_s, _, mean_s, mscale_s = _smoothed_pair(state.mean_stats_source, mtap_s)
+    mean_stats_t, _, mean_t, mscale_t = _smoothed_pair(state.mean_stats_target, mtap_t)
 
     cls = L.softmax_cross_entropy(cache_s.post[-1], source.labels)
     coral = L.coral_loss(cov_s, cov_t)
@@ -245,14 +220,21 @@ def train_step(state: TrainState, source: FeatureBatch, target: FeatureBatch,
     gw_s, gb_s = backward(state.model, cache_s, taps_s) if taps_s else (None, None)
     gw_t, gb_t = backward(state.model, cache_t, taps_t) if taps_t else (None, None)
 
+    velocity_w, velocity_b, new_w, new_b = [], [], [], []
     for i in range(state.model.num_layers):
         gw = (gw_s[i] if gw_s is not None else 0.0) + (gw_t[i] if gw_t is not None else 0.0)
         gb = (gb_s[i] if gb_s is not None else 0.0) + (gb_t[i] if gb_t is not None else 0.0)
-        state.velocity_w[i] = state.opt_momentum * state.velocity_w[i] - state.lr * gw
-        state.velocity_b[i] = state.opt_momentum * state.velocity_b[i] - state.lr * gb
-        state.model.weights[i] = state.model.weights[i] + state.velocity_w[i]
-        state.model.biases[i] = state.model.biases[i] + state.velocity_b[i]
-    state.model.check_finite()
+        velocity_w.append(state.opt_momentum * state.velocity_w[i] - state.lr * gw)
+        velocity_b.append(state.opt_momentum * state.velocity_b[i] - state.lr * gb)
+        new_w.append(state.model.weights[i] + velocity_w[i])
+        new_b.append(state.model.biases[i] + velocity_b[i])
+    model = MlpModel(dims=state.model.dims, weights=new_w, biases=new_b)
+    model.check_finite()
+
+    # commit only now, so a step that raises leaves the last good state
+    state.model, state.velocity_w, state.velocity_b = model, velocity_w, velocity_b
+    state.stats_source, state.stats_target = stats_s, stats_t
+    state.mean_stats_source, state.mean_stats_target = mean_stats_s, mean_stats_t
     state.step += 1
     return state, report
 

@@ -44,14 +44,13 @@ class FeatureBatch:
 
 
 def batch_covariance(b: FeatureBatch) -> SymmetricMatrix:
-    """Sample covariance with 1/(n-1) normalization, computed as
-    (D^T D - (1/n)(1^T D)^T (1^T D)) / (n - 1)."""
+    """Sample covariance with 1/(n-1) normalization, computed from centred
+    rows as (D - 1 mu^T)^T (D - 1 mu^T) / (n - 1), which stays accurate at
+    large mean offsets."""
     if b.n < 2:
         raise InvalidInput(f"covariance needs at least 2 rows, got {b.n}")
-    d = b.data
-    col_sum = d.sum(axis=0)
-    cov = (d.T @ d - np.outer(col_sum, col_sum) / b.n) / (b.n - 1)
-    return SymmetricMatrix(sym_part(cov))
+    centered = b.data - b.data.mean(axis=0)
+    return SymmetricMatrix(sym_part(centered.T @ centered / (b.n - 1)))
 
 
 def batch_mean(b: FeatureBatch) -> np.ndarray:

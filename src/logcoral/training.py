@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import data as D
-from .exceptions import InvalidInput, NumericalFailure
+from .exceptions import InvalidInput, LogCoralError, NumericalFailure
 from .linalg import SymmetricMatrix
 from .losses import LossWeights
 from .network import MlpModel, TrainState, evaluate, train_step
@@ -133,6 +133,12 @@ def load_checkpoint(path) -> TrainState:
 
 
 def init_state(config: RunConfig, feature_dim: int, num_classes: int) -> TrainState:
+    """Fresh state for a run. The batch sampler continues the rng stream that
+    initialised the weights. Second-order losses sit on the last hidden
+    layer, the mean loss one layer earlier (the same tap for 1-hidden-layer
+    nets)."""
+    if not config.hidden_dims:
+        raise InvalidInput("model needs at least one hidden layer for alignment taps")
     rng = np.random.default_rng(config.seed)
     model = MlpModel.init([feature_dim, *config.hidden_dims, num_classes], rng)
     return TrainState(
@@ -159,18 +165,29 @@ def train(config: RunConfig, dataset: D.DatasetPair, state: TrainState = None,
     num_classes = int(dataset.source.labels.max()) + 1
     if state is None:
         state = init_state(config, dataset.source.d, num_classes)
+    if state.model.dims[0] != dataset.source.d or state.model.dims[-1] < num_classes:
+        raise InvalidInput(f"model dims {state.model.dims} do not fit {dataset.source.d} "
+                           f"features and {num_classes} classes")
 
     records = []
     sink = open(metrics_path, "a", encoding="utf-8") if metrics_path else None
     try:
         while state.step < config.steps:
+            rng_state = state.rng.bit_generator.state
             src = _sample_batch(dataset.source, config.batch, state.rng, with_labels=True)
             tgt = _sample_batch(dataset.target, config.batch, state.rng, with_labels=False)
             try:
                 state, report = train_step(state, src, tgt, config.weights)
-            except NumericalFailure:
+            except LogCoralError as exc:
+                # train_step commits nothing when it raises; un-draw its
+                # batches too, so the checkpoint is the last completed step
+                state.rng.bit_generator.state = rng_state
                 if checkpoint_path:
                     save_checkpoint(checkpoint_path, state)
+                if isinstance(exc, InvalidInput):
+                    # the inputs fit the model (checked above), so a value the
+                    # step rejects is one it computed: a diverging run overflowed
+                    raise NumericalFailure(f"step {state.step + 1} overflowed: {exc}") from exc
                 raise
             record = {"step": state.step, **report}
             # purely step-periodic so an interrupted + resumed run logs the

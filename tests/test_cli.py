@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from logcoral import losses
 from logcoral.cli import main, parse_weights, read_config_file
 from logcoral.data import generate, make_benchmark_spec, save_csv
 from logcoral.exceptions import InvalidInput
 from logcoral.stats import FeatureBatch
+from logcoral.training import RunConfig, default_dataset, init_state, save_checkpoint, train
 
 
 @pytest.fixture
@@ -97,6 +99,25 @@ class TestGradcheckCommand:
         assert rc == 1
         assert (tmp_path / "gradcheck_failure.npz").exists()
 
+    def test_dump_holds_the_evaluated_worst_inputs(self, tmp_path, monkeypatch):
+        # with --dims 2,5 the worst coral and mean draws are at dim 5, whose
+        # inputs come after the dim-2 draws in the seed's rng stream
+        seen = []
+        for name in ("coral_loss", "mean_loss"):
+            def spy(a, b, real=getattr(losses, name), name=name):
+                seen.append((name, np.array(getattr(a, "data", a)), np.array(getattr(b, "data", b))))
+                return real(a, b)
+            monkeypatch.setattr(losses, name, spy)
+        rc = main(["gradcheck", "--dims", "2,5", "--trials", "1",
+                   "--corrupt-target-sign", "--out", str(tmp_path)])
+        assert rc == 1
+        with np.load(tmp_path / "gradcheck_failure.npz") as dump:
+            for name, key_s, key_t in (("coral", "coral_cov_s", "coral_cov_t"),
+                                       ("mean", "mean_mean_s", "mean_mean_t")):
+                assert int(dump[f"{name}_dim"]) == 5
+                assert any(n == f"{name}_loss" and np.array_equal(a, dump[key_s])
+                           and np.array_equal(b, dump[key_t]) for n, a, b in seen), name
+
 
 class TestTrainCommand:
     def test_short_run_writes_outputs(self, tmp_path, capsys):
@@ -113,6 +134,43 @@ class TestTrainCommand:
         record = json.loads(lines[0])
         for key in ("step", "loss_cls", "loss_coral", "loss_logcoral", "loss_mean"):
             assert key in record
+
+    def test_divergence_keeps_last_good_checkpoint(self, tmp_path):
+        # lr=1.0 diverges within a few steps; the checkpoint left behind must
+        # be the one an uninterrupted run to the last completed step writes
+        out = tmp_path / "run"
+        assert main(["train", "--lr", "1.0", "--steps", "300", "--out", str(out)]) == 1
+        with np.load(out / "checkpoint.npz") as failed:
+            last = int(failed["step"])
+            assert 0 < last < 300
+            config = RunConfig(lr=1.0, steps=last)
+            state, _ = train(config, default_dataset(config))
+            save_checkpoint(tmp_path / "good.npz", state)
+            with np.load(tmp_path / "good.npz") as good:
+                assert sorted(failed.files) == sorted(good.files)
+                for key in good.files:
+                    assert failed[key].dtype == good[key].dtype, key
+                    assert failed[key].tobytes() == good[key].tobytes(), key
+                    if failed[key].dtype.kind == "f":
+                        assert np.all(np.isfinite(failed[key])), key
+
+    def test_overflow_is_a_numerical_failure(self, tmp_path, capsys):
+        # weights this large overflow the forward pass to inf, as a diverging
+        # run's do; that is a failed run (exit 1), not bad input (exit 2)
+        state = init_state(RunConfig(), feature_dim=16, num_classes=5)
+        state.model.weights = [w * 1e200 for w in state.model.weights]
+        save_checkpoint(tmp_path / "big.npz", state)
+        out = tmp_path / "run"
+        assert main(["train", "--steps", "5", "--resume", str(tmp_path / "big.npz"),
+                     "--out", str(out)]) == 1
+        assert "last good state saved" in capsys.readouterr().err
+        assert (out / "checkpoint.npz").read_bytes() == (tmp_path / "big.npz").read_bytes()
+
+    def test_resume_into_wrong_dims_is_bad_input(self, tmp_path):
+        save_checkpoint(tmp_path / "small.npz",
+                        init_state(RunConfig(hidden_dims=(8,)), feature_dim=3, num_classes=5))
+        assert main(["train", "--steps", "5", "--resume", str(tmp_path / "small.npz"),
+                     "--out", str(tmp_path / "run")]) == 2
 
     def test_deterministic_metric_logs(self, tmp_path):
         args = ["train", "--steps", "10", "--batch", "16", "--seed", "5"]

@@ -4,9 +4,7 @@ import pytest
 from logcoral.exceptions import InvalidInput, NotPositiveDefinite
 from logcoral.linalg import (
     SymmetricMatrix,
-    build_p_matrix,
     default_epsilon,
-    diag_part,
     matrix_exp,
     matrix_log,
     regularize_psd,
@@ -164,26 +162,6 @@ class TestMatrixLogExp:
         assert np.array_equal(out, out.T)
 
 
-class TestPMatrix:
-    def test_two_values(self):
-        p = build_p_matrix(np.array([1.0, 3.0]))
-        assert np.allclose(p, [[0.0, -0.5], [0.5, 0.0]])
-
-    def test_degenerate_pair_zeroed(self):
-        assert np.array_equal(build_p_matrix(np.array([2.0, 2.0])), np.zeros((2, 2)))
-
-    def test_near_degenerate_thresholded(self):
-        p = build_p_matrix(np.array([1.0, 1.0 + 1e-12]))
-        assert np.array_equal(p, np.zeros((2, 2)))
-
-    def test_antisymmetric_zero_diagonal(self):
-        rng = np.random.default_rng(5)
-        vals = np.sort(rng.uniform(0.1, 4.0, size=7))
-        p = build_p_matrix(vals)
-        assert np.allclose(p + p.T, 0.0)
-        assert np.all(np.diag(p) == 0.0)
-
-
 class TestSymDiagParts:
     def test_sym_part(self):
         assert np.allclose(sym_part(np.array([[0.0, 2.0], [0.0, 0.0]])), [[0.0, 1.0], [1.0, 0.0]])
@@ -198,16 +176,6 @@ class TestSymDiagParts:
         antisym = 0.5 * (m - m.T)
         assert np.allclose(sym_part(m) + antisym, m)
 
-    def test_diag_part(self):
-        assert np.allclose(diag_part(np.array([[1.0, 2.0], [3.0, 4.0]])), [[1.0, 0.0], [0.0, 4.0]])
-
-    def test_diag_part_trace_preserved(self):
-        rng = np.random.default_rng(4)
-        m = rng.standard_normal((6, 6))
-        assert np.trace(diag_part(m)) == pytest.approx(np.trace(m))
-
     def test_nonsquare_rejected(self):
         with pytest.raises(InvalidInput):
             sym_part(np.zeros((2, 3)))
-        with pytest.raises(InvalidInput):
-            diag_part(np.zeros((2, 3)))

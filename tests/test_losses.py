@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from logcoral.exceptions import InvalidInput
-from logcoral.linalg import SymmetricMatrix, matrix_log, sym_eig, sym_part
+from logcoral.linalg import SymmetricMatrix, matrix_log, regularize_psd, sym_eig, sym_part
 from logcoral.losses import (
     LossWeights,
     chain_to_features,
@@ -23,6 +23,28 @@ def rand_spd(rng, d, gap=0.0):
         vals = pair.values + np.arange(d) * gap
         m = sym_part((pair.vectors * vals) @ pair.vectors.T)
     return SymmetricMatrix(m)
+
+
+# Degenerate spectra of the kind dead rectifier units put into tap
+# covariances: (eigenvalues of C_s, epsilon). One has an exactly repeated
+# eigenvalue; the other a cluster just above the epsilon floor. The cluster
+# is not at zero eigenvalues of C, where the floor makes the loss
+# non-differentiable.
+DEGENERATE = {
+    "repeated": ([0.5, 1.0, 1.0, 2.0, 3.0], 0.0),
+    "floor_cluster": ([1e-4] * 4 + [1.0, 1.0, 2.0, 3.0], 1e-2),
+}
+
+
+def loss_inputs(case, rng, d, gap):
+    """(C_s, C_t, epsilon): a random well-separated d x d pair for an integer
+    case; for a DEGENERATE case, C_s with that spectrum in a random basis."""
+    if case not in DEGENERATE:
+        return rand_spd(rng, d, gap=gap), rand_spd(rng, d, gap=gap), 0.0
+    vals, eps = DEGENERATE[case]
+    q, _ = np.linalg.qr(rng.standard_normal((len(vals), len(vals))))
+    cs = SymmetricMatrix(sym_part((q * np.array(vals)) @ q.T))
+    return cs, rand_spd(rng, len(vals), gap=gap), eps
 
 
 def fd_directional(fn, x, v, h=1e-5):
@@ -126,29 +148,32 @@ class TestLogCoralLoss:
         assert np.max(np.abs(a.grad_source - b.grad_target)) <= 1e-12
         assert np.max(np.abs(a.grad_target - b.grad_source)) <= 1e-12
 
-    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("seed", [*range(8), *DEGENERATE])
     def test_finite_differences_5x5(self, seed):
-        rng = np.random.default_rng(seed)
-        cs = rand_spd(rng, 5, gap=0.3)
-        ct = rand_spd(rng, 5, gap=0.3)
-        bundle = logcoral_loss(cs, ct, epsilon=0.0)
+        # the floor_cluster case is 8 x 8
+        rng = np.random.default_rng(seed if isinstance(seed, int) else 0)
+        cs, ct, eps = loss_inputs(seed, rng, 5, 0.3)
+        bundle = logcoral_loss(cs, ct, epsilon=eps)
         for grad, which in ((bundle.grad_source, 0), (bundle.grad_target, 1)):
-            v = sym_part(rng.standard_normal((5, 5)))
+            v = sym_part(rng.standard_normal((cs.dim, cs.dim)))
             def f(a):
                 m = SymmetricMatrix.from_array(a, symmetrize=True)
-                return (logcoral_loss(m, ct).value if which == 0 else logcoral_loss(cs, m).value)
+                return (logcoral_loss(m, ct, epsilon=eps).value if which == 0
+                        else logcoral_loss(cs, m, epsilon=eps).value)
             fd = fd_directional(f, (cs if which == 0 else ct).data, v)
             an = float(np.sum(grad * v))
             assert abs(fd - an) <= 1e-4 * max(abs(fd), abs(an), 1e-8)
 
-    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("seed", [*range(5), *DEGENERATE])
     def test_matches_divided_difference_oracle(self, seed):
-        # same gradient through a derivation independent of the recurrence
-        # actually implemented (eigenvector/eigenvalue sensitivities)
-        rng = np.random.default_rng(100 + seed)
-        cs, ct = rand_spd(rng, 6, gap=0.2), rand_spd(rng, 6, gap=0.2)
-        bundle = logcoral_loss(cs, ct, epsilon=0.0)
-        upstream = (matrix_log(cs).data - matrix_log(ct).data) / (2 * 36)
+        # the same Daleckii-Krein gradient, with the divided differences
+        # taken entry by entry rather than in the vectorised log1p form
+        rng = np.random.default_rng(100 + seed if isinstance(seed, int) else 100)
+        cs, ct, eps = loss_inputs(seed, rng, 6, 0.2)
+        bundle = logcoral_loss(cs, ct, epsilon=eps)
+        if eps:
+            cs, ct = regularize_psd(cs, eps), regularize_psd(ct, eps)
+        upstream = (matrix_log(cs).data - matrix_log(ct).data) / (2 * cs.dim ** 2)
         oracle = daleckii_krein_log_grad(cs, upstream)
         assert np.max(np.abs(bundle.grad_source - oracle)) <= 1e-8 * max(1.0, np.max(np.abs(oracle)))
 

@@ -60,6 +60,14 @@ class TestBatchCovariance:
         b = batch_covariance(FeatureBatch(x + shift)).data
         assert np.max(np.abs(a - b)) <= 1e-9
 
+    def test_large_mean_offset_matches_np_cov(self):
+        # a one-pass D^T D - n mu mu^T form cancels catastrophically here
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((64, 16)) + 1e6
+        got = batch_covariance(FeatureBatch(x)).data
+        want = np.cov(x, rowvar=False)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
     def test_psd_up_to_rounding(self):
         rng = np.random.default_rng(8)
         x = rng.standard_normal((10, 20))  # rank-deficient on purpose
