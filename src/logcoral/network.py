@@ -48,10 +48,6 @@ class MlpModel:
     def num_layers(self) -> int:
         return len(self.weights)
 
-    @property
-    def tap_names(self) -> list:
-        return [f"h{i + 1}" for i in range(self.num_layers - 1)] + ["logits"]
-
     def check_finite(self):
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
@@ -137,21 +133,30 @@ class TrainState:
     epsilon: float = 0.0  # 0 -> scale-relative default per covariance
 
 
-def _smoothed_pair(old_stats, tap_batch):
-    """Update a SmoothedStats with this batch's tap statistics. Returns
-    (new_stats, cov_used, mean_used, grad_scale). grad_scale is the weight of
-    the current batch inside the smoothed value."""
-    cov = batch_covariance(tap_batch)
-    mean = batch_mean(tap_batch)
-    new = update_smoothed(old_stats, cov, mean)
-    scale = 1.0 if not old_stats.initialized else (1.0 - old_stats.momentum)
-    return new, new.cov, new.mean, scale
+def _forward_pair(model: MlpModel, source: FeatureBatch, target: FeatureBatch) -> ForwardCache:
+    """One forward over the source rows stacked on the target rows. No layer
+    couples rows, so each row's activations are those of its own pass."""
+    if source.d != target.d:
+        raise InvalidInput(f"source and target feature dims differ: {source.d} vs {target.d}")
+    return forward(model, np.concatenate([source.data, target.data]))
+
+
+def _split_tap(cache: ForwardCache, name: str, n_source: int) -> tuple:
+    """The source and target rows of one tap, as feature batches."""
+    h = cache.tap(name)
+    return FeatureBatch(h[:n_source]), FeatureBatch(h[n_source:])
+
+
+def _batch_share(old_stats: SmoothedStats) -> float:
+    """Weight of the current batch inside the smoothed value after an update."""
+    return 1.0 - old_stats.momentum if old_stats.initialized else 1.0
 
 
 def train_step(state: TrainState, source: FeatureBatch, target: FeatureBatch,
                weights: L.LossWeights) -> tuple:
     """One joint SGD step on the weighted sum of classification, CORAL,
-    LogCORAL and mean losses. Alignment statistics are moving averages;
+    LogCORAL and mean losses, with one forward and one backward over the
+    stacked source and target rows. Alignment statistics are moving averages;
     gradients flow only through the current batch's share of them.
 
     Returns (state, report) where report maps loss names to floats; all four
@@ -159,31 +164,27 @@ def train_step(state: TrainState, source: FeatureBatch, target: FeatureBatch,
     """
     if source.labels is None:
         raise InvalidInput("source batch must be labeled")
-    if source.d != target.d:
-        raise InvalidInput(f"source and target feature dims differ: {source.d} vs {target.d}")
-
-    cache_s = forward(state.model, source.data)
-    cache_t = forward(state.model, target.data)
+    n = source.n
+    cache = _forward_pair(state.model, source, target)
 
     # second-order statistics at the covariance tap
-    tap_s = FeatureBatch(cache_s.tap(state.cov_tap))
-    tap_t = FeatureBatch(cache_t.tap(state.cov_tap))
-    stats_s, cov_s, _, scale_s = _smoothed_pair(state.stats_source, tap_s)
-    stats_t, cov_t, _, scale_t = _smoothed_pair(state.stats_target, tap_t)
+    tap_s, tap_t = _split_tap(cache, state.cov_tap, n)
+    stats_s = update_smoothed(state.stats_source, batch_covariance(tap_s), batch_mean(tap_s))
+    stats_t = update_smoothed(state.stats_target, batch_covariance(tap_t), batch_mean(tap_t))
+    cov_s, cov_t = stats_s.cov, stats_t.cov
 
     # first-order statistics at the mean tap
-    mtap_s = FeatureBatch(cache_s.tap(state.mean_tap))
-    mtap_t = FeatureBatch(cache_t.tap(state.mean_tap))
-    mean_stats_s, _, mean_s, mscale_s = _smoothed_pair(state.mean_stats_source, mtap_s)
-    mean_stats_t, _, mean_t, mscale_t = _smoothed_pair(state.mean_stats_target, mtap_t)
+    mtap_s, mtap_t = _split_tap(cache, state.mean_tap, n)
+    mean_stats_s = update_smoothed(state.mean_stats_source, None, batch_mean(mtap_s))
+    mean_stats_t = update_smoothed(state.mean_stats_target, None, batch_mean(mtap_t))
 
-    cls = L.softmax_cross_entropy(cache_s.post[-1], source.labels)
+    cls = L.softmax_cross_entropy(cache.post[-1][:n], source.labels)
     coral = L.coral_loss(cov_s, cov_t)
     eps = state.epsilon
     if eps <= 0:
         eps = max(default_epsilon(cov_s), default_epsilon(cov_t))
     logcoral = L.logcoral_loss(cov_s, cov_t, epsilon=eps)
-    mean = L.mean_loss(mean_s, mean_t)
+    mean = L.mean_loss(mean_stats_s.mean, mean_stats_t.mean)
 
     report = {
         "loss_cls": cls.value,
@@ -198,37 +199,32 @@ def train_step(state: TrainState, source: FeatureBatch, target: FeatureBatch,
         bad = [k for k, v in report.items() if not np.isfinite(v)]
         raise NumericalFailure(f"non-finite loss: {', '.join(bad)}", component=bad[0])
 
-    # assemble upstream gradients at the taps
-    taps_s, taps_t = {}, {}
+    # upstream gradients at the taps, stacked like the rows of the forward
+    taps = {}
 
-    def _add(taps, name, g):
+    def _add(name, g):
         taps[name] = taps.get(name, 0.0) + g
 
     if weights.classification > 0:
-        _add(taps_s, "logits", weights.classification * cls.grad_source)
-    cov_grad_s = weights.coral * coral.grad_source + weights.logcoral * logcoral.grad_source
-    cov_grad_t = weights.coral * coral.grad_target + weights.logcoral * logcoral.grad_target
+        # the classification loss reads source rows only
+        _add("logits", np.pad(weights.classification * cls.grad_source, ((0, target.n), (0, 0))))
     if weights.coral > 0 or weights.logcoral > 0:
-        _add(taps_s, state.cov_tap, L.chain_to_features(cov_grad_s, tap_s, scale=scale_s))
-        _add(taps_t, state.cov_tap, L.chain_to_features(cov_grad_t, tap_t, scale=scale_t))
+        cov_grad_s = weights.coral * coral.grad_source + weights.logcoral * logcoral.grad_source
+        cov_grad_t = weights.coral * coral.grad_target + weights.logcoral * logcoral.grad_target
+        _add(state.cov_tap, np.concatenate([
+            L.chain_to_features(cov_grad_s, tap_s, scale=_batch_share(state.stats_source)),
+            L.chain_to_features(cov_grad_t, tap_t, scale=_batch_share(state.stats_target))]))
     if weights.mean > 0:
-        _add(taps_s, state.mean_tap,
-             np.broadcast_to(weights.mean * mscale_s * mean.grad_source / mtap_s.n, mtap_s.data.shape))
-        _add(taps_t, state.mean_tap,
-             np.broadcast_to(weights.mean * mscale_t * mean.grad_target / mtap_t.n, mtap_t.data.shape))
+        row_s = weights.mean * _batch_share(state.mean_stats_source) * mean.grad_source / mtap_s.n
+        row_t = weights.mean * _batch_share(state.mean_stats_target) * mean.grad_target / mtap_t.n
+        _add(state.mean_tap, np.repeat([row_s, row_t], [mtap_s.n, mtap_t.n], axis=0))
 
-    gw_s, gb_s = backward(state.model, cache_s, taps_s) if taps_s else (None, None)
-    gw_t, gb_t = backward(state.model, cache_t, taps_t) if taps_t else (None, None)
-
-    velocity_w, velocity_b, new_w, new_b = [], [], [], []
-    for i in range(state.model.num_layers):
-        gw = (gw_s[i] if gw_s is not None else 0.0) + (gw_t[i] if gw_t is not None else 0.0)
-        gb = (gb_s[i] if gb_s is not None else 0.0) + (gb_t[i] if gb_t is not None else 0.0)
-        velocity_w.append(state.opt_momentum * state.velocity_w[i] - state.lr * gw)
-        velocity_b.append(state.opt_momentum * state.velocity_b[i] - state.lr * gb)
-        new_w.append(state.model.weights[i] + velocity_w[i])
-        new_b.append(state.model.biases[i] + velocity_b[i])
-    model = MlpModel(dims=state.model.dims, weights=new_w, biases=new_b)
+    gw, gb = backward(state.model, cache, taps)
+    velocity_w = [state.opt_momentum * v - state.lr * g for v, g in zip(state.velocity_w, gw)]
+    velocity_b = [state.opt_momentum * v - state.lr * g for v, g in zip(state.velocity_b, gb)]
+    model = MlpModel(dims=state.model.dims,
+                     weights=[w + v for w, v in zip(state.model.weights, velocity_w)],
+                     biases=[b + v for b, v in zip(state.model.biases, velocity_b)])
     model.check_finite()
 
     # commit only now, so a step that raises leaves the last good state
@@ -242,22 +238,21 @@ def train_step(state: TrainState, source: FeatureBatch, target: FeatureBatch,
 def total_loss(model: MlpModel, source: FeatureBatch, target: FeatureBatch,
                weights: L.LossWeights, cov_tap: str, mean_tap: str, epsilon: float) -> float:
     """Joint objective on raw (unsmoothed) batch statistics, as a pure
-    function of the model parameters. Used by gradient checks."""
-    cache_s = forward(model, source.data)
-    cache_t = forward(model, target.data)
+    function of the model parameters, through train_step's stacked forward
+    and row split. Used by gradient checks."""
+    n = source.n
+    cache = _forward_pair(model, source, target)
     value = 0.0
     if weights.classification > 0:
-        value += weights.classification * L.softmax_cross_entropy(cache_s.post[-1], source.labels).value
+        value += weights.classification * L.softmax_cross_entropy(cache.post[-1][:n], source.labels).value
     if weights.coral > 0 or weights.logcoral > 0:
-        cov_s = batch_covariance(FeatureBatch(cache_s.tap(cov_tap)))
-        cov_t = batch_covariance(FeatureBatch(cache_t.tap(cov_tap)))
+        cov_s, cov_t = map(batch_covariance, _split_tap(cache, cov_tap, n))
         if weights.coral > 0:
             value += weights.coral * L.coral_loss(cov_s, cov_t).value
         if weights.logcoral > 0:
             value += weights.logcoral * L.logcoral_loss(cov_s, cov_t, epsilon=epsilon).value
     if weights.mean > 0:
-        mean_s = batch_mean(FeatureBatch(cache_s.tap(mean_tap)))
-        mean_t = batch_mean(FeatureBatch(cache_t.tap(mean_tap)))
+        mean_s, mean_t = map(batch_mean, _split_tap(cache, mean_tap, n))
         value += weights.mean * L.mean_loss(mean_s, mean_t).value
     return value
 

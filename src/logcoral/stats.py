@@ -60,8 +60,8 @@ def batch_mean(b: FeatureBatch) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SmoothedStats:
-    """Moving-average covariance and mean, updated functionally. The first
-    update seeds the state with the batch values verbatim."""
+    """Moving-average mean and optional covariance, updated functionally. The
+    first update seeds the state with the batch values verbatim."""
 
     momentum: float = 0.9
     cov: Optional[SymmetricMatrix] = None
@@ -72,22 +72,23 @@ class SmoothedStats:
         if not 0.0 < self.momentum < 1.0:
             raise InvalidInput(f"momentum must be in (0, 1), got {self.momentum}")
         if self.initialized:
-            if self.cov is None or self.mean is None:
-                raise InvalidInput("initialized state must carry cov and mean")
-            if self.cov.dim != len(self.mean):
+            if self.mean is None:
+                raise InvalidInput("initialized state must carry a mean")
+            if self.cov is not None and self.cov.dim != len(self.mean):
                 raise InvalidInput("cov dimension does not match mean length")
 
 
-def update_smoothed(s: SmoothedStats, cov: SymmetricMatrix, mean: np.ndarray) -> SmoothedStats:
-    """One moving-average step: momentum * old + (1 - momentum) * batch."""
+def update_smoothed(s: SmoothedStats, cov: Optional[SymmetricMatrix], mean: np.ndarray) -> SmoothedStats:
+    """One moving-average step, momentum * old + (1 - momentum) * batch, of cov too unless None."""
     mean = np.asarray(mean, dtype=float)
-    if cov.dim != len(mean):
+    if cov is not None and cov.dim != len(mean):
         raise InvalidInput("batch cov dimension does not match batch mean length")
     if not s.initialized:
         return SmoothedStats(momentum=s.momentum, cov=cov, mean=mean, initialized=True)
-    if s.cov.dim != cov.dim:
-        raise InvalidInput(f"dimension mismatch: state is {s.cov.dim}, batch is {cov.dim}")
+    if len(s.mean) != len(mean) or (s.cov is None) != (cov is None):
+        raise InvalidInput(f"batch (dim {len(mean)}, cov {cov is not None}) does not match "
+                           f"state (dim {len(s.mean)}, cov {s.cov is not None})")
     m = s.momentum
-    new_cov = SymmetricMatrix(m * s.cov.data + (1.0 - m) * cov.data)
+    new_cov = None if cov is None else SymmetricMatrix(m * s.cov.data + (1.0 - m) * cov.data)
     new_mean = m * s.mean + (1.0 - m) * mean
     return SmoothedStats(momentum=s.momentum, cov=new_cov, mean=new_mean, initialized=True)

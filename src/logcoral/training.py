@@ -1,9 +1,10 @@
 """Training loop, checkpointing and the ablation sweep.
 
 Metrics are JSON-lines ({step, loss_cls, loss_coral, loss_logcoral,
-loss_mean, loss_total, target_acc?}); checkpoints are .npz containers that
-carry everything needed for a bit-exact resume (parameters, optimizer
-velocities, smoothed statistics, rng state, step counter).
+loss_mean, loss_total, target_acc?}); checkpoints are version-2 .npz
+containers that carry everything needed for a bit-exact resume (parameters,
+optimizer velocities, rng state, step counter, and the smoothed statistics:
+covariance and mean at the covariance tap, mean only at the mean tap).
 """
 from __future__ import annotations
 
@@ -14,13 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import data as D
-from .exceptions import InvalidInput, LogCoralError, NumericalFailure
+from .exceptions import InvalidInput, LogCoralError, NotPositiveDefinite, NumericalFailure
 from .linalg import SymmetricMatrix
 from .losses import LossWeights
 from .network import MlpModel, TrainState, evaluate, train_step
 from .stats import FeatureBatch, SmoothedStats
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -71,15 +72,16 @@ def _stats_to_npz(prefix: str, s: SmoothedStats, out: dict):
     out[f"{prefix}_initialized"] = np.array(s.initialized)
     out[f"{prefix}_momentum"] = np.array(s.momentum)
     if s.initialized:
-        out[f"{prefix}_cov"] = s.cov.data
+        if s.cov is not None:
+            out[f"{prefix}_cov"] = s.cov.data
         out[f"{prefix}_mean"] = s.mean
 
 
-def _stats_from_npz(prefix: str, z) -> SmoothedStats:
+def _stats_from_npz(prefix: str, z, with_cov: bool) -> SmoothedStats:
     momentum = float(z[f"{prefix}_momentum"])
     if bool(z[f"{prefix}_initialized"]):
-        return SmoothedStats(momentum=momentum, cov=SymmetricMatrix(z[f"{prefix}_cov"]),
-                             mean=z[f"{prefix}_mean"], initialized=True)
+        cov = SymmetricMatrix(z[f"{prefix}_cov"]) if with_cov else None
+        return SmoothedStats(momentum=momentum, cov=cov, mean=z[f"{prefix}_mean"], initialized=True)
     return SmoothedStats(momentum=momentum)
 
 
@@ -109,7 +111,8 @@ def load_checkpoint(path) -> TrainState:
     with np.load(path, allow_pickle=False) as z:
         version = int(z["version"])
         if version != CHECKPOINT_VERSION:
-            raise InvalidInput(f"unsupported checkpoint version {version}")
+            raise InvalidInput(f"{path}: checkpoint version {version} is not supported, only version "
+                               f"{CHECKPOINT_VERSION} (version 1 holds a mean-tap covariance that 2 drops)")
         dims = [int(v) for v in z["dims"]]
         n_layers = len(dims) - 1
         model = MlpModel(dims=dims,
@@ -122,10 +125,10 @@ def load_checkpoint(path) -> TrainState:
             model=model, lr=meta["lr"], opt_momentum=meta["opt_momentum"],
             velocity_w=[z[f"vw{i}"] for i in range(n_layers)],
             velocity_b=[z[f"vb{i}"] for i in range(n_layers)],
-            stats_source=_stats_from_npz("cov_s", z),
-            stats_target=_stats_from_npz("cov_t", z),
-            mean_stats_source=_stats_from_npz("mean_s", z),
-            mean_stats_target=_stats_from_npz("mean_t", z),
+            stats_source=_stats_from_npz("cov_s", z, with_cov=True),
+            stats_target=_stats_from_npz("cov_t", z, with_cov=True),
+            mean_stats_source=_stats_from_npz("mean_s", z, with_cov=False),
+            mean_stats_target=_stats_from_npz("mean_t", z, with_cov=False),
             step=int(z["step"]), rng=rng,
             cov_tap=meta["cov_tap"], mean_tap=meta["mean_tap"],
             stats_momentum=meta["stats_momentum"], epsilon=meta["epsilon"],
@@ -228,7 +231,7 @@ def ablate(config: RunConfig, seeds, configs=None):
             try:
                 state, _ = train(cfg, dataset)
                 accs.append(evaluate(state.model, dataset.target))
-            except NumericalFailure as exc:
+            except (NumericalFailure, NotPositiveDefinite) as exc:
                 failed.append({"seed": seed, "error": str(exc)})
         table[name] = {
             "accs": accs,

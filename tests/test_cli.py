@@ -8,7 +8,14 @@ from logcoral.cli import main, parse_weights, read_config_file
 from logcoral.data import generate, make_benchmark_spec, save_csv
 from logcoral.exceptions import InvalidInput
 from logcoral.stats import FeatureBatch
-from logcoral.training import RunConfig, default_dataset, init_state, save_checkpoint, train
+from logcoral.training import (
+    RunConfig,
+    default_dataset,
+    init_state,
+    load_checkpoint,
+    save_checkpoint,
+    train,
+)
 
 
 @pytest.fixture
@@ -171,6 +178,22 @@ class TestTrainCommand:
                         init_state(RunConfig(hidden_dims=(8,)), feature_dim=3, num_classes=5))
         assert main(["train", "--steps", "5", "--resume", str(tmp_path / "small.npz"),
                      "--out", str(tmp_path / "run")]) == 2
+
+    def test_version_1_checkpoint_rejected(self, tmp_path, capsys):
+        # a version-1 file also held a covariance at the mean tap
+        config = RunConfig(steps=3, batch=16, samples_per_class=20)
+        state, _ = train(config, default_dataset(config))
+        save_checkpoint(tmp_path / "v2.npz", state)
+        with np.load(tmp_path / "v2.npz") as z:
+            arrays = {k: z[k] for k in z.files}
+        arrays["version"] = np.array(1)
+        arrays["mean_s_cov"] = arrays["mean_t_cov"] = np.eye(128)
+        np.savez(tmp_path / "v1.npz", **arrays)
+        with pytest.raises(InvalidInput, match="version 1 .*version 2 .*mean-tap covariance"):
+            load_checkpoint(tmp_path / "v1.npz")
+        assert main(["train", "--steps", "5", "--resume", str(tmp_path / "v1.npz"),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert "version 1" in capsys.readouterr().err
 
     def test_deterministic_metric_logs(self, tmp_path):
         args = ["train", "--steps", "10", "--batch", "16", "--seed", "5"]

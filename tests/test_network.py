@@ -1,8 +1,11 @@
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
 
+from logcoral import losses as L
+from logcoral import network
 from logcoral.exceptions import InvalidInput
 from logcoral.losses import LossWeights
 from logcoral.network import (
@@ -13,8 +16,8 @@ from logcoral.network import (
     total_loss,
     train_step,
 )
-from logcoral.stats import FeatureBatch
-from logcoral.training import RunConfig, init_state
+from logcoral.stats import FeatureBatch, batch_covariance, batch_mean, update_smoothed
+from logcoral.training import RunConfig, default_dataset, init_state, load_checkpoint, train
 
 
 def small_model(seed=0, dims=(4, 6, 5, 3)):
@@ -154,6 +157,127 @@ class TestTrainStep:
         # passive metrics present even when not optimized
         for key in ("loss_cls", "loss_coral", "loss_logcoral", "loss_mean", "loss_total"):
             assert key in report
+
+
+def two_pass_step(state, src, tgt, weights):
+    """train_step's update with one forward and one backward per domain and
+    the parameter gradients summed. Needs epsilon > 0 and distinct taps.
+    Returns (weights, biases, velocity_w, velocity_b, cov stats, mean stats)."""
+    model = state.model
+    caches = [forward(model, b.data) for b in (src, tgt)]
+    olds = [state.stats_source, state.stats_target]
+    mean_olds = [state.mean_stats_source, state.mean_stats_target]
+    taps = [FeatureBatch(c.tap(state.cov_tap)) for c in caches]
+    mean_taps = [FeatureBatch(c.tap(state.mean_tap)) for c in caches]
+    stats = [update_smoothed(o, batch_covariance(t), batch_mean(t)) for o, t in zip(olds, taps)]
+    mean_stats = [update_smoothed(o, None, batch_mean(t)) for o, t in zip(mean_olds, mean_taps)]
+
+    cls = L.softmax_cross_entropy(caches[0].post[-1], src.labels)
+    coral = L.coral_loss(stats[0].cov, stats[1].cov)
+    logcoral = L.logcoral_loss(stats[0].cov, stats[1].cov, epsilon=state.epsilon)
+    mean = L.mean_loss(mean_stats[0].mean, mean_stats[1].mean)
+    coral_grads = (coral.grad_source, coral.grad_target)
+    logcoral_grads = (logcoral.grad_source, logcoral.grad_target)
+    mean_grads = (mean.grad_source, mean.grad_target)
+
+    gw = [np.zeros_like(w) for w in model.weights]
+    gb = [np.zeros_like(b) for b in model.biases]
+    for k in range(2):
+        cov_grad = weights.coral * coral_grads[k] + weights.logcoral * logcoral_grads[k]
+        share = 1.0 - olds[k].momentum
+        mean_share = 1.0 - mean_olds[k].momentum
+        n = mean_taps[k].n
+        tap_grads = {
+            state.cov_tap: L.chain_to_features(cov_grad, taps[k], scale=share),
+            state.mean_tap: np.tile(weights.mean * mean_share * mean_grads[k] / n, (n, 1)),
+        }
+        if k == 0:
+            tap_grads["logits"] = weights.classification * cls.grad_source
+        dw, db = backward(model, caches[k], tap_grads)
+        gw = [a + b for a, b in zip(gw, dw)]
+        gb = [a + b for a, b in zip(gb, db)]
+    vw = [state.opt_momentum * v - state.lr * g for v, g in zip(state.velocity_w, gw)]
+    vb = [state.opt_momentum * v - state.lr * g for v, g in zip(state.velocity_b, gb)]
+    new_w = [w + v for w, v in zip(model.weights, vw)]
+    new_b = [b + v for b, v in zip(model.biases, vb)]
+    return new_w, new_b, vw, vb, stats, mean_stats
+
+
+class TestStackedStep:
+    def test_matches_two_pass_reference(self):
+        rng = np.random.default_rng(11)
+        weights = LossWeights(classification=1.0, coral=0.7, logcoral=2.0, mean=1.5)
+        state = small_state(4, lr=0.05, epsilon=1e-2)
+        # a few steps first, so statistics are smoothed and velocities nonzero
+        for _ in range(3):
+            train_step(state, labeled_batch(rng, 20, 4, 3),
+                       FeatureBatch(rng.standard_normal((24, 4)) * 1.3 + 0.2), weights)
+        src = labeled_batch(rng, 20, 4, 3)
+        tgt = FeatureBatch(rng.standard_normal((24, 4)) * 1.3 + 0.2)
+
+        want_w, want_b, want_vw, want_vb, want_stats, want_mean_stats = two_pass_step(
+            copy.deepcopy(state), src, tgt, weights)
+        train_step(state, src, tgt, weights)
+
+        def close(got, want):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+        for got, want in ((state.model.weights, want_w), (state.model.biases, want_b),
+                          (state.velocity_w, want_vw), (state.velocity_b, want_vb)):
+            for a, b in zip(got, want):
+                close(a, b)
+        for got, want in zip((state.stats_source, state.stats_target), want_stats):
+            close(got.cov.data, want.cov.data)
+            close(got.mean, want.mean)
+        for got, want in zip((state.mean_stats_source, state.mean_stats_target), want_mean_stats):
+            assert got.cov is None
+            close(got.mean, want.mean)
+
+    def test_one_forward_one_backward_two_covariances(self, monkeypatch):
+        calls = {"forward": 0, "backward": 0}
+        widths = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def covariance(batch):
+            widths.append(batch.d)
+            return batch_covariance(batch)
+
+        monkeypatch.setattr(network, "forward", counted("forward", forward))
+        monkeypatch.setattr(network, "backward", counted("backward", backward))
+        monkeypatch.setattr(network, "batch_covariance", covariance)
+        rng = np.random.default_rng(12)
+        state = small_state(5)
+        for step in range(1, 3):
+            train_step(state, labeled_batch(rng, 16, 4, 3),
+                       FeatureBatch(rng.standard_normal((16, 4))), LossWeights())
+            assert calls == {"forward": step, "backward": step}
+            assert widths == [5] * (2 * step)   # the covariance tap, h2
+
+    def test_one_hidden_layer_trains_and_resumes(self, tmp_path):
+        # with one hidden layer the covariance and mean taps coincide
+        config = RunConfig(seed=2, steps=30, batch=16, samples_per_class=20,
+                           hidden_dims=(8,), eval_every=10)
+        dataset = default_dataset(config)
+        state = init_state(config, dataset.source.d, config.num_classes)
+        assert state.cov_tap == state.mean_tap == "h1"
+        full, full_records = train(config, dataset, state=state)
+        assert all(np.isfinite(r["loss_total"]) for r in full_records)
+
+        _, first = train(dataclasses.replace(config, steps=12), dataset,
+                         checkpoint_path=tmp_path / "ck.npz")
+        resumed, second = train(config, dataset, state=load_checkpoint(tmp_path / "ck.npz"))
+        assert first + second == full_records
+        for a, b in zip(full.model.weights + full.model.biases,
+                        resumed.model.weights + resumed.model.biases):
+            assert np.array_equal(a, b)
+        assert np.array_equal(full.stats_source.cov.data, resumed.stats_source.cov.data)
+        assert resumed.mean_stats_source.cov is None
+        assert np.array_equal(full.mean_stats_target.mean, resumed.mean_stats_target.mean)
 
 
 class TestEvaluate:

@@ -87,3 +87,12 @@ class TestAblate:
         for row in a.values():
             assert len(row["accs"]) == 2
             assert not row["failed"]
+
+    def test_diverging_seed_is_recorded_not_raised(self):
+        # lr=1.0 drives the tap covariances indefinite within a few steps
+        table = ablate(short_config(lr=1.0, steps=20), seeds=[1],
+                       configs={"logcoral+mean": ABLATION_CONFIGS["logcoral+mean"]})
+        row = table["logcoral+mean"]
+        assert row["accs"] == []
+        assert [f["seed"] for f in row["failed"]] == [1]
+        assert "not positive definite" in row["failed"][0]["error"]
