@@ -3,6 +3,14 @@ U f(Sigma) U^T (matrix log and exp) and the Daleckii-Krein backward pass
 through the matrix logarithm used by the Log-Euclidean loss.
 
 All functions are pure; SymmetricMatrix and EigenPair are immutable values.
+
+Validation happens at the edges. The public constructors check every matrix
+a caller hands in: square, finite, exactly symmetric. Matrices this library
+computes itself are symmetric by construction, so they skip those checks
+through the private `SymmetricMatrix._trusted`. A check that a computed
+value can still fail stays where it can fire: `batch_covariance` checks that
+its product did not overflow, `sym_eig` checks finiteness before LAPACK, and
+`regularize_psd` checks that its epsilon is finite.
 """
 from __future__ import annotations
 
@@ -42,6 +50,19 @@ class SymmetricMatrix:
             a = 0.5 * (a + a.T)
         return cls(a)
 
+    @classmethod
+    def _trusted(cls, a: np.ndarray) -> "SymmetricMatrix":
+        """Wrap a matrix the library computed, without the constructor's
+        checks. The caller guarantees what those checks enforce: a is a
+        square float ndarray of dimension >= 1, a == a.T exactly, and its
+        entries are finite (arithmetic on finite entries overflows only at
+        the edge of the float range, and `sym_eig` still checks for that).
+        a is made read-only, as the constructor does."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "data", a)
+        a.setflags(write=False)
+        return m
+
     @property
     def dim(self) -> int:
         return self.data.shape[0]
@@ -68,11 +89,13 @@ def _as_array(m) -> np.ndarray:
 
 def sym_eig(m: SymmetricMatrix) -> EigenPair:
     """Symmetric eigendecomposition with a deterministic sign convention:
-    the largest-magnitude entry of each eigenvector column is made positive."""
+    the largest-magnitude entry of each eigenvector column is made positive.
+    A plain array is symmetrized first; a SymmetricMatrix already is."""
     a = _as_array(m)
     if not np.all(np.isfinite(a)):
         raise InvalidInput("matrix has non-finite entries")
-    a = 0.5 * (a + a.T)
+    if not isinstance(m, SymmetricMatrix):
+        a = _symmetrize(a)
     try:
         values, vectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
@@ -90,10 +113,12 @@ def sym_eig(m: SymmetricMatrix) -> EigenPair:
 
 def regularize_psd(m: SymmetricMatrix, epsilon: float) -> SymmetricMatrix:
     """Shift every eigenvalue up by exactly epsilon: m + epsilon * I."""
-    if not epsilon > 0:
-        raise InvalidInput(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < np.inf:
+        raise InvalidInput(f"epsilon must be positive and finite, got {epsilon}")
     a = _as_array(m)
-    return SymmetricMatrix(a + epsilon * np.eye(a.shape[0]))
+    shifted = a + epsilon * np.eye(a.shape[0])
+    # a plain array is checked like any other caller's input
+    return SymmetricMatrix._trusted(shifted) if isinstance(m, SymmetricMatrix) else SymmetricMatrix(shifted)
 
 
 def default_epsilon(m: SymmetricMatrix, relative: float = 1e-6) -> float:
@@ -107,7 +132,7 @@ def default_epsilon(m: SymmetricMatrix, relative: float = 1e-6) -> float:
 def spectral_apply(vectors: np.ndarray, f_values: np.ndarray) -> np.ndarray:
     """U f(Sigma) U^T from the eigenvectors U and the values f(sigma_i),
     symmetrized."""
-    return sym_part((vectors * f_values) @ vectors.T)
+    return _symmetrize((vectors * f_values) @ vectors.T)
 
 
 def matrix_log(m: SymmetricMatrix) -> SymmetricMatrix:
@@ -138,8 +163,13 @@ def matrix_log_backward(vectors: np.ndarray, values: np.ndarray, upstream: np.nd
     lo = np.minimum.outer(values, values)
     x = np.maximum.outer(values, values) / lo - 1.0
     loewner = np.divide(np.log1p(x), x, out=np.ones_like(x), where=x != 0.0) / lo
-    inner = loewner * (vectors.T @ sym_part(upstream) @ vectors)
-    return sym_part(vectors @ inner @ vectors.T)
+    inner = loewner * (vectors.T @ _symmetrize(upstream) @ vectors)
+    return _symmetrize(vectors @ inner @ vectors.T)
+
+
+def _symmetrize(a: np.ndarray) -> np.ndarray:
+    """(a + a^T) / 2 of a square array, unchecked. Exact on a symmetric a."""
+    return 0.5 * (a + a.T)
 
 
 def sym_part(m) -> np.ndarray:
@@ -147,4 +177,4 @@ def sym_part(m) -> np.ndarray:
     a = _as_array(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidInput(f"expected a square matrix, got shape {a.shape}")
-    return 0.5 * (a + a.T)
+    return _symmetrize(a)

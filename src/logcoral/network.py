@@ -90,18 +90,22 @@ def backward(model: MlpModel, cache: ForwardCache, tap_grads: dict):
     """Accumulate parameter gradients from upstream gradients injected at
     named taps (and/or "logits"). Returns (weight_grads, bias_grads)."""
     n_layers = model.num_layers
-    gw = [np.zeros_like(w) for w in model.weights]
-    gb = [np.zeros_like(b) for b in model.biases]
-    # upstream gradient w.r.t. each layer's post-activation output
-    upstream = [np.zeros_like(p) for p in cache.post]
+    # upstream gradient w.r.t. the post-activation output of each tapped layer
+    upstream = {}
     for name, g in tap_grads.items():
         idx = n_layers - 1 if name == "logits" else int(name[1:]) - 1
-        if g.shape != upstream[idx].shape:
-            raise InvalidInput(f"tap {name!r} gradient has shape {g.shape}, expected {upstream[idx].shape}")
-        upstream[idx] = upstream[idx] + g
-    delta = np.zeros_like(cache.post[-1])
+        if g.shape != cache.post[idx].shape:
+            raise InvalidInput(f"tap {name!r} gradient has shape {g.shape}, expected {cache.post[idx].shape}")
+        upstream[idx] = upstream[idx] + g if idx in upstream else g
+    gw, gb = [None] * n_layers, [None] * n_layers
+    delta = None  # gradient w.r.t. the current layer's output; None while zero
     for i in range(n_layers - 1, -1, -1):
-        delta = delta + upstream[i]
+        if i in upstream:
+            delta = upstream[i] if delta is None else delta + upstream[i]
+        if delta is None:
+            # no tap at or above this layer
+            gw[i], gb[i] = np.zeros_like(model.weights[i]), np.zeros_like(model.biases[i])
+            continue
         if i < n_layers - 1:
             delta = delta * _relu_grad(cache.pre[i])
         a_in = cache.inputs if i == 0 else cache.post[i - 1]
@@ -129,7 +133,6 @@ class TrainState:
     rng: Optional[np.random.Generator] = None
     cov_tap: str = ""
     mean_tap: str = ""
-    stats_momentum: float = 0.9
     epsilon: float = 0.0  # 0 -> scale-relative default per covariance
 
 
@@ -142,9 +145,13 @@ def _forward_pair(model: MlpModel, source: FeatureBatch, target: FeatureBatch) -
 
 
 def _split_tap(cache: ForwardCache, name: str, n_source: int) -> tuple:
-    """The source and target rows of one tap, as feature batches."""
+    """The source and target rows of one tap, as feature batches. The
+    stacked tap is checked for finiteness once; both halves are nonempty
+    because the batches they came from are."""
     h = cache.tap(name)
-    return FeatureBatch(h[:n_source]), FeatureBatch(h[n_source:])
+    if not np.all(np.isfinite(h)):
+        raise InvalidInput(f"tap {name!r} has non-finite activations")
+    return FeatureBatch._trusted(h[:n_source]), FeatureBatch._trusted(h[n_source:])
 
 
 def _batch_share(old_stats: SmoothedStats) -> float:
@@ -207,7 +214,9 @@ def train_step(state: TrainState, source: FeatureBatch, target: FeatureBatch,
 
     if weights.classification > 0:
         # the classification loss reads source rows only
-        _add("logits", np.pad(weights.classification * cls.grad_source, ((0, target.n), (0, 0))))
+        logits_grad = np.zeros_like(cache.post[-1])
+        logits_grad[:n] = weights.classification * cls.grad_source
+        _add("logits", logits_grad)
     if weights.coral > 0 or weights.logcoral > 0:
         cov_grad_s = weights.coral * coral.grad_source + weights.logcoral * logcoral.grad_source
         cov_grad_t = weights.coral * coral.grad_target + weights.logcoral * logcoral.grad_target

@@ -53,6 +53,8 @@ class RunConfig:
             raise InvalidInput(f"optimizer momentum must be in [0, 1), got {self.opt_momentum}")
         if self.epsilon < 0:
             raise InvalidInput(f"epsilon must be nonnegative, got {self.epsilon}")
+        if self.eval_every < 1:
+            raise InvalidInput(f"eval_every must be >= 1, got {self.eval_every}")
 
 
 def default_dataset(config: RunConfig) -> D.DatasetPair:
@@ -65,7 +67,8 @@ def _sample_batch(batch: FeatureBatch, size: int, rng: np.random.Generator,
                   with_labels: bool) -> FeatureBatch:
     idx = rng.integers(0, batch.n, size=size)
     labels = batch.labels[idx] if (with_labels and batch.labels is not None) else None
-    return FeatureBatch(batch.data[idx], labels=labels)
+    # rows of a checked batch keep its invariant
+    return FeatureBatch._trusted(batch.data[idx], labels=labels)
 
 
 def _stats_to_npz(prefix: str, s: SmoothedStats, out: dict):
@@ -99,7 +102,7 @@ def save_checkpoint(path, state: TrainState):
     _stats_to_npz("mean_t", state.mean_stats_target, arrays)
     meta = {
         "lr": state.lr, "opt_momentum": state.opt_momentum,
-        "stats_momentum": state.stats_momentum, "epsilon": state.epsilon,
+        "epsilon": state.epsilon,
         "cov_tap": state.cov_tap, "mean_tap": state.mean_tap,
         "rng_state": state.rng.bit_generator.state,
     }
@@ -131,7 +134,7 @@ def load_checkpoint(path) -> TrainState:
             mean_stats_target=_stats_from_npz("mean_t", z, with_cov=False),
             step=int(z["step"]), rng=rng,
             cov_tap=meta["cov_tap"], mean_tap=meta["mean_tap"],
-            stats_momentum=meta["stats_momentum"], epsilon=meta["epsilon"],
+            epsilon=meta["epsilon"],
         )
 
 
@@ -155,7 +158,7 @@ def init_state(config: RunConfig, feature_dim: int, num_classes: int) -> TrainSt
         rng=rng,
         cov_tap=f"h{len(config.hidden_dims)}",
         mean_tap=f"h{max(len(config.hidden_dims) - 1, 1)}",
-        stats_momentum=config.momentum, epsilon=config.epsilon,
+        epsilon=config.epsilon,
     )
 
 

@@ -116,6 +116,7 @@ def test_criterion_4_covariance_oracle():
     report(4, worst <= 1e-10, f"worst abs gap {worst:.2e}")
 
 
+@pytest.mark.slow
 def test_criterion_5_end_to_end_adaptation_gain(benchmark_runs):
     base = median_acc(benchmark_runs, "baseline")
     combo = median_acc(benchmark_runs, "logcoral+mean")
@@ -126,6 +127,7 @@ def test_criterion_5_end_to_end_adaptation_gain(benchmark_runs):
                   f"logcoral+mean {combo:.3f}")
 
 
+@pytest.mark.slow
 def test_criterion_6_weak_correlation(benchmark_runs):
     mean_active = median_rel_change(benchmark_runs, "mean", "loss_mean")
     mean_passive = median_rel_change(benchmark_runs, "mean", "loss_logcoral")
@@ -141,6 +143,7 @@ def test_criterion_6_weak_correlation(benchmark_runs):
                   f"both: mean {both_mean:+.2f} logcoral {both_log:+.2f}")
 
 
+@pytest.mark.slow
 def test_criterion_7_determinism_and_resume(tmp_path):
     args = ["train", "--steps", "50", "--batch", "32", "--seed", "9"]
     cfg = tmp_path / "run.cfg"

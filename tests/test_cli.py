@@ -195,6 +195,26 @@ class TestTrainCommand:
                      "--out", str(tmp_path / "run")]) == 2
         assert "version 1" in capsys.readouterr().err
 
+    def test_zero_eval_every_is_bad_input(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("eval_every=0\n")
+        assert main(["train", "--config", str(cfg), "--steps", "5",
+                     "--out", str(tmp_path / "run")]) == 2
+
+    def test_negative_csv_label_is_bad_input(self, tmp_path, capsys):
+        pair = generate(make_benchmark_spec(num_classes=3, dim=4, samples_per_class=30, seed=3))
+        fs, ft = tmp_path / "s.csv", tmp_path / "t.csv"
+        save_csv(fs, pair.source)
+        save_csv(ft, pair.target)
+        lines = fs.read_text().splitlines()
+        lines[0] = lines[0].rsplit(",", 1)[0] + ",-1"
+        fs.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "run"
+        assert main(["train", "--steps", "5", "--batch", "16", "--source-csv", str(fs),
+                     "--target-csv", str(ft), "--out", str(out)]) == 2
+        assert "nonnegative" in capsys.readouterr().err
+        assert not (out / "checkpoint.npz").exists()
+
     def test_deterministic_metric_logs(self, tmp_path):
         args = ["train", "--steps", "10", "--batch", "16", "--seed", "5"]
         cfg = tmp_path / "run.cfg"

@@ -113,6 +113,21 @@ class TestRegularize:
         with pytest.raises(InvalidInput):
             regularize_psd(SymmetricMatrix(np.eye(2)), 0.0)
 
+    @pytest.mark.parametrize("eps", [np.inf, np.nan])
+    def test_nonfinite_epsilon_rejected(self, eps):
+        with pytest.raises(InvalidInput):
+            regularize_psd(SymmetricMatrix(np.eye(2)), eps)
+
+    def test_output_keeps_the_invariant(self):
+        out = regularize_psd(rand_sym(np.random.default_rng(4), 7), 0.37)
+        assert np.array_equal(out.data, out.data.T)
+        assert np.all(np.isfinite(out.data))
+        assert not out.data.flags.writeable
+
+    def test_plain_array_input_is_checked(self):
+        with pytest.raises(InvalidInput):
+            regularize_psd(np.array([[1.0, 2.0], [0.0, 1.0]]), 0.1)
+
     def test_default_epsilon_tracks_scale(self):
         m = SymmetricMatrix(np.diag([2.0, 4.0]))
         assert default_epsilon(m) == pytest.approx(3e-6)

@@ -7,6 +7,7 @@ import pytest
 from logcoral import losses as L
 from logcoral import network
 from logcoral.exceptions import InvalidInput
+from logcoral.linalg import SymmetricMatrix
 from logcoral.losses import LossWeights
 from logcoral.network import (
     MlpModel,
@@ -257,6 +258,34 @@ class TestStackedStep:
                        FeatureBatch(rng.standard_normal((16, 4))), LossWeights())
             assert calls == {"forward": step, "backward": step}
             assert widths == [5] * (2 * step)   # the covariance tap, h2
+
+    def test_builds_no_checked_values(self, monkeypatch):
+        # a step's matrices and batches are computed, so they skip the
+        # constructor checks that caller input goes through
+        rng = np.random.default_rng(13)
+        batches = [(labeled_batch(rng, 16, 4, 3), FeatureBatch(rng.standard_normal((16, 4))))
+                   for _ in range(3)]
+        checks = {SymmetricMatrix: 0, FeatureBatch: 0}
+        for cls in checks:
+            def counted(self, real=cls.__post_init__, cls=cls):
+                checks[cls] += 1
+                real(self)
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        state = small_state(6, epsilon=1e-2)
+        for src, tgt in batches:
+            train_step(state, src, tgt, LossWeights(coral=1.0))
+        assert checks == {SymmetricMatrix: 0, FeatureBatch: 0}
+
+    def test_smoothed_covariances_keep_the_invariant(self):
+        rng = np.random.default_rng(14)
+        state = small_state(7)
+        for _ in range(4):
+            train_step(state, labeled_batch(rng, 16, 4, 3),
+                       FeatureBatch(rng.standard_normal((16, 4)) * 2.0), LossWeights())
+        for cov in (state.stats_source.cov, state.stats_target.cov):
+            assert np.array_equal(cov.data, cov.data.T)
+            assert np.all(np.isfinite(cov.data))
+            assert not cov.data.flags.writeable
 
     def test_one_hidden_layer_trains_and_resumes(self, tmp_path):
         # with one hidden layer the covariance and mean taps coincide

@@ -34,6 +34,15 @@ class TestFeatureBatch:
         with pytest.raises(InvalidInput):
             FeatureBatch(np.zeros((0, 2)))
 
+    @pytest.mark.parametrize("labels", [[0.7, 1.9], [0, -1], [0, np.nan]])
+    def test_rejects_labels_that_are_not_class_indices(self, labels):
+        with pytest.raises(InvalidInput):
+            FeatureBatch(np.zeros((2, 2)), labels=labels)
+
+    def test_whole_float_labels_become_integers(self):
+        b = FeatureBatch(np.zeros((2, 2)), labels=[2.0, 0.0])
+        assert b.labels.dtype.kind == "i" and b.labels.tolist() == [2, 0]
+
 
 class TestBatchCovariance:
     def test_identical_rows_zero_variance(self):
@@ -74,6 +83,19 @@ class TestBatchCovariance:
         cov = batch_covariance(FeatureBatch(x))
         vals = np.linalg.eigvalsh(cov.data)
         assert vals.min() >= -1e-10 * np.trace(cov.data)
+
+    def test_output_keeps_the_invariant(self):
+        rng = np.random.default_rng(9)
+        c = batch_covariance(FeatureBatch(rng.standard_normal((30, 6)) * 3.0 + 2.0))
+        assert np.array_equal(c.data, c.data.T)
+        assert np.all(np.isfinite(c.data))
+        assert not c.data.flags.writeable
+
+    def test_overflowing_product_rejected(self):
+        # finite features whose outer products overflow to inf
+        x = np.random.default_rng(10).standard_normal((5, 3)) * 1e200
+        with pytest.raises(InvalidInput):
+            batch_covariance(FeatureBatch(x))
 
     def test_single_row_rejected(self):
         with pytest.raises(InvalidInput):

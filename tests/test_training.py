@@ -75,6 +75,25 @@ class TestCheckpoint:
         assert first + second == full_records
         assert (tmp_path / "part.jsonl").read_text() == (tmp_path / "full.jsonl").read_text()
 
+    def test_stats_momentum_key_is_ignored(self, tmp_path):
+        # version-2 files written before the key was dropped still carry it
+        full_cfg = short_config(seed=2, steps=50)
+        dataset = default_dataset(full_cfg)
+        _, full_records = train(full_cfg, dataset)
+        train(dataclasses.replace(full_cfg, steps=20), dataset, checkpoint_path=tmp_path / "ck.npz")
+        with np.load(tmp_path / "ck.npz") as z:
+            arrays = {k: z[k] for k in z.files}
+        meta = json.loads(str(arrays["meta_json"]))
+        assert "stats_momentum" not in meta
+        meta["stats_momentum"] = 0.9
+        arrays["meta_json"] = np.array(json.dumps(meta))
+        np.savez(tmp_path / "old.npz", **arrays)
+
+        resumed = load_checkpoint(tmp_path / "old.npz")
+        assert resumed.step == 20
+        _, second = train(full_cfg, dataset, state=resumed)
+        assert full_records[20:] == second
+
 
 class TestAblate:
     def test_grid_shape_and_determinism(self):
