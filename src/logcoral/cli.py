@@ -67,8 +67,8 @@ def read_config_file(path) -> dict:
     return out
 
 
-def build_run_config(args) -> RunConfig:
-    """Merge config-file values and CLI flags; flags win."""
+def run_config_values(args) -> dict:
+    """RunConfig keyword values given as CLI flags or config-file keys; flags win."""
     file_vals = read_config_file(args.config) if args.config else {}
 
     def pick(flag_val, key, cast):
@@ -91,7 +91,7 @@ def build_run_config(args) -> RunConfig:
                       ("eval_every", int)):
         if key in file_vals:
             kwargs[key] = cast(file_vals[key])
-    return RunConfig(**kwargs)
+    return kwargs
 
 
 def _emit(report: dict, fmt: str):
@@ -127,8 +127,7 @@ def cmd_losses(args) -> int:
 def cmd_gradcheck(args) -> int:
     dims = tuple(int(d) for d in args.dims.split(",")) if args.dims else (2, 5, 16)
     base_seed = args.seed if args.seed is not None else 0
-    result = run_gradcheck(dims=dims, seeds=range(base_seed, base_seed + args.trials),
-                           corrupt_target_sign=args.corrupt_target_sign)
+    result = run_gradcheck(dims=dims, seeds=range(base_seed, base_seed + args.trials))
     report = {}
     for name, err in result.errors.items():
         status = "pass" if err <= THRESHOLDS[name] else "FAIL"
@@ -161,7 +160,12 @@ def _load_dataset(args, config: RunConfig):
 
 
 def cmd_train(args) -> int:
-    config = build_run_config(args)
+    values = run_config_values(args)
+    fixed = [key for key in ("lr", "momentum", "epsilon") if key in values] if args.resume else []
+    if fixed:  # a resumed run keeps the checkpoint's values of these keys
+        raise InvalidInput(f"--resume keeps the checkpoint's {', '.join(fixed)}: "
+                           "remove from the flags and the config file")
+    config = RunConfig(**values)
     out_dir = args.out or "run"
     os.makedirs(out_dir, exist_ok=True)
     metrics_path = os.path.join(out_dir, "metrics.jsonl")
@@ -187,7 +191,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    config = build_run_config(args)
+    config = RunConfig(**run_config_values(args))
     n_seeds = args.seeds
     base = config.seed
     table = training.ablate(config, seeds=range(base, base + n_seeds))
@@ -234,20 +238,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target")
     p.add_argument("--labels", action="store_true", help="last CSV column is an integer label")
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    _add_common(p)
+    p.add_argument("--epsilon", type=float)
+    p.add_argument("--format", choices=["text", "json", "csv"], default="text")
     p.set_defaults(func=cmd_losses)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of all analytic gradients")
     p.add_argument("--dims", help="comma-separated matrix sizes (default 2,5,16)")
     p.add_argument("--trials", type=int, default=20, help="random seeds per size")
-    p.add_argument("--corrupt-target-sign", action="store_true", help=argparse.SUPPRESS)
-    _add_common(p)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--format", choices=["text", "json", "csv"], default="text")
+    p.add_argument("--out", help="output directory")
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("train", help="train the classifier with alignment losses")
     p.add_argument("--source-csv", help="labeled source features (last column label)")
     p.add_argument("--target-csv", help="target features (labels used only for eval)")
-    p.add_argument("--resume", help="checkpoint to continue from")
+    p.add_argument("--resume", help="checkpoint to continue from, with its lr, momentum and epsilon")
     _add_common(p)
     p.set_defaults(func=cmd_train)
 

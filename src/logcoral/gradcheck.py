@@ -33,17 +33,16 @@ def _rel_err(fd: float, an: float) -> float:
     return abs(fd - an) / max(abs(fd), abs(an), 1e-12)
 
 
-def _check_pair_loss(fn, x_s, x_t, bundle, rng, h, n_dirs, corrupt_target_sign=False):
+def _check_pair_loss(fn, x_s, x_t, bundle, rng, h, n_dirs):
     """Directional FD check of a two-argument loss. Returns worst rel error."""
     worst = 0.0
-    g_t = -bundle.grad_target if corrupt_target_sign else bundle.grad_target
     for _ in range(n_dirs):
         v = sym_part(rng.standard_normal(x_s.shape)) if x_s.ndim == 2 else rng.standard_normal(x_s.shape)
         v /= np.linalg.norm(v)
         fd = (fn(x_s + h * v, x_t) - fn(x_s - h * v, x_t)) / (2 * h)
         worst = max(worst, _rel_err(fd, float(np.sum(bundle.grad_source * v))))
         fd = (fn(x_s, x_t + h * v) - fn(x_s, x_t - h * v)) / (2 * h)
-        worst = max(worst, _rel_err(fd, float(np.sum(g_t * v))))
+        worst = max(worst, _rel_err(fd, float(np.sum(bundle.grad_target * v))))
     return worst
 
 
@@ -54,11 +53,10 @@ class GradCheckResult:
     worst_case: dict      # loss name -> {seed, dim, inputs...} of the worst draw
 
 
-def run_gradcheck(dims=(2, 5, 16), seeds=range(100), h: float = 1e-5, n_dirs: int = 2,
-                  corrupt_target_sign: bool = False) -> GradCheckResult:
+def run_gradcheck(dims=(2, 5, 16), seeds=range(100), h: float = 1e-5,
+                  n_dirs: int = 2) -> GradCheckResult:
     """Sweep random inputs over the given dims and seeds and FD-check all four
-    losses. corrupt_target_sign is a test hook that flips the sign of every
-    target gradient before comparison."""
+    losses."""
     errors = {k: 0.0 for k in THRESHOLDS}
     worst_case = {k: None for k in THRESHOLDS}
 
@@ -78,21 +76,21 @@ def run_gradcheck(dims=(2, 5, 16), seeds=range(100), h: float = 1e-5, n_dirs: in
             err = _check_pair_loss(
                 lambda a, b: L.coral_loss(SymmetricMatrix.from_array(a, symmetrize=True),
                                           SymmetricMatrix.from_array(b, symmetrize=True)).value,
-                c_s.data, c_t.data, bundle, rng, h, n_dirs, corrupt_target_sign)
+                c_s.data, c_t.data, bundle, rng, h, n_dirs)
             note("coral", err, seed, dim, cov_s=c_s.data, cov_t=c_t.data)
 
             bundle = L.logcoral_loss(c_s, c_t, epsilon=0.0)
             err = _check_pair_loss(
                 lambda a, b: L.logcoral_loss(SymmetricMatrix.from_array(a, symmetrize=True),
                                              SymmetricMatrix.from_array(b, symmetrize=True)).value,
-                c_s.data, c_t.data, bundle, rng, h, n_dirs, corrupt_target_sign)
+                c_s.data, c_t.data, bundle, rng, h, n_dirs)
             note("logcoral", err, seed, dim, cov_s=c_s.data, cov_t=c_t.data)
 
             m_s = rng.standard_normal(dim)
             m_t = rng.standard_normal(dim)
             bundle = L.mean_loss(m_s, m_t)
             err = _check_pair_loss(lambda a, b: L.mean_loss(a, b).value,
-                                   m_s, m_t, bundle, rng, h, n_dirs, corrupt_target_sign)
+                                   m_s, m_t, bundle, rng, h, n_dirs)
             note("mean", err, seed, dim, mean_s=m_s, mean_t=m_t)
 
             n = 8

@@ -118,7 +118,8 @@ def backward(model: MlpModel, cache: ForwardCache, tap_grads: dict):
 
 @dataclass
 class TrainState:
-    """Everything a training run carries between steps."""
+    """Everything a training run carries between steps. Each domain's stats
+    hold the smoothed covariance at cov_tap and the smoothed mean at mean_tap."""
 
     model: MlpModel
     lr: float = 1e-3
@@ -127,8 +128,6 @@ class TrainState:
     velocity_b: list = field(default_factory=list)
     stats_source: Optional[SmoothedStats] = None
     stats_target: Optional[SmoothedStats] = None
-    mean_stats_source: Optional[SmoothedStats] = None
-    mean_stats_target: Optional[SmoothedStats] = None
     step: int = 0
     rng: Optional[np.random.Generator] = None
     cov_tap: str = ""
@@ -174,16 +173,13 @@ def train_step(state: TrainState, source: FeatureBatch, target: FeatureBatch,
     n = source.n
     cache = _forward_pair(state.model, source, target)
 
-    # second-order statistics at the covariance tap
+    # the covariance at the covariance tap, the mean at the mean tap
     tap_s, tap_t = _split_tap(cache, state.cov_tap, n)
-    stats_s = update_smoothed(state.stats_source, batch_covariance(tap_s), batch_mean(tap_s))
-    stats_t = update_smoothed(state.stats_target, batch_covariance(tap_t), batch_mean(tap_t))
-    cov_s, cov_t = stats_s.cov, stats_t.cov
-
-    # first-order statistics at the mean tap
     mtap_s, mtap_t = _split_tap(cache, state.mean_tap, n)
-    mean_stats_s = update_smoothed(state.mean_stats_source, None, batch_mean(mtap_s))
-    mean_stats_t = update_smoothed(state.mean_stats_target, None, batch_mean(mtap_t))
+    stats_s = update_smoothed(state.stats_source, batch_covariance(tap_s), batch_mean(mtap_s))
+    stats_t = update_smoothed(state.stats_target, batch_covariance(tap_t), batch_mean(mtap_t))
+    share_s, share_t = _batch_share(state.stats_source), _batch_share(state.stats_target)
+    cov_s, cov_t = stats_s.cov, stats_t.cov
 
     cls = L.softmax_cross_entropy(cache.post[-1][:n], source.labels)
     coral = L.coral_loss(cov_s, cov_t)
@@ -191,7 +187,7 @@ def train_step(state: TrainState, source: FeatureBatch, target: FeatureBatch,
     if eps <= 0:
         eps = max(default_epsilon(cov_s), default_epsilon(cov_t))
     logcoral = L.logcoral_loss(cov_s, cov_t, epsilon=eps)
-    mean = L.mean_loss(mean_stats_s.mean, mean_stats_t.mean)
+    mean = L.mean_loss(stats_s.mean, stats_t.mean)
 
     report = {
         "loss_cls": cls.value,
@@ -221,11 +217,11 @@ def train_step(state: TrainState, source: FeatureBatch, target: FeatureBatch,
         cov_grad_s = weights.coral * coral.grad_source + weights.logcoral * logcoral.grad_source
         cov_grad_t = weights.coral * coral.grad_target + weights.logcoral * logcoral.grad_target
         _add(state.cov_tap, np.concatenate([
-            L.chain_to_features(cov_grad_s, tap_s, scale=_batch_share(state.stats_source)),
-            L.chain_to_features(cov_grad_t, tap_t, scale=_batch_share(state.stats_target))]))
+            L.chain_to_features(cov_grad_s, tap_s, scale=share_s),
+            L.chain_to_features(cov_grad_t, tap_t, scale=share_t)]))
     if weights.mean > 0:
-        row_s = weights.mean * _batch_share(state.mean_stats_source) * mean.grad_source / mtap_s.n
-        row_t = weights.mean * _batch_share(state.mean_stats_target) * mean.grad_target / mtap_t.n
+        row_s = weights.mean * share_s * mean.grad_source / mtap_s.n
+        row_t = weights.mean * share_t * mean.grad_target / mtap_t.n
         _add(state.mean_tap, np.repeat([row_s, row_t], [mtap_s.n, mtap_t.n], axis=0))
 
     gw, gb = backward(state.model, cache, taps)
@@ -239,7 +235,6 @@ def train_step(state: TrainState, source: FeatureBatch, target: FeatureBatch,
     # commit only now, so a step that raises leaves the last good state
     state.model, state.velocity_w, state.velocity_b = model, velocity_w, velocity_b
     state.stats_source, state.stats_target = stats_s, stats_t
-    state.mean_stats_source, state.mean_stats_target = mean_stats_s, mean_stats_t
     state.step += 1
     return state, report
 

@@ -1,5 +1,7 @@
 """Batch statistics over feature matrices: sample covariance, column mean,
-and the moving-average smoothing carried across training iterations.
+and the moving-average state carried across training iterations. Training
+keeps one `SmoothedStats` per domain, holding the covariance at one feature
+tap and the mean at another.
 
 Validation happens at the edges. `FeatureBatch(...)` checks what a caller
 hands in: a non-empty finite 2-D array, and labels that are whole,
@@ -89,35 +91,33 @@ def batch_mean(b: FeatureBatch) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SmoothedStats:
-    """Moving-average mean and optional covariance, updated functionally. The
-    first update seeds the state with the batch values verbatim."""
+    """Moving-average covariance and mean of one domain, which may come from
+    different feature taps, updated functionally. Both are None until the
+    first update, which seeds them with the batch values verbatim."""
 
     momentum: float = 0.9
     cov: Optional[SymmetricMatrix] = None
     mean: Optional[np.ndarray] = None
-    initialized: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.momentum < 1.0:
             raise InvalidInput(f"momentum must be in (0, 1), got {self.momentum}")
-        if self.initialized:
-            if self.mean is None:
-                raise InvalidInput("initialized state must carry a mean")
-            if self.cov is not None and self.cov.dim != len(self.mean):
-                raise InvalidInput("cov dimension does not match mean length")
+        if (self.cov is None) != (self.mean is None):
+            raise InvalidInput("cov and mean must both be set or both be None")
+
+    @property
+    def initialized(self) -> bool:
+        return self.mean is not None
 
 
-def update_smoothed(s: SmoothedStats, cov: Optional[SymmetricMatrix], mean: np.ndarray) -> SmoothedStats:
-    """One moving-average step, momentum * old + (1 - momentum) * batch, of cov too unless None."""
+def update_smoothed(s: SmoothedStats, cov: SymmetricMatrix, mean: np.ndarray) -> SmoothedStats:
+    """One moving-average step, momentum * old + (1 - momentum) * batch, of cov and mean."""
     mean = np.asarray(mean, dtype=float)
-    if cov is not None and cov.dim != len(mean):
-        raise InvalidInput("batch cov dimension does not match batch mean length")
     if not s.initialized:
-        return SmoothedStats(momentum=s.momentum, cov=cov, mean=mean, initialized=True)
-    if len(s.mean) != len(mean) or (s.cov is None) != (cov is None):
-        raise InvalidInput(f"batch (dim {len(mean)}, cov {cov is not None}) does not match "
-                           f"state (dim {len(s.mean)}, cov {s.cov is not None})")
+        return SmoothedStats(momentum=s.momentum, cov=cov, mean=mean)
+    if cov.dim != s.cov.dim or len(mean) != len(s.mean):
+        raise InvalidInput(f"batch (cov dim {cov.dim}, mean length {len(mean)}) does not match "
+                           f"state (cov dim {s.cov.dim}, mean length {len(s.mean)})")
     m = s.momentum
-    new_cov = None if cov is None else SymmetricMatrix._trusted(m * s.cov.data + (1.0 - m) * cov.data)
-    new_mean = m * s.mean + (1.0 - m) * mean
-    return SmoothedStats(momentum=s.momentum, cov=new_cov, mean=new_mean, initialized=True)
+    return SmoothedStats(momentum=m, cov=SymmetricMatrix._trusted(m * s.cov.data + (1.0 - m) * cov.data),
+                         mean=m * s.mean + (1.0 - m) * mean)

@@ -3,8 +3,9 @@
 Metrics are JSON-lines ({step, loss_cls, loss_coral, loss_logcoral,
 loss_mean, loss_total, target_acc?}); checkpoints are version-2 .npz
 containers that carry everything needed for a bit-exact resume (parameters,
-optimizer velocities, rng state, step counter, and the smoothed statistics:
-covariance and mean at the covariance tap, mean only at the mean tap).
+optimizer velocities, rng state, step counter, and each domain's smoothed
+statistics: the covariance at the covariance tap and the mean at the mean
+tap).
 """
 from __future__ import annotations
 
@@ -71,20 +72,21 @@ def _sample_batch(batch: FeatureBatch, size: int, rng: np.random.Generator,
     return FeatureBatch._trusted(batch.data[idx], labels=labels)
 
 
-def _stats_to_npz(prefix: str, s: SmoothedStats, out: dict):
-    out[f"{prefix}_initialized"] = np.array(s.initialized)
-    out[f"{prefix}_momentum"] = np.array(s.momentum)
+# Keys name the tap a value comes from. Older files that also hold cov_{s,t}_mean
+# and mean_{s,t}_{momentum,initialized} load too; those keys are not read.
+def _stats_to_npz(domain: str, s: SmoothedStats, out: dict):
+    out[f"cov_{domain}_initialized"] = np.array(s.initialized)
+    out[f"cov_{domain}_momentum"] = np.array(s.momentum)
     if s.initialized:
-        if s.cov is not None:
-            out[f"{prefix}_cov"] = s.cov.data
-        out[f"{prefix}_mean"] = s.mean
+        out[f"cov_{domain}_cov"] = s.cov.data
+        out[f"mean_{domain}_mean"] = s.mean
 
 
-def _stats_from_npz(prefix: str, z, with_cov: bool) -> SmoothedStats:
-    momentum = float(z[f"{prefix}_momentum"])
-    if bool(z[f"{prefix}_initialized"]):
-        cov = SymmetricMatrix(z[f"{prefix}_cov"]) if with_cov else None
-        return SmoothedStats(momentum=momentum, cov=cov, mean=z[f"{prefix}_mean"], initialized=True)
+def _stats_from_npz(domain: str, z) -> SmoothedStats:
+    momentum = float(z[f"cov_{domain}_momentum"])
+    if bool(z[f"cov_{domain}_initialized"]):
+        return SmoothedStats(momentum=momentum, cov=SymmetricMatrix(z[f"cov_{domain}_cov"]),
+                             mean=z[f"mean_{domain}_mean"])
     return SmoothedStats(momentum=momentum)
 
 
@@ -96,10 +98,8 @@ def save_checkpoint(path, state: TrainState):
         arrays[f"b{i}"] = b
         arrays[f"vw{i}"] = state.velocity_w[i]
         arrays[f"vb{i}"] = state.velocity_b[i]
-    _stats_to_npz("cov_s", state.stats_source, arrays)
-    _stats_to_npz("cov_t", state.stats_target, arrays)
-    _stats_to_npz("mean_s", state.mean_stats_source, arrays)
-    _stats_to_npz("mean_t", state.mean_stats_target, arrays)
+    _stats_to_npz("s", state.stats_source, arrays)
+    _stats_to_npz("t", state.stats_target, arrays)
     meta = {
         "lr": state.lr, "opt_momentum": state.opt_momentum,
         "epsilon": state.epsilon,
@@ -128,10 +128,8 @@ def load_checkpoint(path) -> TrainState:
             model=model, lr=meta["lr"], opt_momentum=meta["opt_momentum"],
             velocity_w=[z[f"vw{i}"] for i in range(n_layers)],
             velocity_b=[z[f"vb{i}"] for i in range(n_layers)],
-            stats_source=_stats_from_npz("cov_s", z, with_cov=True),
-            stats_target=_stats_from_npz("cov_t", z, with_cov=True),
-            mean_stats_source=_stats_from_npz("mean_s", z, with_cov=False),
-            mean_stats_target=_stats_from_npz("mean_t", z, with_cov=False),
+            stats_source=_stats_from_npz("s", z),
+            stats_target=_stats_from_npz("t", z),
             step=int(z["step"]), rng=rng,
             cov_tap=meta["cov_tap"], mean_tap=meta["mean_tap"],
             epsilon=meta["epsilon"],
@@ -153,8 +151,6 @@ def init_state(config: RunConfig, feature_dim: int, num_classes: int) -> TrainSt
         velocity_b=[np.zeros_like(b) for b in model.biases],
         stats_source=SmoothedStats(momentum=config.momentum),
         stats_target=SmoothedStats(momentum=config.momentum),
-        mean_stats_source=SmoothedStats(momentum=config.momentum),
-        mean_stats_target=SmoothedStats(momentum=config.momentum),
         rng=rng,
         cov_tap=f"h{len(config.hidden_dims)}",
         mean_tap=f"h{max(len(config.hidden_dims) - 1, 1)}",

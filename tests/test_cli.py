@@ -87,6 +87,14 @@ class TestLossesCommand:
         assert report["mean"] > 0.1
         assert report["logcoral"] < report["mean"] / 10  # only sampling noise
 
+    def test_rejects_options_it_does_not_read(self, feature_files):
+        a, b = feature_files
+        for option in ("--config", "--seed", "--steps", "--batch", "--lr", "--weights",
+                       "--momentum", "--out"):
+            with pytest.raises(SystemExit) as exc:
+                main(["losses", str(a), str(b), option, "1"])
+            assert exc.value.code == 2, option
+
     def test_missing_file_exit_2(self, tmp_path, capsys):
         rc = main(["losses", str(tmp_path / "absent.csv"), str(tmp_path / "absent.csv")])
         assert rc == 2
@@ -100,13 +108,20 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert "pass" in out and "FAIL" not in out
 
-    def test_corrupted_sign_fails_and_dumps(self, tmp_path, capsys):
-        rc = main(["gradcheck", "--dims", "3", "--trials", "2",
-                   "--corrupt-target-sign", "--out", str(tmp_path)])
+    def test_rejects_options_it_does_not_read(self):
+        for option in ("--config", "--steps", "--batch", "--lr", "--weights", "--epsilon",
+                       "--momentum"):
+            with pytest.raises(SystemExit) as exc:
+                main(["gradcheck", "--dims", "2", "--trials", "1", option, "1"])
+            assert exc.value.code == 2, option
+
+    def test_corrupted_sign_fails_and_dumps(self, tmp_path, capsys, flipped_target_gradients):
+        rc = main(["gradcheck", "--dims", "3", "--trials", "2", "--out", str(tmp_path)])
         assert rc == 1
         assert (tmp_path / "gradcheck_failure.npz").exists()
 
-    def test_dump_holds_the_evaluated_worst_inputs(self, tmp_path, monkeypatch):
+    def test_dump_holds_the_evaluated_worst_inputs(self, tmp_path, monkeypatch,
+                                                   flipped_target_gradients):
         # with --dims 2,5 the worst coral and mean draws are at dim 5, whose
         # inputs come after the dim-2 draws in the seed's rng stream
         seen = []
@@ -115,8 +130,7 @@ class TestGradcheckCommand:
                 seen.append((name, np.array(getattr(a, "data", a)), np.array(getattr(b, "data", b))))
                 return real(a, b)
             monkeypatch.setattr(losses, name, spy)
-        rc = main(["gradcheck", "--dims", "2,5", "--trials", "1",
-                   "--corrupt-target-sign", "--out", str(tmp_path)])
+        rc = main(["gradcheck", "--dims", "2,5", "--trials", "1", "--out", str(tmp_path)])
         assert rc == 1
         with np.load(tmp_path / "gradcheck_failure.npz") as dump:
             for name, key_s, key_t in (("coral", "coral_cov_s", "coral_cov_t"),
@@ -178,6 +192,27 @@ class TestTrainCommand:
                         init_state(RunConfig(hidden_dims=(8,)), feature_dim=3, num_classes=5))
         assert main(["train", "--steps", "5", "--resume", str(tmp_path / "small.npz"),
                      "--out", str(tmp_path / "run")]) == 2
+
+    def test_resume_refuses_what_the_checkpoint_fixes(self, tmp_path, capsys):
+        config = RunConfig(steps=3, batch=16, samples_per_class=20)
+        state, _ = train(config, default_dataset(config))
+        save_checkpoint(tmp_path / "ck.npz", state)
+        cfg = tmp_path / "run.cfg"
+        out = tmp_path / "run"
+        resume = ["train", "--steps", "8", "--resume", str(tmp_path / "ck.npz"), "--out", str(out)]
+        for key, value in (("lr", "0.5"), ("momentum", "0.5"), ("epsilon", "0.3")):
+            assert main(resume + [f"--{key}", value]) == 2
+            assert key in capsys.readouterr().err
+            cfg.write_text(f"samples_per_class=20\n{key}={value}\n")
+            assert main(resume + ["--config", str(cfg)]) == 2
+            assert key in capsys.readouterr().err
+        assert not out.exists()
+        # what the checkpoint does not fix can still be set
+        cfg.write_text("samples_per_class=20\n")
+        assert main(resume + ["--config", str(cfg), "--batch", "16", "--seed", "3",
+                              "--weights", "cls=1,mean=1"]) == 0
+        with np.load(out / "checkpoint.npz") as z:
+            assert int(z["step"]) == 8
 
     def test_version_1_checkpoint_rejected(self, tmp_path, capsys):
         # a version-1 file also held a covariance at the mean tap

@@ -19,8 +19,8 @@ def test_default_sweep_passes():
         assert err <= THRESHOLDS[name]
 
 
-def test_corrupted_sign_detected():
-    result = run_gradcheck(dims=(3,), seeds=range(2), corrupt_target_sign=True)
+def test_corrupted_sign_detected(flipped_target_gradients):
+    result = run_gradcheck(dims=(3,), seeds=range(2))
     assert not result.passed
     # a flipped sign shows up as a relative error of about 2
     assert result.errors["coral"] > 1.0

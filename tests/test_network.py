@@ -163,20 +163,21 @@ class TestTrainStep:
 def two_pass_step(state, src, tgt, weights):
     """train_step's update with one forward and one backward per domain and
     the parameter gradients summed. Needs epsilon > 0 and distinct taps.
-    Returns (weights, biases, velocity_w, velocity_b, cov stats, mean stats)."""
+    Returns (weights, biases, velocity_w, velocity_b, stats) with one
+    statistics object per domain: the covariance from the covariance tap,
+    the mean from the mean tap."""
     model = state.model
     caches = [forward(model, b.data) for b in (src, tgt)]
     olds = [state.stats_source, state.stats_target]
-    mean_olds = [state.mean_stats_source, state.mean_stats_target]
     taps = [FeatureBatch(c.tap(state.cov_tap)) for c in caches]
     mean_taps = [FeatureBatch(c.tap(state.mean_tap)) for c in caches]
-    stats = [update_smoothed(o, batch_covariance(t), batch_mean(t)) for o, t in zip(olds, taps)]
-    mean_stats = [update_smoothed(o, None, batch_mean(t)) for o, t in zip(mean_olds, mean_taps)]
+    stats = [update_smoothed(o, batch_covariance(t), batch_mean(m))
+             for o, t, m in zip(olds, taps, mean_taps)]
 
     cls = L.softmax_cross_entropy(caches[0].post[-1], src.labels)
     coral = L.coral_loss(stats[0].cov, stats[1].cov)
     logcoral = L.logcoral_loss(stats[0].cov, stats[1].cov, epsilon=state.epsilon)
-    mean = L.mean_loss(mean_stats[0].mean, mean_stats[1].mean)
+    mean = L.mean_loss(stats[0].mean, stats[1].mean)
     coral_grads = (coral.grad_source, coral.grad_target)
     logcoral_grads = (logcoral.grad_source, logcoral.grad_target)
     mean_grads = (mean.grad_source, mean.grad_target)
@@ -186,11 +187,10 @@ def two_pass_step(state, src, tgt, weights):
     for k in range(2):
         cov_grad = weights.coral * coral_grads[k] + weights.logcoral * logcoral_grads[k]
         share = 1.0 - olds[k].momentum
-        mean_share = 1.0 - mean_olds[k].momentum
         n = mean_taps[k].n
         tap_grads = {
             state.cov_tap: L.chain_to_features(cov_grad, taps[k], scale=share),
-            state.mean_tap: np.tile(weights.mean * mean_share * mean_grads[k] / n, (n, 1)),
+            state.mean_tap: np.tile(weights.mean * share * mean_grads[k] / n, (n, 1)),
         }
         if k == 0:
             tap_grads["logits"] = weights.classification * cls.grad_source
@@ -201,7 +201,7 @@ def two_pass_step(state, src, tgt, weights):
     vb = [state.opt_momentum * v - state.lr * g for v, g in zip(state.velocity_b, gb)]
     new_w = [w + v for w, v in zip(model.weights, vw)]
     new_b = [b + v for b, v in zip(model.biases, vb)]
-    return new_w, new_b, vw, vb, stats, mean_stats
+    return new_w, new_b, vw, vb, stats
 
 
 class TestStackedStep:
@@ -216,7 +216,7 @@ class TestStackedStep:
         src = labeled_batch(rng, 20, 4, 3)
         tgt = FeatureBatch(rng.standard_normal((24, 4)) * 1.3 + 0.2)
 
-        want_w, want_b, want_vw, want_vb, want_stats, want_mean_stats = two_pass_step(
+        want_w, want_b, want_vw, want_vb, want_stats = two_pass_step(
             copy.deepcopy(state), src, tgt, weights)
         train_step(state, src, tgt, weights)
 
@@ -228,14 +228,12 @@ class TestStackedStep:
             for a, b in zip(got, want):
                 close(a, b)
         for got, want in zip((state.stats_source, state.stats_target), want_stats):
+            assert got.cov.dim == 5 and len(got.mean) == 6   # h2 and h1
             close(got.cov.data, want.cov.data)
-            close(got.mean, want.mean)
-        for got, want in zip((state.mean_stats_source, state.mean_stats_target), want_mean_stats):
-            assert got.cov is None
             close(got.mean, want.mean)
 
     def test_one_forward_one_backward_two_covariances(self, monkeypatch):
-        calls = {"forward": 0, "backward": 0}
+        calls = {"forward": 0, "backward": 0, "update_smoothed": 0, "batch_mean": 0}
         widths = []
 
         def counted(name, fn):
@@ -251,12 +249,16 @@ class TestStackedStep:
         monkeypatch.setattr(network, "forward", counted("forward", forward))
         monkeypatch.setattr(network, "backward", counted("backward", backward))
         monkeypatch.setattr(network, "batch_covariance", covariance)
+        monkeypatch.setattr(network, "update_smoothed", counted("update_smoothed", update_smoothed))
+        monkeypatch.setattr(network, "batch_mean", counted("batch_mean", batch_mean))
         rng = np.random.default_rng(12)
         state = small_state(5)
         for step in range(1, 3):
             train_step(state, labeled_batch(rng, 16, 4, 3),
                        FeatureBatch(rng.standard_normal((16, 4))), LossWeights())
-            assert calls == {"forward": step, "backward": step}
+            # one statistics update and one batch mean per domain
+            assert calls == {"forward": step, "backward": step,
+                             "update_smoothed": 2 * step, "batch_mean": 2 * step}
             assert widths == [5] * (2 * step)   # the covariance tap, h2
 
     def test_builds_no_checked_values(self, monkeypatch):
@@ -305,8 +307,8 @@ class TestStackedStep:
                         resumed.model.weights + resumed.model.biases):
             assert np.array_equal(a, b)
         assert np.array_equal(full.stats_source.cov.data, resumed.stats_source.cov.data)
-        assert resumed.mean_stats_source.cov is None
-        assert np.array_equal(full.mean_stats_target.mean, resumed.mean_stats_target.mean)
+        assert np.array_equal(full.stats_source.mean, resumed.stats_source.mean)
+        assert np.array_equal(full.stats_target.mean, resumed.stats_target.mean)
 
 
 class TestEvaluate:

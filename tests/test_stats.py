@@ -166,5 +166,18 @@ class TestSmoothedStats:
         s = update_smoothed(SmoothedStats(), SymmetricMatrix(np.eye(3)), np.zeros(3))
         with pytest.raises(InvalidInput):
             update_smoothed(s, SymmetricMatrix(np.eye(2)), np.zeros(2))
+
+    def test_cov_and_mean_set_together(self):
         with pytest.raises(InvalidInput):
-            update_smoothed(SmoothedStats(), SymmetricMatrix(np.eye(2)), np.zeros(3))
+            SmoothedStats(mean=np.zeros(2))
+        with pytest.raises(InvalidInput):
+            SmoothedStats(cov=SymmetricMatrix(np.eye(2)))
+        assert not SmoothedStats().initialized
+
+    def test_cov_and_mean_may_differ_in_dimension(self):
+        # training smooths the covariance and the mean at different taps
+        s = update_smoothed(SmoothedStats(), SymmetricMatrix(np.eye(2)), np.zeros(3))
+        s = update_smoothed(s, SymmetricMatrix(np.eye(2) * 2.0), np.ones(3))
+        assert s.cov.dim == 2 and len(s.mean) == 3
+        with pytest.raises(InvalidInput):
+            update_smoothed(s, SymmetricMatrix(np.eye(2)), np.zeros(2))

@@ -94,6 +94,31 @@ class TestCheckpoint:
         _, second = train(full_cfg, dataset, state=resumed)
         assert full_records[20:] == second
 
+    def test_second_statistics_keys_are_ignored(self, tmp_path):
+        # version-2 files written before each domain had one statistics
+        # object also carry a covariance-tap mean and mean-tap momentum and
+        # initialized keys
+        extra = ("cov_s_mean", "cov_t_mean", "mean_s_initialized", "mean_t_initialized",
+                 "mean_s_momentum", "mean_t_momentum")
+        full_cfg = short_config(seed=4, steps=50)
+        dataset = default_dataset(full_cfg)
+        _, full_records = train(full_cfg, dataset)
+        train(dataclasses.replace(full_cfg, steps=20), dataset, checkpoint_path=tmp_path / "ck.npz")
+        with np.load(tmp_path / "ck.npz") as z:
+            arrays = {k: z[k] for k in z.files}
+        assert not set(extra) & set(arrays)
+        for d in ("s", "t"):
+            arrays[f"cov_{d}_mean"] = np.zeros(len(arrays[f"cov_{d}_cov"]))
+            arrays[f"mean_{d}_initialized"] = np.array(True)
+            arrays[f"mean_{d}_momentum"] = np.array(full_cfg.momentum)
+        np.savez(tmp_path / "old.npz", **arrays)
+
+        resumed = load_checkpoint(tmp_path / "old.npz")
+        assert resumed.step == 20
+        assert np.array_equal(resumed.stats_source.mean, arrays["mean_s_mean"])
+        _, second = train(full_cfg, dataset, state=resumed)
+        assert full_records[20:] == second
+
 
 class TestAblate:
     def test_grid_shape_and_determinism(self):
