@@ -18,7 +18,8 @@ from . import data as D
 from . import training
 from .exceptions import LogCoralError, NotPositiveDefinite, NumericalFailure, ParseError, InvalidInput
 from .gradcheck import THRESHOLDS, run_gradcheck
-from .losses import LossWeights, coral_loss, logcoral_loss, mean_loss
+from .linalg import regularize_psd
+from .losses import LossWeights, coral_loss, logcoral_loss, mean_loss, resolve_epsilon
 from .stats import batch_covariance, batch_mean
 from .training import RunConfig
 
@@ -67,30 +68,24 @@ def read_config_file(path) -> dict:
     return out
 
 
+# RunConfig keys settable by config file, and by flag where one exists
+CONFIG_KEYS = {"seed": int, "steps": int, "batch": int, "lr": float, "epsilon": float,
+               "momentum": float, "weights": parse_weights, "num_classes": int, "dim": int,
+               "samples_per_class": int, "eval_every": int}
+
+
 def run_config_values(args) -> dict:
     """RunConfig keyword values given as CLI flags or config-file keys; flags win."""
-    file_vals = read_config_file(args.config) if args.config else {}
-
-    def pick(flag_val, key, cast):
-        if flag_val is not None:
-            return flag_val
-        if key in file_vals:
-            return cast(file_vals[key])
-        return None
-
+    given = read_config_file(args.config) if args.config else {}
+    given.update((key, getattr(args, key)) for key in CONFIG_KEYS
+                 if getattr(args, key, None) is not None)
     kwargs = {}
-    for key, cast in (("seed", int), ("steps", int), ("batch", int), ("lr", float),
-                      ("epsilon", float), ("momentum", float)):
-        v = pick(getattr(args, key, None), key, cast)
-        if v is not None:
-            kwargs[key] = v
-    w = pick(getattr(args, "weights", None), "weights", str)
-    if w is not None:
-        kwargs["weights"] = parse_weights(w) if isinstance(w, str) else w
-    for key, cast in (("num_classes", int), ("dim", int), ("samples_per_class", int),
-                      ("eval_every", int)):
-        if key in file_vals:
-            kwargs[key] = cast(file_vals[key])
+    for key, cast in CONFIG_KEYS.items():
+        if key in given:
+            try:
+                kwargs[key] = cast(given[key])
+            except ValueError:
+                raise InvalidInput(f"bad value {given[key]!r} for {key}")
     return kwargs
 
 
@@ -105,36 +100,31 @@ def _emit(report: dict, fmt: str):
 def cmd_losses(args) -> int:
     source = D.load_csv(args.source, has_labels=args.labels)
     target = D.load_csv(args.target, has_labels=args.labels)
-    cov_s = batch_covariance(source)
-    cov_t = batch_covariance(target)
-    eps = args.epsilon if args.epsilon is not None else 0.0
-    if eps <= 0:
-        from .linalg import default_epsilon
-        eps = max(default_epsilon(cov_s), default_epsilon(cov_t))
+    cov_s, cov_t = batch_covariance(source), batch_covariance(target)
+    eps = resolve_epsilon(cov_s, cov_t, args.epsilon)
     report = {
         "coral": coral_loss(cov_s, cov_t).value,
         "logcoral": logcoral_loss(cov_s, cov_t, epsilon=eps).value,
         "mean": mean_loss(batch_mean(source), batch_mean(target)).value,
-        "cond_source": float(np.linalg.cond(cov_s.data + eps * np.eye(cov_s.dim))),
-        "cond_target": float(np.linalg.cond(cov_t.data + eps * np.eye(cov_t.dim))),
+        "cond_source": float(np.linalg.cond(regularize_psd(cov_s, eps).data)),
+        "cond_target": float(np.linalg.cond(regularize_psd(cov_t, eps).data)),
         "epsilon": eps,
     }
-    fmt = "json" if (args.json or args.format == "json") else "text"
-    _emit(report, fmt)
+    _emit(report, args.format)
     return 0
 
 
 def cmd_gradcheck(args) -> int:
-    dims = tuple(int(d) for d in args.dims.split(",")) if args.dims else (2, 5, 16)
-    base_seed = args.seed if args.seed is not None else 0
-    result = run_gradcheck(dims=dims, seeds=range(base_seed, base_seed + args.trials))
-    report = {}
-    for name, err in result.errors.items():
-        status = "pass" if err <= THRESHOLDS[name] else "FAIL"
-        report[name] = {"max_rel_error": err, "threshold": THRESHOLDS[name], "status": status}
-        print(f"{name}: max rel error {err:.3e} (threshold {THRESHOLDS[name]:.0e}) {status}")
+    result = run_gradcheck(dims=args.dims, seeds=range(args.seed, args.seed + args.trials))
+    report = {name: {"max_rel_error": err, "threshold": THRESHOLDS[name],
+                     "status": "pass" if err <= THRESHOLDS[name] else "FAIL"}
+              for name, err in result.errors.items()}
     if args.format == "json":
         print(json.dumps(report, indent=2))
+    else:
+        for name, row in report.items():
+            print(f"{name}: max rel error {row['max_rel_error']:.3e} "
+                  f"(threshold {row['threshold']:.0e}) {row['status']}")
     if not result.passed:
         out_dir = args.out or "."
         os.makedirs(out_dir, exist_ok=True)
@@ -186,19 +176,16 @@ def cmd_train(args) -> int:
                "metrics": metrics_path, "checkpoint": checkpoint_path}
     if records:
         summary["final_losses"] = {k: v for k, v in records[-1].items() if k.startswith("loss_")}
-    _emit(summary, "json" if args.format == "json" else "text")
+    _emit(summary, args.format)
     return 0
 
 
 def cmd_ablate(args) -> int:
     config = RunConfig(**run_config_values(args))
-    n_seeds = args.seeds
-    base = config.seed
-    table = training.ablate(config, seeds=range(base, base + n_seeds))
-    fmt = args.format or "text"
-    if fmt == "json":
+    table = training.ablate(config, seeds=range(config.seed, config.seed + args.seeds))
+    if args.format == "json":
         print(json.dumps(table, indent=2))
-    elif fmt == "csv":
+    elif args.format == "csv":
         print("config,mean_acc,std_acc,n_seeds,n_failed")
         for name, row in table.items():
             print(f"{name},{row['mean']:.4f},{row['std']:.4f},{len(row['accs'])},{len(row['failed'])}")
@@ -224,8 +211,15 @@ def _add_common(p):
                    help="per-loss multipliers of the calibrated base scales, e.g. cls=1,logcoral=1,mean=1")
     p.add_argument("--epsilon", type=float)
     p.add_argument("--momentum", type=float)
-    p.add_argument("--format", choices=["text", "json", "csv"], default="text")
     p.add_argument("--out", help="output directory")
+
+
+def _add_format(p, *extra):
+    p.add_argument("--format", choices=["text", "json", *extra], default="text")
+
+
+def _dims(text: str) -> tuple:
+    return tuple(int(d) for d in text.split(","))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -237,16 +231,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("source")
     p.add_argument("target")
     p.add_argument("--labels", action="store_true", help="last CSV column is an integer label")
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--format", choices=["text", "json", "csv"], default="text")
+    p.add_argument("--epsilon", type=float, default=0.0)
+    _add_format(p)
     p.set_defaults(func=cmd_losses)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of all analytic gradients")
-    p.add_argument("--dims", help="comma-separated matrix sizes (default 2,5,16)")
+    p.add_argument("--dims", type=_dims, default=(2, 5, 16),
+                   help="comma-separated matrix sizes (default 2,5,16)")
     p.add_argument("--trials", type=int, default=20, help="random seeds per size")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--format", choices=["text", "json", "csv"], default="text")
+    p.add_argument("--seed", type=int, default=0)
+    _add_format(p)
     p.add_argument("--out", help="output directory")
     p.set_defaults(func=cmd_gradcheck)
 
@@ -255,11 +249,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-csv", help="target features (labels used only for eval)")
     p.add_argument("--resume", help="checkpoint to continue from, with its lr, momentum and epsilon")
     _add_common(p)
+    _add_format(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("ablate", help="sweep loss configurations over seeds")
     p.add_argument("--seeds", type=int, default=5, help="number of seeds")
     _add_common(p)
+    _add_format(p, "csv")  # the one subcommand that writes CSV
     p.set_defaults(func=cmd_ablate)
     return parser
 
@@ -269,10 +265,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InvalidInput as exc:
+    except (ParseError, OSError, InvalidInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LogCoralError as exc:

@@ -121,12 +121,11 @@ def regularize_psd(m: SymmetricMatrix, epsilon: float) -> SymmetricMatrix:
     return SymmetricMatrix._trusted(shifted) if isinstance(m, SymmetricMatrix) else SymmetricMatrix(shifted)
 
 
-def default_epsilon(m: SymmetricMatrix, relative: float = 1e-6) -> float:
-    """Regularization scaled to the matrix: relative * mean diagonal entry,
-    falling back to the relative value itself for (near-)zero matrices."""
-    a = _as_array(m)
-    mean_diag = float(np.mean(np.diag(a)))
-    return relative * mean_diag if mean_diag > 0 else relative
+def default_epsilon(m: SymmetricMatrix) -> float:
+    """Regularization scaled to the matrix: 1e-6 * mean diagonal entry,
+    falling back to 1e-6 itself for (near-)zero matrices."""
+    mean_diag = float(np.mean(np.diag(_as_array(m))))
+    return 1e-6 * mean_diag if mean_diag > 0 else 1e-6
 
 
 def spectral_apply(vectors: np.ndarray, f_values: np.ndarray) -> np.ndarray:

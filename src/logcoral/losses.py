@@ -16,6 +16,7 @@ import numpy as np
 from .exceptions import InvalidInput, NotPositiveDefinite
 from .linalg import (
     SymmetricMatrix,
+    default_epsilon,
     matrix_log_backward,
     regularize_psd,
     spectral_apply,
@@ -99,13 +100,20 @@ def _log_eig(cov: SymmetricMatrix, epsilon: float):
     return pair.vectors, values, spectral_apply(pair.vectors, np.log(values))
 
 
+def resolve_epsilon(cov_s: SymmetricMatrix, cov_t: SymmetricMatrix, epsilon: float) -> float:
+    """The epsilon of the Log-Euclidean term in training and `logcoral losses`:
+    epsilon when nonzero, else max(default_epsilon(C_s), default_epsilon(C_t)).
+    `logcoral_loss` takes epsilon as given: there 0 means no shift."""
+    return epsilon if epsilon else max(default_epsilon(cov_s), default_epsilon(cov_t))
+
+
 def logcoral_loss(cov_s: SymmetricMatrix, cov_t: SymmetricMatrix, epsilon: float = 0.0) -> LossBundle:
     """Log-Euclidean covariance alignment: ||log C_s - log C_t||_F^2 / (4 d^2),
     with epsilon * I added to both covariances before the log."""
     if cov_s.dim != cov_t.dim:
         raise InvalidInput(f"dimension mismatch: {cov_s.dim} vs {cov_t.dim}")
-    if epsilon < 0:
-        raise InvalidInput(f"epsilon must be nonnegative, got {epsilon}")
+    if not 0 <= epsilon < np.inf:
+        raise InvalidInput(f"epsilon must be nonnegative and finite, got {epsilon}")
     d = cov_s.dim
     u_s, sig_s, log_s = _log_eig(cov_s, epsilon)
     u_t, sig_t, log_t = _log_eig(cov_t, epsilon)

@@ -11,7 +11,6 @@ import numpy as np
 
 from .exceptions import InvalidInput, NumericalFailure
 from . import losses as L
-from .linalg import default_epsilon
 from .stats import FeatureBatch, SmoothedStats, batch_covariance, batch_mean, update_smoothed
 
 
@@ -63,13 +62,15 @@ class ForwardCache:
     post: list  # post[i] is the output of layer i (activation applied except last)
 
     def tap(self, name: str) -> np.ndarray:
-        if name == "logits":
-            return self.post[-1]
-        if name.startswith("h"):
-            i = int(name[1:]) - 1
-            if 0 <= i < len(self.post) - 1:
-                return self.post[i]
+        return self.post[_tap_index(name, len(self.post))]
+
+
+def _tap_index(name: str, num_layers: int) -> int:
+    """Layer index of tap "h1" .. "h{num_layers - 1}" or "logits"."""
+    names = [f"h{i}" for i in range(1, num_layers)] + ["logits"]
+    if name not in names:
         raise InvalidInput(f"unknown tap {name!r}")
+    return names.index(name)
 
 
 def forward(model: MlpModel, x: np.ndarray) -> ForwardCache:
@@ -93,7 +94,7 @@ def backward(model: MlpModel, cache: ForwardCache, tap_grads: dict):
     # upstream gradient w.r.t. the post-activation output of each tapped layer
     upstream = {}
     for name, g in tap_grads.items():
-        idx = n_layers - 1 if name == "logits" else int(name[1:]) - 1
+        idx = _tap_index(name, n_layers)
         if g.shape != cache.post[idx].shape:
             raise InvalidInput(f"tap {name!r} gradient has shape {g.shape}, expected {cache.post[idx].shape}")
         upstream[idx] = upstream[idx] + g if idx in upstream else g
@@ -132,7 +133,7 @@ class TrainState:
     rng: Optional[np.random.Generator] = None
     cov_tap: str = ""
     mean_tap: str = ""
-    epsilon: float = 0.0  # 0 -> scale-relative default per covariance
+    epsilon: float = 0.0  # 0 -> scale-relative default, see losses.resolve_epsilon
 
 
 def _forward_pair(model: MlpModel, source: FeatureBatch, target: FeatureBatch) -> ForwardCache:
@@ -183,10 +184,7 @@ def train_step(state: TrainState, source: FeatureBatch, target: FeatureBatch,
 
     cls = L.softmax_cross_entropy(cache.post[-1][:n], source.labels)
     coral = L.coral_loss(cov_s, cov_t)
-    eps = state.epsilon
-    if eps <= 0:
-        eps = max(default_epsilon(cov_s), default_epsilon(cov_t))
-    logcoral = L.logcoral_loss(cov_s, cov_t, epsilon=eps)
+    logcoral = L.logcoral_loss(cov_s, cov_t, epsilon=L.resolve_epsilon(cov_s, cov_t, state.epsilon))
     mean = L.mean_loss(stats_s.mean, stats_t.mean)
 
     report = {
@@ -243,7 +241,7 @@ def total_loss(model: MlpModel, source: FeatureBatch, target: FeatureBatch,
                weights: L.LossWeights, cov_tap: str, mean_tap: str, epsilon: float) -> float:
     """Joint objective on raw (unsmoothed) batch statistics, as a pure
     function of the model parameters, through train_step's stacked forward
-    and row split. Used by gradient checks."""
+    and row split, with train_step's epsilon rule. Used by gradient checks."""
     n = source.n
     cache = _forward_pair(model, source, target)
     value = 0.0
@@ -254,7 +252,8 @@ def total_loss(model: MlpModel, source: FeatureBatch, target: FeatureBatch,
         if weights.coral > 0:
             value += weights.coral * L.coral_loss(cov_s, cov_t).value
         if weights.logcoral > 0:
-            value += weights.logcoral * L.logcoral_loss(cov_s, cov_t, epsilon=epsilon).value
+            eps = L.resolve_epsilon(cov_s, cov_t, epsilon)
+            value += weights.logcoral * L.logcoral_loss(cov_s, cov_t, epsilon=eps).value
     if weights.mean > 0:
         mean_s, mean_t = map(batch_mean, _split_tap(cache, mean_tap, n))
         value += weights.mean * L.mean_loss(mean_s, mean_t).value

@@ -34,7 +34,7 @@ class RunConfig:
     weights: LossWeights = field(default_factory=LossWeights)
     epsilon: float = 1e-2         # large enough to damp noise eigendirections
                                   # of low-rank batch covariances; 0 -> scale-
-                                  # relative default per covariance
+                                  # relative default, see losses.resolve_epsilon
     momentum: float = 0.9         # moving-average momentum of the statistics
     opt_momentum: float = 0.9
     hidden_dims: tuple = (128, 64)
@@ -46,14 +46,14 @@ class RunConfig:
     def __post_init__(self):
         if self.steps < 1 or self.batch < 2:
             raise InvalidInput("steps must be >= 1 and batch >= 2")
-        if self.lr <= 0:
-            raise InvalidInput(f"learning rate must be positive, got {self.lr}")
+        if not 0 < self.lr < np.inf:
+            raise InvalidInput(f"learning rate must be positive and finite, got {self.lr}")
         if not 0.0 < self.momentum < 1.0:
             raise InvalidInput(f"momentum must be in (0, 1), got {self.momentum}")
         if not 0.0 <= self.opt_momentum < 1.0:
             raise InvalidInput(f"optimizer momentum must be in [0, 1), got {self.opt_momentum}")
-        if self.epsilon < 0:
-            raise InvalidInput(f"epsilon must be nonnegative, got {self.epsilon}")
+        if not 0 <= self.epsilon < np.inf:
+            raise InvalidInput(f"epsilon must be nonnegative and finite, got {self.epsilon}")
         if self.eval_every < 1:
             raise InvalidInput(f"eval_every must be >= 1, got {self.eval_every}")
 

@@ -50,6 +50,14 @@ class TestConfigFile:
         vals = read_config_file(path)
         assert vals == {"seed": "7", "lr": "0.01", "steps": "15"}
 
+    def test_unparsable_value_is_bad_input(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("steps=abc\n")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "steps" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_flags_override_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("steps=5\nbatch=16\nsamples_per_class=20\n")
@@ -65,7 +73,7 @@ class TestLossesCommand:
         rng = np.random.default_rng(1)
         f = tmp_path / "x.csv"
         save_csv(f, FeatureBatch(rng.standard_normal((30, 3))))
-        rc = main(["losses", str(f), str(f), "--json"])
+        rc = main(["losses", str(f), str(f), "--format", "json"])
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
         assert report["coral"] == 0.0
@@ -81,7 +89,7 @@ class TestLossesCommand:
         fa, fb = tmp_path / "s.csv", tmp_path / "t.csv"
         save_csv(fa, FeatureBatch(pair.source.data))
         save_csv(fb, FeatureBatch(pair.target.data))
-        rc = main(["losses", str(fa), str(fb), "--json"])
+        rc = main(["losses", str(fa), str(fb), "--format", "json"])
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
         assert report["mean"] > 0.1
@@ -94,6 +102,13 @@ class TestLossesCommand:
             with pytest.raises(SystemExit) as exc:
                 main(["losses", str(a), str(b), option, "1"])
             assert exc.value.code == 2, option
+
+    @pytest.mark.parametrize("eps", ["-1", "nan"])
+    def test_bad_epsilon_is_bad_input(self, feature_files, capsys, eps):
+        a, b = feature_files
+        assert main(["losses", str(a), str(b), "--epsilon", eps]) == 2
+        captured = capsys.readouterr()
+        assert "epsilon" in captured.err and captured.out == ""
 
     def test_missing_file_exit_2(self, tmp_path, capsys):
         rc = main(["losses", str(tmp_path / "absent.csv"), str(tmp_path / "absent.csv")])
@@ -114,6 +129,11 @@ class TestGradcheckCommand:
             with pytest.raises(SystemExit) as exc:
                 main(["gradcheck", "--dims", "2", "--trials", "1", option, "1"])
             assert exc.value.code == 2, option
+
+    def test_unparsable_dims_is_bad_input(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", "--dims", "a"])
+        assert exc.value.code == 2
 
     def test_corrupted_sign_fails_and_dumps(self, tmp_path, capsys, flipped_target_gradients):
         rc = main(["gradcheck", "--dims", "3", "--trials", "2", "--out", str(tmp_path)])
@@ -230,6 +250,13 @@ class TestTrainCommand:
                      "--out", str(tmp_path / "run")]) == 2
         assert "version 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_bad_epsilon_is_bad_input(self, tmp_path, capsys, eps):
+        out = tmp_path / "run"
+        assert main(["train", "--steps", "5", "--epsilon", eps, "--out", str(out)]) == 2
+        assert "epsilon" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_eval_every_is_bad_input(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("eval_every=0\n")
@@ -295,3 +322,33 @@ class TestAblateCommand:
         assert set(table) == {"baseline", "coral", "logcoral", "mean",
                               "coral+mean", "logcoral+mean"}
         assert (tmp_path / "ab" / "ablation.json").exists()
+
+
+class TestOutputContract:
+    @pytest.fixture
+    def commands(self, feature_files, tmp_path):
+        a, b = feature_files
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("samples_per_class=20\nsteps=3\nbatch=16\n")
+        return {
+            "losses": ["losses", str(a), str(b)],
+            "gradcheck": ["gradcheck", "--dims", "2", "--trials", "1"],
+            "train": ["train", "--config", str(cfg), "--out", str(tmp_path / "run")],
+            "ablate": ["ablate", "--config", str(cfg), "--seeds", "1"],
+        }
+
+    @pytest.mark.parametrize("command", ["losses", "gradcheck", "train", "ablate"])
+    def test_json_format_prints_only_json(self, commands, command, capsys):
+        assert main(commands[command] + ["--format", "json"]) == 0
+        assert isinstance(json.loads(capsys.readouterr().out), dict)
+
+    @pytest.mark.parametrize("command", ["losses", "gradcheck", "train"])
+    def test_csv_format_only_on_ablate(self, commands, command):
+        with pytest.raises(SystemExit) as exc:
+            main(commands[command] + ["--format", "csv"])
+        assert exc.value.code == 2
+
+    def test_losses_json_flag_removed(self, commands):
+        with pytest.raises(SystemExit) as exc:
+            main(commands["losses"] + ["--json"])
+        assert exc.value.code == 2

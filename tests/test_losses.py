@@ -202,6 +202,11 @@ class TestLogCoralLoss:
         with pytest.raises(InvalidInput):
             logcoral_loss(SymmetricMatrix(np.eye(2)), SymmetricMatrix(np.eye(2)), epsilon=-1.0)
 
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_epsilon_rejected(self, eps):
+        with pytest.raises(InvalidInput):
+            logcoral_loss(SymmetricMatrix(np.eye(2)), SymmetricMatrix(np.eye(2)), epsilon=eps)
+
 
 class TestMeanLoss:
     def test_identical_zero(self):

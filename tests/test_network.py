@@ -64,6 +64,18 @@ class TestForward:
         with pytest.raises(InvalidInput):
             cache.tap("h9")
 
+    @pytest.mark.parametrize("name", ["h0", "z2", "h02", "h 1"])
+    def test_malformed_tap_names_rejected(self, name):
+        # the taps of a 3-layer model are exactly "h1", "h2" and "logits"
+        model = small_model()
+        cache = forward(model, np.zeros((2, 4)))
+        with pytest.raises(InvalidInput):
+            cache.tap(name)
+        with pytest.raises(InvalidInput):
+            backward(model, cache, {name: np.ones((2, 3))})
+        with pytest.raises(InvalidInput):
+            backward(model, cache, {name: np.ones((2, 5))})
+
 
 class TestBackward:
     @pytest.mark.parametrize("seed", range(3))
@@ -115,6 +127,23 @@ class TestBackward:
         cache = forward(model, np.zeros((2, 4)))
         with pytest.raises(InvalidInput):
             backward(model, cache, {"h1": np.zeros((3, 6))})
+
+
+class TestTotalLoss:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_train_step_at_default_epsilon(self, seed):
+        # at step 1 the smoothed statistics are the batch statistics, so
+        # both compute one objective, with the one epsilon rule
+        rng = np.random.default_rng(seed)
+        state = small_state(seed)
+        model = copy.deepcopy(state.model)
+        src = labeled_batch(rng, 24, 4, 3)
+        tgt = FeatureBatch(rng.standard_normal((24, 4)) * 1.4 + 0.3)
+        weights = LossWeights(classification=1.0, coral=0.7, logcoral=2.0, mean=1.5)
+        _, report = train_step(state, src, tgt, weights)
+        value = total_loss(model, src, tgt, weights, cov_tap=state.cov_tap,
+                           mean_tap=state.mean_tap, epsilon=0.0)
+        assert value == report["loss_total"]
 
 
 class TestTrainStep:

@@ -2,7 +2,9 @@ import dataclasses
 import json
 
 import numpy as np
+import pytest
 
+from logcoral.exceptions import InvalidInput
 from logcoral.training import (
     ABLATION_CONFIGS,
     RunConfig,
@@ -18,6 +20,18 @@ def short_config(**kw):
     defaults = dict(steps=40, batch=32, samples_per_class=40, eval_every=20)
     defaults.update(kw)
     return RunConfig(**defaults)
+
+
+class TestRunConfig:
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf])
+    def test_bad_epsilon_rejected(self, eps):
+        with pytest.raises(InvalidInput, match="epsilon"):
+            RunConfig(epsilon=eps)
+
+    @pytest.mark.parametrize("lr", [np.nan, np.inf])
+    def test_bad_learning_rate_rejected(self, lr):
+        with pytest.raises(InvalidInput, match="learning rate"):
+            RunConfig(lr=lr)
 
 
 class TestTrain:
