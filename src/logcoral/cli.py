@@ -77,6 +77,9 @@ CONFIG_KEYS = {"seed": int, "steps": int, "batch": int, "lr": float, "epsilon": 
 def run_config_values(args) -> dict:
     """RunConfig keyword values given as CLI flags or config-file keys; flags win."""
     given = read_config_file(args.config) if args.config else {}
+    for key in given:
+        if key not in CONFIG_KEYS:
+            raise InvalidInput(f"unknown config key {key!r}; valid: {', '.join(CONFIG_KEYS)}")
     given.update((key, getattr(args, key)) for key in CONFIG_KEYS
                  if getattr(args, key, None) is not None)
     kwargs = {}

@@ -18,10 +18,10 @@ class NotPositiveDefinite(LogCoralError):
 
 
 class NumericalFailure(LogCoralError):
-    """An iterative numerical routine failed to converge or produced NaN."""
+    """An eigendecomposition did not converge, or a value overflowed or became
+    non-finite; component names the layer or loss where that is known."""
 
-    def __init__(self, message, iterations=None, component=None):
-        self.iterations = iterations
+    def __init__(self, message, component=None):
         self.component = component
         super().__init__(message)
 

@@ -97,7 +97,7 @@ def backward(model: MlpModel, cache: ForwardCache, tap_grads: dict):
         idx = _tap_index(name, n_layers)
         if g.shape != cache.post[idx].shape:
             raise InvalidInput(f"tap {name!r} gradient has shape {g.shape}, expected {cache.post[idx].shape}")
-        upstream[idx] = upstream[idx] + g if idx in upstream else g
+        upstream[idx] = g
     gw, gb = [None] * n_layers, [None] * n_layers
     delta = None  # gradient w.r.t. the current layer's output; None while zero
     for i in range(n_layers - 1, -1, -1):

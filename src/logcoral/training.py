@@ -219,7 +219,10 @@ ABLATION_CONFIGS = {
 
 def ablate(config: RunConfig, seeds, configs=None):
     """Run the ablation grid. Returns {name: {"accs": [...], "mean": m,
-    "std": s, "failed": [...]}} with one accuracy per seed."""
+    "std": s, "failed": [...]}} with one accuracy per seed. Raises
+    InvalidInput if seeds is empty: such a table holds only NaN."""
+    if not seeds:
+        raise InvalidInput("ablate needs at least one seed")
     configs = configs or ABLATION_CONFIGS
     table = {}
     for name, weights in configs.items():

@@ -61,7 +61,7 @@ def median_rel_change(runs, name, key):
 
 
 def test_criterion_1_gradient_oracle_suite():
-    result = run_gradcheck(dims=(2, 5, 16), seeds=range(100), n_dirs=2)
+    result = run_gradcheck(dims=(2, 5, 16), seeds=range(100))
     detail = ", ".join(f"{k}={v:.2e}" for k, v in result.errors.items())
     report(1, result.passed, f"max relative FD errors: {detail}")
 

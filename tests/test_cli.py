@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -56,6 +57,16 @@ class TestConfigFile:
         out = tmp_path / "run"
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
         assert "steps" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["stpes=3", "hidden_dims=8"])
+    def test_unknown_key_is_bad_input(self, tmp_path, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"samples_per_class=20\n{line}\n")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert repr(line.partition("=")[0]) in err and "steps" in err
         assert not out.exists()
 
     def test_flags_override_file(self, tmp_path, capsys):
@@ -135,6 +146,12 @@ class TestGradcheckCommand:
             main(["gradcheck", "--dims", "a"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("dims, trials", [("2", "0"), ("2", "-3"), ("-1", "1")])
+    def test_empty_sweep_or_bad_dim_is_bad_input(self, capsys, dims, trials):
+        assert main(["gradcheck", "--dims", dims, "--trials", trials]) == 2
+        captured = capsys.readouterr()
+        assert "gradcheck needs" in captured.err and captured.out == ""
+
     def test_corrupted_sign_fails_and_dumps(self, tmp_path, capsys, flipped_target_gradients):
         rc = main(["gradcheck", "--dims", "3", "--trials", "2", "--out", str(tmp_path)])
         assert rc == 1
@@ -158,6 +175,21 @@ class TestGradcheckCommand:
                 assert int(dump[f"{name}_dim"]) == 5
                 assert any(n == f"{name}_loss" and np.array_equal(a, dump[key_s])
                            and np.array_equal(b, dump[key_t]) for n, a, b in seen), name
+
+
+    def test_cross_entropy_failure_dumps_its_inputs(self, tmp_path, monkeypatch):
+        def doubled(*args, real=losses.softmax_cross_entropy):
+            b = real(*args)
+            return dataclasses.replace(b, grad_source=2.0 * b.grad_source)
+        monkeypatch.setattr(losses, "softmax_cross_entropy", doubled)
+        rc = main(["gradcheck", "--dims", "2", "--trials", "1", "--out", str(tmp_path)])
+        assert rc == 1
+        with np.load(tmp_path / "gradcheck_failure.npz") as dump:
+            assert sorted(dump.files) == ["cross_entropy_dim", "cross_entropy_labels",
+                                          "cross_entropy_logits", "cross_entropy_seed"]
+            assert dump["cross_entropy_logits"].shape == (8, 2)
+            labels = dump["cross_entropy_labels"]
+            assert labels.dtype.kind == "i" and labels.shape == (8,)
 
 
 class TestTrainCommand:
@@ -322,6 +354,13 @@ class TestAblateCommand:
         assert set(table) == {"baseline", "coral", "logcoral", "mean",
                               "coral+mean", "logcoral+mean"}
         assert (tmp_path / "ab" / "ablation.json").exists()
+
+
+    @pytest.mark.parametrize("seeds", ["0", "-3"])
+    def test_no_seeds_is_bad_input(self, capsys, seeds):
+        assert main(["ablate", "--seeds", seeds]) == 2
+        captured = capsys.readouterr()
+        assert "seed" in captured.err and captured.out == ""
 
 
 class TestOutputContract:

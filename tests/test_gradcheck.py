@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+from logcoral.exceptions import InvalidInput
 from logcoral.gradcheck import THRESHOLDS, run_gradcheck, spd_with_gaps
 
 
@@ -26,3 +28,10 @@ def test_corrupted_sign_detected(flipped_target_gradients):
     assert result.errors["coral"] > 1.0
     assert result.errors["logcoral"] > 1.0
     assert result.errors["mean"] > 1.0
+
+
+@pytest.mark.parametrize("dims, seeds", [((), range(3)), ((2,), range(0)), ((2,), []),
+                                         ((2, -1), range(1))])
+def test_empty_sweep_or_bad_dim_rejected(dims, seeds):
+    with pytest.raises(InvalidInput):
+        run_gradcheck(dims=dims, seeds=seeds)

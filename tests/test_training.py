@@ -146,6 +146,11 @@ class TestAblate:
             assert len(row["accs"]) == 2
             assert not row["failed"]
 
+    @pytest.mark.parametrize("seeds", [[], range(0)])
+    def test_no_seeds_rejected(self, seeds):
+        with pytest.raises(InvalidInput, match="seed"):
+            ablate(short_config(), seeds=seeds)
+
     def test_diverging_seed_is_recorded_not_raised(self):
         # lr=1.0 drives the tap covariances indefinite within a few steps
         table = ablate(short_config(lr=1.0, steps=20), seeds=[1],
