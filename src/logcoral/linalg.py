@@ -1,6 +1,6 @@
 """Dense symmetric linear algebra: eigendecomposition, spectral functions
 U f(Sigma) U^T (matrix log and exp) and the Daleckii-Krein backward pass
-through the matrix logarithm used by the Log-Euclidean loss.
+through the matrix logarithm, which takes its upstream in the eigenbasis.
 
 All functions are pure; SymmetricMatrix and EigenPair are immutable values.
 
@@ -116,7 +116,8 @@ def regularize_psd(m: SymmetricMatrix, epsilon: float) -> SymmetricMatrix:
     if not 0 < epsilon < np.inf:
         raise InvalidInput(f"epsilon must be positive and finite, got {epsilon}")
     a = _as_array(m)
-    shifted = a + epsilon * np.eye(a.shape[0])
+    shifted = a.copy()
+    shifted.flat[::a.shape[0] + 1] += epsilon
     # a plain array is checked like any other caller's input
     return SymmetricMatrix._trusted(shifted) if isinstance(m, SymmetricMatrix) else SymmetricMatrix(shifted)
 
@@ -148,10 +149,10 @@ def matrix_exp(m: SymmetricMatrix) -> SymmetricMatrix:
     return SymmetricMatrix(spectral_apply(pair.vectors, np.exp(pair.values)))
 
 
-def matrix_log_backward(vectors: np.ndarray, values: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    """Gradient with respect to C of a loss whose gradient with respect to
-    log(C) = U log(Sigma) U^T is upstream, by the Daleckii-Krein formula
-    U (K o U^T sym(upstream) U) U^T.
+def matrix_log_backward(vectors: np.ndarray, values: np.ndarray, upstream_eig: np.ndarray) -> np.ndarray:
+    """Gradient with respect to C of a loss whose gradient with respect to log(C) =
+    U log(Sigma) U^T is U upstream_eig U^T, upstream_eig being in C's eigenbasis: the
+    Daleckii-Krein sym(U (K o upstream_eig) U^T), whose sym drops antisymmetric rounding.
 
     K is the Loewner matrix of log: (log s_i - log s_j) / (s_i - s_j), with
     the limit 1/s_i where s_i = s_j. It is evaluated as log1p(x) / (x lo)
@@ -162,8 +163,7 @@ def matrix_log_backward(vectors: np.ndarray, values: np.ndarray, upstream: np.nd
     lo = np.minimum.outer(values, values)
     x = np.maximum.outer(values, values) / lo - 1.0
     loewner = np.divide(np.log1p(x), x, out=np.ones_like(x), where=x != 0.0) / lo
-    inner = loewner * (vectors.T @ _symmetrize(upstream) @ vectors)
-    return _symmetrize(vectors @ inner @ vectors.T)
+    return _symmetrize(vectors @ (loewner * upstream_eig) @ vectors.T)
 
 
 def _symmetrize(a: np.ndarray) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Forward and backward passes of the alignment losses.
 
 Three distances between domain statistics are implemented: the Euclidean
-covariance distance, its Log-Euclidean (geodesic) counterpart, whose backward
-pass through the matrix logarithm is the Daleckii-Krein form in `linalg`, and
-a first-order mean distance. Gradients use the symmetric-perturbation
+covariance distance, its Log-Euclidean (geodesic) counterpart, computed in
+the two eigenbases in seven d x d products without forming either matrix
+logarithm, with the Daleckii-Krein backward pass in `linalg`, and a
+first-order mean distance. Gradients use the symmetric-perturbation
 convention: for a symmetric direction V, dL = <grad, V>.
 """
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .linalg import (
     default_epsilon,
     matrix_log_backward,
     regularize_psd,
-    spectral_apply,
     sym_eig,
     sym_part,
 )
@@ -87,8 +87,8 @@ def coral_loss(cov_s: SymmetricMatrix, cov_t: SymmetricMatrix) -> LossBundle:
 
 
 def _log_eig(cov: SymmetricMatrix, epsilon: float):
-    """Regularize, decompose and take the spectral log. Returns
-    (eigvecs, eigvals, log_matrix); eigenvalues are floored at epsilon."""
+    """Regularize, decompose and take the log of the spectrum. Returns
+    (eigvecs, eigvals, log eigvals); eigenvalues are floored at epsilon."""
     if epsilon > 0:
         cov = regularize_psd(cov, epsilon)
     pair = sym_eig(cov)
@@ -97,7 +97,7 @@ def _log_eig(cov: SymmetricMatrix, epsilon: float):
         raise NotPositiveDefinite(float(values[0]))
     if epsilon > 0:
         values = np.maximum(values, epsilon)
-    return pair.vectors, values, spectral_apply(pair.vectors, np.log(values))
+    return pair.vectors, values, np.log(values)
 
 
 def resolve_epsilon(cov_s: SymmetricMatrix, cov_t: SymmetricMatrix, epsilon: float) -> float:
@@ -107,22 +107,37 @@ def resolve_epsilon(cov_s: SymmetricMatrix, cov_t: SymmetricMatrix, epsilon: flo
     return epsilon if epsilon else max(default_epsilon(cov_s), default_epsilon(cov_t))
 
 
-def logcoral_loss(cov_s: SymmetricMatrix, cov_t: SymmetricMatrix, epsilon: float = 0.0) -> LossBundle:
-    """Log-Euclidean covariance alignment: ||log C_s - log C_t||_F^2 / (4 d^2),
-    with epsilon * I added to both covariances before the log."""
+def _logcoral_value(cov_s: SymmetricMatrix, cov_t: SymmetricMatrix, epsilon: float) -> tuple:
+    """Value half of logcoral_loss: (value, parts for _logcoral_grads). With M = U_s^T U_t
+    and l = log(sigma), D_s = U_s^T (log C_s - log C_t) U_s = diag(l_s) - M diag(l_t) M^T."""
     if cov_s.dim != cov_t.dim:
         raise InvalidInput(f"dimension mismatch: {cov_s.dim} vs {cov_t.dim}")
     if not 0 <= epsilon < np.inf:
         raise InvalidInput(f"epsilon must be nonnegative and finite, got {epsilon}")
-    d = cov_s.dim
-    u_s, sig_s, log_s = _log_eig(cov_s, epsilon)
-    u_t, sig_t, log_t = _log_eig(cov_t, epsilon)
-    diff = log_s - log_t
-    value = float(np.sum(diff * diff)) / (4.0 * d * d)
-    upstream = diff / (2.0 * d * d)
-    grad_s = matrix_log_backward(u_s, sig_s, upstream)
-    grad_t = matrix_log_backward(u_t, sig_t, -upstream)
-    return LossBundle(value=value, grad_source=grad_s, grad_target=grad_t)
+    u_s, sig_s, l_s = _log_eig(cov_s, epsilon)
+    u_t, sig_t, l_t = _log_eig(cov_t, epsilon)
+    if np.array_equal(cov_s.data, cov_t.data):
+        l_s = l_t = np.zeros_like(l_s)  # zero logs give exact zeros below; equal ones leave rounding
+    m = u_s.T @ u_t
+    diff_s = np.diag(l_s) - (m * l_t) @ m.T
+    value = float(np.sum(diff_s * diff_s)) / (4.0 * cov_s.dim ** 2)
+    return value, (u_s, sig_s, l_s, u_t, sig_t, l_t, m, diff_s)
+
+
+def _logcoral_grads(parts: tuple) -> tuple:
+    """Gradient half of logcoral_loss: a Daleckii-Krein backward of D_s and of
+    D_t = U_t^T (log C_s - log C_t) U_t = M^T diag(l_s) M - diag(l_t)."""
+    u_s, sig_s, l_s, u_t, sig_t, l_t, m, diff_s = parts
+    diff_t = (m.T * l_s) @ m - np.diag(l_t)
+    scale = 1.0 / (2.0 * len(l_s) ** 2)
+    return matrix_log_backward(u_s, sig_s, scale * diff_s), matrix_log_backward(u_t, sig_t, -scale * diff_t)
+
+
+def logcoral_loss(cov_s: SymmetricMatrix, cov_t: SymmetricMatrix, epsilon: float = 0.0) -> LossBundle:
+    """Log-Euclidean covariance alignment: ||log C_s - log C_t||_F^2 / (4 d^2),
+    with epsilon * I added to both covariances before the log."""
+    value, parts = _logcoral_value(cov_s, cov_t, epsilon)
+    return LossBundle(value, *_logcoral_grads(parts))
 
 
 def mean_loss(mean_s: np.ndarray, mean_t: np.ndarray) -> LossBundle:
@@ -150,8 +165,12 @@ def chain_to_features(loss_grad_cov: np.ndarray, batch: FeatureBatch, scale: flo
         raise InvalidInput(f"covariance gradient is {g.shape[0]}-dim but features are {batch.d}-dim")
     if batch.n < 2:
         raise InvalidInput("need at least 2 rows to chain through a covariance")
-    centered = batch.data - batch.data.mean(axis=0)
-    return (2.0 * scale / (batch.n - 1)) * centered @ g
+    return _chain_centred(g, batch.data - batch.data.mean(axis=0), scale)
+
+
+def _chain_centred(g: np.ndarray, centred: np.ndarray, scale: float) -> np.ndarray:
+    """chain_to_features, unchecked, on >= 2 centred rows and an exactly symmetric g."""
+    return (2.0 * scale / (centred.shape[0] - 1)) * centred @ g
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> LossBundle:

@@ -11,7 +11,7 @@ import numpy as np
 
 from .exceptions import InvalidInput, NumericalFailure
 from . import losses as L
-from .stats import FeatureBatch, SmoothedStats, batch_covariance, batch_mean, update_smoothed
+from .stats import FeatureBatch, SmoothedStats, _centred_cov, batch_covariance, batch_mean, update_smoothed
 
 
 def _relu(x):
@@ -174,27 +174,27 @@ def train_step(state: TrainState, source: FeatureBatch, target: FeatureBatch,
     n = source.n
     cache = _forward_pair(state.model, source, target)
 
-    # the covariance at the covariance tap, the mean at the mean tap
-    tap_s, tap_t = _split_tap(cache, state.cov_tap, n)
+    # the covariance at the covariance tap, of rows centred once for it and the chain; mean at the mean tap
+    (rows_s, batch_cov_s), (rows_t, batch_cov_t) = map(_centred_cov, _split_tap(cache, state.cov_tap, n))
     mtap_s, mtap_t = _split_tap(cache, state.mean_tap, n)
-    stats_s = update_smoothed(state.stats_source, batch_covariance(tap_s), batch_mean(mtap_s))
-    stats_t = update_smoothed(state.stats_target, batch_covariance(tap_t), batch_mean(mtap_t))
+    stats_s = update_smoothed(state.stats_source, batch_cov_s, batch_mean(mtap_s))
+    stats_t = update_smoothed(state.stats_target, batch_cov_t, batch_mean(mtap_t))
     share_s, share_t = _batch_share(state.stats_source), _batch_share(state.stats_target)
     cov_s, cov_t = stats_s.cov, stats_t.cov
 
     cls = L.softmax_cross_entropy(cache.post[-1][:n], source.labels)
     coral = L.coral_loss(cov_s, cov_t)
-    logcoral = L.logcoral_loss(cov_s, cov_t, epsilon=L.resolve_epsilon(cov_s, cov_t, state.epsilon))
+    logcoral, logcoral_parts = L._logcoral_value(cov_s, cov_t, L.resolve_epsilon(cov_s, cov_t, state.epsilon))
     mean = L.mean_loss(stats_s.mean, stats_t.mean)
 
     report = {
         "loss_cls": cls.value,
         "loss_coral": coral.value,
-        "loss_logcoral": logcoral.value,
+        "loss_logcoral": logcoral,
         "loss_mean": mean.value,
     }
     total = (weights.classification * cls.value + weights.coral * coral.value
-             + weights.logcoral * logcoral.value + weights.mean * mean.value)
+             + weights.logcoral * logcoral + weights.mean * mean.value)
     report["loss_total"] = total
     if not np.isfinite(total):
         bad = [k for k, v in report.items() if not np.isfinite(v)]
@@ -212,11 +212,12 @@ def train_step(state: TrainState, source: FeatureBatch, target: FeatureBatch,
         logits_grad[:n] = weights.classification * cls.grad_source
         _add("logits", logits_grad)
     if weights.coral > 0 or weights.logcoral > 0:
-        cov_grad_s = weights.coral * coral.grad_source + weights.logcoral * logcoral.grad_source
-        cov_grad_t = weights.coral * coral.grad_target + weights.logcoral * logcoral.grad_target
-        _add(state.cov_tap, np.concatenate([
-            L.chain_to_features(cov_grad_s, tap_s, scale=share_s),
-            L.chain_to_features(cov_grad_t, tap_t, scale=share_t)]))
+        # sums of exactly symmetric gradients, so exactly symmetric
+        grads = [weights.coral * coral.grad_source, weights.coral * coral.grad_target]
+        if weights.logcoral > 0:
+            grads = [g + weights.logcoral * lg for g, lg in zip(grads, L._logcoral_grads(logcoral_parts))]
+        _add(state.cov_tap, np.concatenate([L._chain_centred(grads[0], rows_s, share_s),
+                                            L._chain_centred(grads[1], rows_t, share_t)]))
     if weights.mean > 0:
         row_s = weights.mean * share_s * mean.grad_source / mtap_s.n
         row_t = weights.mean * share_t * mean.grad_target / mtap_t.n
@@ -253,7 +254,7 @@ def total_loss(model: MlpModel, source: FeatureBatch, target: FeatureBatch,
             value += weights.coral * L.coral_loss(cov_s, cov_t).value
         if weights.logcoral > 0:
             eps = L.resolve_epsilon(cov_s, cov_t, epsilon)
-            value += weights.logcoral * L.logcoral_loss(cov_s, cov_t, epsilon=eps).value
+            value += weights.logcoral * L._logcoral_value(cov_s, cov_t, eps)[0]
     if weights.mean > 0:
         mean_s, mean_t = map(batch_mean, _split_tap(cache, mean_tap, n))
         value += weights.mean * L.mean_loss(mean_s, mean_t).value

@@ -75,13 +75,18 @@ def batch_covariance(b: FeatureBatch) -> SymmetricMatrix:
     """Sample covariance with 1/(n-1) normalization, computed from centred
     rows as (D - 1 mu^T)^T (D - 1 mu^T) / (n - 1), which stays accurate at
     large mean offsets."""
+    return _centred_cov(b)[1]
+
+
+def _centred_cov(b: FeatureBatch) -> tuple:
+    """(D - 1 mu^T, batch_covariance(b)), for a caller that reuses the centred rows."""
     if b.n < 2:
         raise InvalidInput(f"covariance needs at least 2 rows, got {b.n}")
     centered = b.data - b.data.mean(axis=0)
     cov = _symmetrize(centered.T @ centered / (b.n - 1))
     if not np.all(np.isfinite(cov)):
         raise InvalidInput("covariance has non-finite entries: the feature values overflow it")
-    return SymmetricMatrix._trusted(cov)
+    return centered, SymmetricMatrix._trusted(cov)
 
 
 def batch_mean(b: FeatureBatch) -> np.ndarray:

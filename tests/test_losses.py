@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from logcoral.exceptions import InvalidInput
-from logcoral.linalg import SymmetricMatrix, matrix_log, regularize_psd, sym_eig, sym_part
+from logcoral.exceptions import InvalidInput, NotPositiveDefinite
+from logcoral.linalg import SymmetricMatrix, matrix_log, matrix_log_backward, regularize_psd, sym_eig, sym_part
 from logcoral.losses import (
     LossWeights,
     chain_to_features,
     coral_loss,
     logcoral_loss,
     mean_loss,
+    resolve_epsilon,
     softmax_cross_entropy,
 )
 from logcoral.stats import FeatureBatch, batch_covariance
@@ -45,6 +46,33 @@ def loss_inputs(case, rng, d, gap):
     q, _ = np.linalg.qr(rng.standard_normal((len(vals), len(vals))))
     cs = SymmetricMatrix(sym_part((q * np.array(vals)) @ q.T))
     return cs, rand_spd(rng, len(vals), gap=gap), eps
+
+
+def tap_covariances(rng, d):
+    """Source and target covariances of post-ReLU rows, as a training tap
+    gives them: fewer rows than width (2 at d = 2) and a dead column or more,
+    so each has exactly repeated zero eigenvalues before the epsilon shift."""
+    n, dead = max(2, d // 2), max(1, d // 8)
+    covs = []
+    for shift in (0.0, 0.3):
+        x = np.maximum(rng.standard_normal((n, d)) + shift, 0.0)
+        x[:, rng.choice(d, size=dead, replace=False)] = 0.0
+        covs.append(batch_covariance(FeatureBatch(x)))
+    return covs
+
+
+def two_log_logcoral(cs, ct, eps):
+    """Log-CORAL value and gradients through both matrix logarithms, formed
+    in their own bases: ||log C_s - log C_t||_F^2 / (4 d^2) and the
+    Daleckii-Krein backward of (log C_s - log C_t) / (2 d^2)."""
+    d = cs.dim
+    pairs = [sym_eig(regularize_psd(c, eps)) for c in (cs, ct)]
+    vals = [np.maximum(p.values, eps) for p in pairs]
+    logs = [(p.vectors * np.log(v)) @ p.vectors.T for p, v in zip(pairs, vals)]
+    diff = logs[0] - logs[1]
+    grads = [matrix_log_backward(p.vectors, v, p.vectors.T @ (sign * diff / (2 * d * d)) @ p.vectors)
+             for p, v, sign in zip(pairs, vals, (1.0, -1.0))]
+    return float(np.sum(diff * diff)) / (4 * d * d), grads
 
 
 def fd_directional(fn, x, v, h=1e-5):
@@ -176,6 +204,34 @@ class TestLogCoralLoss:
         upstream = (matrix_log(cs).data - matrix_log(ct).data) / (2 * cs.dim ** 2)
         oracle = daleckii_krein_log_grad(cs, upstream)
         assert np.max(np.abs(bundle.grad_source - oracle)) <= 1e-8 * max(1.0, np.max(np.abs(oracle)))
+
+    @pytest.mark.parametrize("d", [2, 16, 64, 256])
+    def test_eigenbasis_form_matches_two_log_reference(self, d):
+        # the loss never forms log C; on degenerate tap spectra it must still
+        # agree with the form that does, to rounding
+        cs, ct = tap_covariances(np.random.default_rng(d), d)
+        eps = resolve_epsilon(cs, ct, 0.0)
+        bundle = logcoral_loss(cs, ct, epsilon=eps)
+        value, (grad_s, grad_t) = two_log_logcoral(cs, ct, eps)
+        assert abs(bundle.value - value) <= 1e-12 * value
+        for got, want in ((bundle.grad_source, grad_s), (bundle.grad_target, grad_t)):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_swap_symmetry_at_tap_width(self):
+        cs, ct = tap_covariances(np.random.default_rng(64), 64)
+        eps = resolve_epsilon(cs, ct, 0.0)
+        a, b = logcoral_loss(cs, ct, epsilon=eps), logcoral_loss(ct, cs, epsilon=eps)
+        assert abs(a.value - b.value) <= 1e-12 * a.value
+        scale = np.linalg.norm(a.grad_source)
+        assert np.linalg.norm(a.grad_source - b.grad_target) <= 1e-12 * scale
+        assert np.linalg.norm(a.grad_target - b.grad_source) <= 1e-12 * scale
+
+    def test_identical_singular_inputs_still_raise(self):
+        # the exact-zero shortcut for C_s == C_t comes after both
+        # decompositions, so it does not hide a non-SPD input
+        c = batch_covariance(FeatureBatch(np.array([[1.0, 0.0], [3.0, 0.0]])))
+        with pytest.raises(NotPositiveDefinite):
+            logcoral_loss(c, c, epsilon=0.0)
 
     def test_orthogonal_conjugation_invariance(self):
         rng = np.random.default_rng(9)

@@ -17,7 +17,7 @@ from logcoral.network import (
     total_loss,
     train_step,
 )
-from logcoral.stats import FeatureBatch, batch_covariance, batch_mean, update_smoothed
+from logcoral.stats import FeatureBatch, _centred_cov, batch_covariance, batch_mean, update_smoothed
 from logcoral.training import RunConfig, default_dataset, init_state, load_checkpoint, train
 
 
@@ -273,11 +273,11 @@ class TestStackedStep:
 
         def covariance(batch):
             widths.append(batch.d)
-            return batch_covariance(batch)
+            return _centred_cov(batch)
 
         monkeypatch.setattr(network, "forward", counted("forward", forward))
         monkeypatch.setattr(network, "backward", counted("backward", backward))
-        monkeypatch.setattr(network, "batch_covariance", covariance)
+        monkeypatch.setattr(network, "_centred_cov", covariance)
         monkeypatch.setattr(network, "update_smoothed", counted("update_smoothed", update_smoothed))
         monkeypatch.setattr(network, "batch_mean", counted("batch_mean", batch_mean))
         rng = np.random.default_rng(12)
@@ -289,6 +289,22 @@ class TestStackedStep:
             assert calls == {"forward": step, "backward": step,
                              "update_smoothed": 2 * step, "batch_mean": 2 * step}
             assert widths == [5] * (2 * step)   # the covariance tap, h2
+
+    def test_logcoral_backward_skipped_at_weight_zero(self, monkeypatch):
+        calls = []
+        real = L._logcoral_grads
+        monkeypatch.setattr(L, "_logcoral_grads", lambda parts: calls.append(1) or real(parts))
+        rng = np.random.default_rng(14)
+        state = small_state(6)
+        for weights, backwards in ((LossWeights(logcoral=0.0), 0), (LossWeights(logcoral=0.0, coral=300.0), 0),
+                                   (LossWeights(), 1)):
+            calls.clear()
+            _, report = train_step(state, labeled_batch(rng, 16, 4, 3),
+                                   FeatureBatch(rng.standard_normal((16, 4))), weights)
+            assert len(calls) == backwards
+            cov_s, cov_t = state.stats_source.cov, state.stats_target.cov
+            eps = L.resolve_epsilon(cov_s, cov_t, state.epsilon)
+            assert report["loss_logcoral"] == L.logcoral_loss(cov_s, cov_t, epsilon=eps).value
 
     def test_builds_no_checked_values(self, monkeypatch):
         # a step's matrices and batches are computed, so they skip the
