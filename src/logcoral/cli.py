@@ -19,7 +19,7 @@ from . import training
 from .exceptions import LogCoralError, NotPositiveDefinite, NumericalFailure, ParseError, InvalidInput
 from .gradcheck import THRESHOLDS, run_gradcheck
 from .linalg import regularize_psd
-from .losses import LossWeights, coral_loss, logcoral_loss, mean_loss, resolve_epsilon
+from .losses import LossWeights, _logcoral_value, coral_loss, mean_loss, resolve_epsilon
 from .stats import batch_covariance, batch_mean
 from .training import RunConfig
 
@@ -107,7 +107,7 @@ def cmd_losses(args) -> int:
     eps = resolve_epsilon(cov_s, cov_t, args.epsilon)
     report = {
         "coral": coral_loss(cov_s, cov_t).value,
-        "logcoral": logcoral_loss(cov_s, cov_t, epsilon=eps).value,
+        "logcoral": _logcoral_value(cov_s, cov_t, eps)[0],
         "mean": mean_loss(batch_mean(source), batch_mean(target)).value,
         "cond_source": float(np.linalg.cond(regularize_psd(cov_s, eps).data)),
         "cond_target": float(np.linalg.cond(regularize_psd(cov_t, eps).data)),

@@ -103,9 +103,7 @@ def sym_eig(m: SymmetricMatrix) -> EigenPair:
     # fix column signs for reproducible output
     pivot = np.argmax(np.abs(vectors), axis=0)
     signs = np.sign(vectors[pivot, np.arange(vectors.shape[1])])
-    signs[signs == 0] = 1.0
     vectors = vectors * signs
-    values = values.copy()
     values.setflags(write=False)
     vectors.setflags(write=False)
     return EigenPair(values=values, vectors=vectors)

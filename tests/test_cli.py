@@ -6,9 +6,9 @@ import pytest
 
 from logcoral import losses
 from logcoral.cli import main, parse_weights, read_config_file
-from logcoral.data import generate, make_benchmark_spec, save_csv
+from logcoral.data import generate, load_csv, make_benchmark_spec, save_csv
 from logcoral.exceptions import InvalidInput
-from logcoral.stats import FeatureBatch
+from logcoral.stats import FeatureBatch, batch_covariance
 from logcoral.training import (
     RunConfig,
     default_dataset,
@@ -105,6 +105,20 @@ class TestLossesCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["mean"] > 0.1
         assert report["logcoral"] < report["mean"] / 10  # only sampling noise
+
+    def test_value_without_gradients(self, feature_files, monkeypatch, capsys):
+        a, b = feature_files
+        cov_s, cov_t = batch_covariance(load_csv(a)), batch_covariance(load_csv(b))
+        calls = []
+
+        def counted(parts, real=losses._logcoral_grads):
+            calls.append(parts)
+            return real(parts)
+        monkeypatch.setattr(losses, "_logcoral_grads", counted)
+        assert main(["losses", str(a), str(b), "--format", "json"]) == 0
+        assert calls == []
+        report = json.loads(capsys.readouterr().out)
+        assert report["logcoral"] == losses.logcoral_loss(cov_s, cov_t, epsilon=report["epsilon"]).value
 
     def test_rejects_options_it_does_not_read(self, feature_files):
         a, b = feature_files

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from logcoral import losses
 from logcoral.exceptions import InvalidInput
 from logcoral.gradcheck import THRESHOLDS, run_gradcheck, spd_with_gaps
 
@@ -28,6 +29,28 @@ def test_corrupted_sign_detected(flipped_target_gradients):
     assert result.errors["coral"] > 1.0
     assert result.errors["logcoral"] > 1.0
     assert result.errors["mean"] > 1.0
+
+
+def test_probes_evaluate_only_the_value(monkeypatch):
+    # one gradient half per analytic bundle; the probes evaluate the value half alone
+    calls = []
+
+    def counted(parts, real=losses._logcoral_grads):
+        calls.append(len(parts[2]))
+        return real(parts)
+    monkeypatch.setattr(losses, "_logcoral_grads", counted)
+    dims, seeds = (2, 5), range(3)
+    assert run_gradcheck(dims=dims, seeds=seeds).passed
+    assert calls == list(dims) * len(seeds)
+
+
+def test_scaled_logcoral_gradients_detected(monkeypatch):
+    def scaled(parts, real=losses._logcoral_grads):
+        return tuple((1 + 1e-3) * g for g in real(parts))
+    monkeypatch.setattr(losses, "_logcoral_grads", scaled)
+    result = run_gradcheck(dims=(3,), seeds=range(2))
+    assert not result.passed
+    assert result.errors["logcoral"] > THRESHOLDS["logcoral"]
 
 
 @pytest.mark.parametrize("dims, seeds", [((), range(3)), ((2,), range(0)), ((2,), []),
