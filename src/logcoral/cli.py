@@ -18,7 +18,6 @@ from . import data as D
 from . import training
 from .exceptions import LogCoralError, NotPositiveDefinite, NumericalFailure, ParseError, InvalidInput
 from .gradcheck import THRESHOLDS, run_gradcheck
-from .linalg import regularize_psd
 from .losses import LossWeights, _logcoral_value, coral_loss, mean_loss, resolve_epsilon
 from .stats import batch_covariance, batch_mean
 from .training import RunConfig
@@ -105,12 +104,14 @@ def cmd_losses(args) -> int:
     target = D.load_csv(args.target, has_labels=args.labels)
     cov_s, cov_t = batch_covariance(source), batch_covariance(target)
     eps = resolve_epsilon(cov_s, cov_t, args.epsilon)
+    logcoral, parts = _logcoral_value(cov_s, cov_t, eps)
+    sig_s, sig_t = parts[1], parts[4]  # ascending spectra of C_s + eps I and C_t + eps I
     report = {
         "coral": coral_loss(cov_s, cov_t).value,
-        "logcoral": _logcoral_value(cov_s, cov_t, eps)[0],
+        "logcoral": logcoral,
         "mean": mean_loss(batch_mean(source), batch_mean(target)).value,
-        "cond_source": float(np.linalg.cond(regularize_psd(cov_s, eps).data)),
-        "cond_target": float(np.linalg.cond(regularize_psd(cov_t, eps).data)),
+        "cond_source": float(sig_s[-1] / sig_s[0]),
+        "cond_target": float(sig_t[-1] / sig_t[0]),
         "epsilon": eps,
     }
     _emit(report, args.format)
@@ -184,7 +185,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    config = RunConfig(**run_config_values(args))
+    values = run_config_values(args)
+    if "weights" in values:
+        raise InvalidInput("ablate sets the weights of each configuration itself; "
+                           "remove the config key 'weights'")
+    config = RunConfig(**values)
     table = training.ablate(config, seeds=range(config.seed, config.seed + args.seeds))
     if args.format == "json":
         print(json.dumps(table, indent=2))
@@ -210,8 +215,6 @@ def _add_common(p):
     p.add_argument("--steps", type=int)
     p.add_argument("--batch", type=int)
     p.add_argument("--lr", type=float)
-    p.add_argument("--weights",
-                   help="per-loss multipliers of the calibrated base scales, e.g. cls=1,logcoral=1,mean=1")
     p.add_argument("--epsilon", type=float)
     p.add_argument("--momentum", type=float)
     p.add_argument("--out", help="output directory")
@@ -251,6 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source-csv", help="labeled source features (last column label)")
     p.add_argument("--target-csv", help="target features (labels used only for eval)")
     p.add_argument("--resume", help="checkpoint to continue from, with its lr, momentum and epsilon")
+    p.add_argument("--weights",
+                   help="per-loss multipliers of the calibrated base scales, e.g. cls=1,logcoral=1,mean=1")
     _add_common(p)
     _add_format(p)
     p.set_defaults(func=cmd_train)

@@ -5,12 +5,13 @@ through the matrix logarithm, which takes its upstream in the eigenbasis.
 All functions are pure; SymmetricMatrix and EigenPair are immutable values.
 
 Validation happens at the edges. The public constructors check every matrix
-a caller hands in: square, finite, exactly symmetric. Matrices this library
-computes itself are symmetric by construction, so they skip those checks
-through the private `SymmetricMatrix._trusted`. A check that a computed
-value can still fail stays where it can fire: `batch_covariance` checks that
-its product did not overflow, `sym_eig` checks finiteness before LAPACK, and
-`regularize_psd` checks that its epsilon is finite.
+a caller hands in: square, finite, exactly symmetric; every function here but
+`sym_part` takes a SymmetricMatrix only. Matrices this library computes
+itself are symmetric by construction, so they skip those checks through the
+private `SymmetricMatrix._trusted`. A check that a computed value can still
+fail stays where it can fire: `batch_covariance` checks that its product did
+not overflow, `sym_eig` checks finiteness before LAPACK, and `regularize_psd`
+checks that its epsilon is finite.
 """
 from __future__ import annotations
 
@@ -23,8 +24,8 @@ from .exceptions import InvalidInput, NotPositiveDefinite, NumericalFailure
 
 @dataclass(frozen=True)
 class SymmetricMatrix:
-    """A d x d real symmetric matrix. Asymmetric input is rejected unless the
-    caller explicitly asks for symmetrization."""
+    """A d x d real symmetric matrix. Asymmetric input is rejected;
+    `SymmetricMatrix(sym_part(a))` symmetrizes it explicitly."""
 
     data: np.ndarray
 
@@ -37,18 +38,9 @@ class SymmetricMatrix:
         if not np.all(np.isfinite(a)):
             raise InvalidInput("matrix has non-finite entries")
         if not np.array_equal(a, a.T):
-            raise InvalidInput("matrix is not symmetric; use SymmetricMatrix.from_array(symmetrize=True)")
+            raise InvalidInput("matrix is not symmetric; use SymmetricMatrix(sym_part(a))")
         object.__setattr__(self, "data", a)
         self.data.setflags(write=False)
-
-    @classmethod
-    def from_array(cls, a, symmetrize: bool = False) -> "SymmetricMatrix":
-        a = np.asarray(a, dtype=float)
-        if symmetrize:
-            if a.ndim != 2 or a.shape[0] != a.shape[1]:
-                raise InvalidInput(f"expected a square matrix, got shape {a.shape}")
-            a = 0.5 * (a + a.T)
-        return cls(a)
 
     @classmethod
     def _trusted(cls, a: np.ndarray) -> "SymmetricMatrix":
@@ -83,27 +75,24 @@ class EigenPair:
         return spectral_apply(self.vectors, self.values)
 
 
-def _as_array(m) -> np.ndarray:
-    return m.data if isinstance(m, SymmetricMatrix) else np.asarray(m, dtype=float)
+def _data(m: SymmetricMatrix) -> np.ndarray:
+    """m's checked array; a plain ndarray is rejected, as `eigh` would read its lower triangle only."""
+    if not isinstance(m, SymmetricMatrix):
+        raise InvalidInput(f"expected a SymmetricMatrix, got {type(m).__name__}")
+    return m.data
 
 
 def sym_eig(m: SymmetricMatrix) -> EigenPair:
-    """Symmetric eigendecomposition with a deterministic sign convention:
-    the largest-magnitude entry of each eigenvector column is made positive.
-    A plain array is symmetrized first; a SymmetricMatrix already is."""
-    a = _as_array(m)
+    """Ascending eigenvalues and orthonormal eigenvectors as LAPACK's `eigh`
+    returns them, column signs included: callers read the vectors only through
+    sign-free forms (U f(Sigma) U^T, U_s^T U_t), where a flipped column cancels."""
+    a = _data(m)
     if not np.all(np.isfinite(a)):
         raise InvalidInput("matrix has non-finite entries")
-    if not isinstance(m, SymmetricMatrix):
-        a = _symmetrize(a)
     try:
         values, vectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigendecomposition failed to converge: {exc}") from exc
-    # fix column signs for reproducible output
-    pivot = np.argmax(np.abs(vectors), axis=0)
-    signs = np.sign(vectors[pivot, np.arange(vectors.shape[1])])
-    vectors = vectors * signs
     values.setflags(write=False)
     vectors.setflags(write=False)
     return EigenPair(values=values, vectors=vectors)
@@ -113,17 +102,16 @@ def regularize_psd(m: SymmetricMatrix, epsilon: float) -> SymmetricMatrix:
     """Shift every eigenvalue up by exactly epsilon: m + epsilon * I."""
     if not 0 < epsilon < np.inf:
         raise InvalidInput(f"epsilon must be positive and finite, got {epsilon}")
-    a = _as_array(m)
+    a = _data(m)
     shifted = a.copy()
     shifted.flat[::a.shape[0] + 1] += epsilon
-    # a plain array is checked like any other caller's input
-    return SymmetricMatrix._trusted(shifted) if isinstance(m, SymmetricMatrix) else SymmetricMatrix(shifted)
+    return SymmetricMatrix._trusted(shifted)
 
 
 def default_epsilon(m: SymmetricMatrix) -> float:
     """Regularization scaled to the matrix: 1e-6 * mean diagonal entry,
     falling back to 1e-6 itself for (near-)zero matrices."""
-    mean_diag = float(np.mean(np.diag(_as_array(m))))
+    mean_diag = float(np.mean(np.diag(_data(m))))
     return 1e-6 * mean_diag if mean_diag > 0 else 1e-6
 
 
@@ -170,8 +158,8 @@ def _symmetrize(a: np.ndarray) -> np.ndarray:
 
 
 def sym_part(m) -> np.ndarray:
-    """(m + m^T) / 2."""
-    a = _as_array(m)
+    """(m + m^T) / 2 of a square array."""
+    a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidInput(f"expected a square matrix, got shape {a.shape}")
     return _symmetrize(a)

@@ -69,8 +69,8 @@ class LossWeights:
 
     def __post_init__(self):
         vals = (self.classification, self.coral, self.logcoral, self.mean)
-        if any(w < 0 for w in vals):
-            raise InvalidInput(f"loss weights must be nonnegative, got {vals}")
+        if not all(0 <= w < np.inf for w in vals):
+            raise InvalidInput(f"loss weights must be nonnegative and finite, got {vals}")
         if all(w == 0 for w in vals):
             raise InvalidInput("at least one loss weight must be positive")
 

@@ -8,6 +8,7 @@ from logcoral import losses
 from logcoral.cli import main, parse_weights, read_config_file
 from logcoral.data import generate, load_csv, make_benchmark_spec, save_csv
 from logcoral.exceptions import InvalidInput
+from logcoral.linalg import regularize_psd
 from logcoral.stats import FeatureBatch, batch_covariance
 from logcoral.training import (
     RunConfig,
@@ -119,6 +120,20 @@ class TestLossesCommand:
         assert calls == []
         report = json.loads(capsys.readouterr().out)
         assert report["logcoral"] == losses.logcoral_loss(cov_s, cov_t, epsilon=report["epsilon"]).value
+
+    def test_condition_numbers_from_the_value_half(self, feature_files, monkeypatch, capsys):
+        a, b = feature_files
+        covs = [batch_covariance(load_csv(f)) for f in (a, b)]
+        eps = losses.resolve_epsilon(*covs, 0.0)
+        want = [np.linalg.cond(regularize_psd(c, eps).data) for c in covs]
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("np.linalg.cond called")
+        monkeypatch.setattr(np.linalg, "cond", no_svd)
+        assert main(["losses", str(a), str(b), "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        got = [report["cond_source"], report["cond_target"]]
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
     def test_rejects_options_it_does_not_read(self, feature_files):
         a, b = feature_files
@@ -303,6 +318,13 @@ class TestTrainCommand:
         assert "epsilon" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("weights", ["logcoral=nan", "mean=inf", "cls=nan"])
+    def test_nonfinite_weight_is_bad_input(self, tmp_path, capsys, weights):
+        out = tmp_path / "run"
+        assert main(["train", "--steps", "5", "--weights", weights, "--out", str(out)]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_eval_every_is_bad_input(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("eval_every=0\n")
@@ -369,6 +391,19 @@ class TestAblateCommand:
                               "coral+mean", "logcoral+mean"}
         assert (tmp_path / "ab" / "ablation.json").exists()
 
+    def test_rejects_options_it_does_not_read(self, tmp_path, capsys):
+        # each grid configuration sets its own weights
+        for option in ("--weights", "--resume", "--source-csv", "--target-csv", "--labels"):
+            with pytest.raises(SystemExit) as exc:
+                main(["ablate", "--seeds", "1", "--steps", "3", option, "mean=5"])
+            assert exc.value.code == 2, option
+        capsys.readouterr()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("steps=3\nweights=mean=5\n")
+        assert main(["ablate", "--config", str(cfg), "--seeds", "1", "--out", str(tmp_path / "ab")]) == 2
+        captured = capsys.readouterr()
+        assert "'weights'" in captured.err and captured.out == ""
+        assert not (tmp_path / "ab").exists()
 
     @pytest.mark.parametrize("seeds", ["0", "-3"])
     def test_no_seeds_is_bad_input(self, capsys, seeds):

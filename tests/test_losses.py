@@ -101,6 +101,11 @@ class TestLossWeights:
         with pytest.raises(InvalidInput):
             LossWeights(classification=-1.0)
 
+    @pytest.mark.parametrize("w", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_rejected(self, w):
+        with pytest.raises(InvalidInput, match="nonnegative and finite"):
+            LossWeights(mean=w)
+
     def test_all_zero_rejected(self):
         with pytest.raises(InvalidInput):
             LossWeights(classification=0.0, coral=0.0, logcoral=0.0, mean=0.0)
@@ -138,7 +143,7 @@ class TestCoralLoss:
         bundle = coral_loss(cs, ct)
         for _ in range(5):
             v = sym_part(rng.standard_normal((5, 5)))
-            fd = fd_directional(lambda a: coral_loss(SymmetricMatrix.from_array(a, symmetrize=True), ct).value,
+            fd = fd_directional(lambda a: coral_loss(SymmetricMatrix(sym_part(a)), ct).value,
                                 cs.data, v)
             an = float(np.sum(bundle.grad_source * v))
             assert abs(fd - an) <= 1e-6 * max(abs(fd), 1e-8)
@@ -185,7 +190,7 @@ class TestLogCoralLoss:
         for grad, which in ((bundle.grad_source, 0), (bundle.grad_target, 1)):
             v = sym_part(rng.standard_normal((cs.dim, cs.dim)))
             def f(a):
-                m = SymmetricMatrix.from_array(a, symmetrize=True)
+                m = SymmetricMatrix(sym_part(a))
                 return (logcoral_loss(m, ct, epsilon=eps).value if which == 0
                         else logcoral_loss(cs, m, epsilon=eps).value)
             fd = fd_directional(f, (cs if which == 0 else ct).data, v)
