@@ -18,7 +18,7 @@ from . import data as D
 from . import training
 from .exceptions import LogCoralError, NotPositiveDefinite, NumericalFailure, ParseError, InvalidInput
 from .gradcheck import THRESHOLDS, run_gradcheck
-from .losses import LossWeights, _logcoral_value, coral_loss, mean_loss, resolve_epsilon
+from .losses import LossWeights, coral_loss, log_euclidean, mean_loss, resolve_epsilon
 from .stats import batch_covariance, batch_mean
 from .training import RunConfig
 
@@ -104,14 +104,13 @@ def cmd_losses(args) -> int:
     target = D.load_csv(args.target, has_labels=args.labels)
     cov_s, cov_t = batch_covariance(source), batch_covariance(target)
     eps = resolve_epsilon(cov_s, cov_t, args.epsilon)
-    logcoral, parts = _logcoral_value(cov_s, cov_t, eps)
-    sig_s, sig_t = parts[1], parts[4]  # ascending spectra of C_s + eps I and C_t + eps I
+    le = log_euclidean(cov_s, cov_t, eps)
     report = {
         "coral": coral_loss(cov_s, cov_t).value,
-        "logcoral": logcoral,
+        "logcoral": le.value,
         "mean": mean_loss(batch_mean(source), batch_mean(target)).value,
-        "cond_source": float(sig_s[-1] / sig_s[0]),
-        "cond_target": float(sig_t[-1] / sig_t[0]),
+        "cond_source": float(le.eig_s.values[-1] / le.eig_s.values[0]),
+        "cond_target": float(le.eig_t.values[-1] / le.eig_t.values[0]),
         "epsilon": eps,
     }
     _emit(report, args.format)
@@ -160,12 +159,12 @@ def cmd_train(args) -> int:
         raise InvalidInput(f"--resume keeps the checkpoint's {', '.join(fixed)}: "
                            "remove from the flags and the config file")
     config = RunConfig(**values)
+    dataset = _load_dataset(args, config)  # every input is read before the output directory is made
+    state = training.load_checkpoint(args.resume) if args.resume else None
     out_dir = args.out or "run"
     os.makedirs(out_dir, exist_ok=True)
     metrics_path = os.path.join(out_dir, "metrics.jsonl")
     checkpoint_path = os.path.join(out_dir, "checkpoint.npz")
-    dataset = _load_dataset(args, config)
-    state = training.load_checkpoint(args.resume) if args.resume else None
     try:
         state, records = training.train(config, dataset, state=state,
                                         metrics_path=metrics_path,
@@ -191,17 +190,22 @@ def cmd_ablate(args) -> int:
                            "remove the config key 'weights'")
     config = RunConfig(**values)
     table = training.ablate(config, seeds=range(config.seed, config.seed + args.seeds))
+
+    def shown(row):  # text and csv show nan where every seed of a configuration failed
+        return (row["mean"], row["std"]) if row["accs"] else (np.nan, np.nan)
     if args.format == "json":
         print(json.dumps(table, indent=2))
     elif args.format == "csv":
         print("config,mean_acc,std_acc,n_seeds,n_failed")
         for name, row in table.items():
-            print(f"{name},{row['mean']:.4f},{row['std']:.4f},{len(row['accs'])},{len(row['failed'])}")
+            mean, std = shown(row)
+            print(f"{name},{mean:.4f},{std:.4f},{len(row['accs'])},{len(row['failed'])}")
     else:
         width = max(len(n) for n in table)
         for name, row in table.items():
+            mean, std = shown(row)
             marker = f"  ({len(row['failed'])} failed)" if row["failed"] else ""
-            print(f"{name:<{width}}  {row['mean']*100:6.2f} +/- {row['std']*100:.2f}{marker}")
+            print(f"{name:<{width}}  {mean*100:6.2f} +/- {std*100:.2f}{marker}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "ablation.json"), "w", encoding="utf-8") as f:

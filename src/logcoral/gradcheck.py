@@ -92,7 +92,7 @@ def run_gradcheck(dims=(2, 5, 16), seeds=range(100)) -> GradCheckResult:
             c_s, c_t = spd_with_gaps(dim, rng), spd_with_gaps(dim, rng)
             check("coral", lambda a, b: L.coral_loss(SymmetricMatrix(a), SymmetricMatrix(b)).value,
                   L.coral_loss(c_s, c_t), cov_s=c_s.data, cov_t=c_t.data)
-            check("logcoral", lambda a, b: L._logcoral_value(SymmetricMatrix(a), SymmetricMatrix(b), 0.0)[0],
+            check("logcoral", lambda a, b: L.log_euclidean(SymmetricMatrix(a), SymmetricMatrix(b), 0.0).value,
                   L.logcoral_loss(c_s, c_t), cov_s=c_s.data, cov_t=c_t.data)
             m_s, m_t = rng.standard_normal(dim), rng.standard_normal(dim)
             check("mean", lambda a, b: L.mean_loss(a, b).value, L.mean_loss(m_s, m_t),

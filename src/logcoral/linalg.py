@@ -1,6 +1,7 @@
-"""Dense symmetric linear algebra: eigendecomposition, spectral functions
-U f(Sigma) U^T (matrix log and exp) and the Daleckii-Krein backward pass
-through the matrix logarithm, which takes its upstream in the eigenbasis.
+"""Dense symmetric linear algebra: eigendecomposition, the SPD spectrum a
+log needs (`spd_eig`), spectral functions U f(Sigma) U^T (matrix log and exp)
+and the Daleckii-Krein backward pass through the matrix logarithm, which
+takes its upstream in the eigenbasis.
 
 All functions are pure; SymmetricMatrix and EigenPair are immutable values.
 
@@ -59,9 +60,6 @@ class SymmetricMatrix:
     def dim(self) -> int:
         return self.data.shape[0]
 
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.data, dtype=dtype)
-
 
 @dataclass(frozen=True)
 class EigenPair:
@@ -98,6 +96,22 @@ def sym_eig(m: SymmetricMatrix) -> EigenPair:
     return EigenPair(values=values, vectors=vectors)
 
 
+def spd_eig(m: SymmetricMatrix, epsilon: float = 0.0) -> EigenPair:
+    """sym_eig of m + epsilon * I, the spectrum a log needs. Raises
+    NotPositiveDefinite if its smallest eigenvalue is <= 0. At epsilon > 0 the
+    eigenvalues are floored at epsilon; at 0 this is sym_eig's pair itself."""
+    if not 0 <= epsilon < np.inf:
+        raise InvalidInput(f"epsilon must be nonnegative and finite, got {epsilon}")
+    pair = sym_eig(regularize_psd(m, epsilon) if epsilon > 0 else m)
+    if pair.values[0] <= 0:
+        raise NotPositiveDefinite(float(pair.values[0]))
+    if epsilon > 0:
+        values = np.maximum(pair.values, epsilon)
+        values.setflags(write=False)
+        pair = EigenPair(values=values, vectors=pair.vectors)
+    return pair
+
+
 def regularize_psd(m: SymmetricMatrix, epsilon: float) -> SymmetricMatrix:
     """Shift every eigenvalue up by exactly epsilon: m + epsilon * I."""
     if not 0 < epsilon < np.inf:
@@ -123,9 +137,7 @@ def spectral_apply(vectors: np.ndarray, f_values: np.ndarray) -> np.ndarray:
 
 def matrix_log(m: SymmetricMatrix) -> SymmetricMatrix:
     """Principal logarithm of an SPD matrix: U log(Sigma) U^T."""
-    pair = sym_eig(m)
-    if pair.values[0] <= 0:
-        raise NotPositiveDefinite(float(pair.values[0]))
+    pair = spd_eig(m)
     return SymmetricMatrix(spectral_apply(pair.vectors, np.log(pair.values)))
 
 

@@ -1,11 +1,10 @@
 """Forward and backward passes of the alignment losses.
 
 Three distances between domain statistics are implemented: the Euclidean
-covariance distance, its Log-Euclidean (geodesic) counterpart, computed in
-the two eigenbases in seven d x d products without forming either matrix
-logarithm, with the Daleckii-Krein backward pass in `linalg`, and a
-first-order mean distance. Gradients use the symmetric-perturbation
-convention: for a symmetric direction V, dL = <grad, V>.
+covariance distance, its Log-Euclidean (geodesic) counterpart, a
+`LogEuclidean` value whose `grads()` is the Daleckii-Krein backward pass in
+`linalg`, and a first-order mean distance. Gradients use the
+symmetric-perturbation convention: for a symmetric direction V, dL = <grad, V>.
 """
 from __future__ import annotations
 
@@ -14,15 +13,8 @@ from typing import Optional
 
 import numpy as np
 
-from .exceptions import InvalidInput, NotPositiveDefinite
-from .linalg import (
-    SymmetricMatrix,
-    default_epsilon,
-    matrix_log_backward,
-    regularize_psd,
-    sym_eig,
-    sym_part,
-)
+from .exceptions import InvalidInput
+from .linalg import EigenPair, SymmetricMatrix, default_epsilon, matrix_log_backward, spd_eig, sym_part
 from .stats import FeatureBatch
 
 
@@ -86,20 +78,6 @@ def coral_loss(cov_s: SymmetricMatrix, cov_t: SymmetricMatrix) -> LossBundle:
     return LossBundle(value=value, grad_source=grad, grad_target=-grad)
 
 
-def _log_eig(cov: SymmetricMatrix, epsilon: float):
-    """Regularize, decompose and take the log of the spectrum. Returns
-    (eigvecs, eigvals, log eigvals); eigenvalues are floored at epsilon."""
-    if epsilon > 0:
-        cov = regularize_psd(cov, epsilon)
-    pair = sym_eig(cov)
-    values = pair.values
-    if values[0] <= 0:
-        raise NotPositiveDefinite(float(values[0]))
-    if epsilon > 0:
-        values = np.maximum(values, epsilon)
-    return pair.vectors, values, np.log(values)
-
-
 def resolve_epsilon(cov_s: SymmetricMatrix, cov_t: SymmetricMatrix, epsilon: float) -> float:
     """The epsilon of the Log-Euclidean term in training and `logcoral losses`:
     epsilon when nonzero, else max(default_epsilon(C_s), default_epsilon(C_t)).
@@ -107,37 +85,46 @@ def resolve_epsilon(cov_s: SymmetricMatrix, cov_t: SymmetricMatrix, epsilon: flo
     return epsilon if epsilon else max(default_epsilon(cov_s), default_epsilon(cov_t))
 
 
-def _logcoral_value(cov_s: SymmetricMatrix, cov_t: SymmetricMatrix, epsilon: float) -> tuple:
-    """Value half of logcoral_loss: (value, parts for _logcoral_grads). With M = U_s^T U_t
-    and l = log(sigma), D_s = U_s^T (log C_s - log C_t) U_s = diag(l_s) - M diag(l_t) M^T."""
+@dataclass(frozen=True)
+class LogEuclidean:
+    """||log C_s - log C_t||_F^2 / (4 d^2) and what its gradients reuse: `spd_eig`'s
+    ascending pairs of C_s + eps I and C_t + eps I, m = U_s^T U_t and, with l = log(sigma),
+    diff_s = U_s^T (log C_s - log C_t) U_s = diag(l_s) - M diag(l_t) M^T."""
+
+    value: float
+    eig_s: EigenPair
+    eig_t: EigenPair
+    m: np.ndarray
+    diff_s: np.ndarray
+
+    def grads(self) -> tuple:
+        """(dL/dC_s, dL/dC_t): a Daleckii-Krein backward of D_s and of
+        D_t = U_t^T (log C_s - log C_t) U_t = M^T diag(l_s) M - diag(l_t)."""
+        l_s, l_t = np.log(self.eig_s.values), np.log(self.eig_t.values)
+        diff_t = (self.m.T * l_s) @ self.m - np.diag(l_t)
+        scale = 1.0 / (2.0 * len(l_s) ** 2)
+        return (matrix_log_backward(self.eig_s.vectors, self.eig_s.values, scale * self.diff_s),
+                matrix_log_backward(self.eig_t.vectors, self.eig_t.values, -scale * diff_t))
+
+
+def log_euclidean(cov_s: SymmetricMatrix, cov_t: SymmetricMatrix, epsilon: float) -> LogEuclidean:
+    """LogEuclidean of C_s and C_t, in seven d x d products and no matrix log. Equal
+    inputs are decomposed once, with M = I, so D_s and D_t come out exact zeros."""
     if cov_s.dim != cov_t.dim:
         raise InvalidInput(f"dimension mismatch: {cov_s.dim} vs {cov_t.dim}")
-    if not 0 <= epsilon < np.inf:
-        raise InvalidInput(f"epsilon must be nonnegative and finite, got {epsilon}")
-    u_s, sig_s, l_s = _log_eig(cov_s, epsilon)
-    u_t, sig_t, l_t = _log_eig(cov_t, epsilon)
-    if np.array_equal(cov_s.data, cov_t.data):
-        l_s = l_t = np.zeros_like(l_s)  # zero logs give exact zeros below; equal ones leave rounding
-    m = u_s.T @ u_t
-    diff_s = np.diag(l_s) - (m * l_t) @ m.T
+    eig_s = spd_eig(cov_s, epsilon)
+    eig_t = eig_s if np.array_equal(cov_s.data, cov_t.data) else spd_eig(cov_t, epsilon)
+    m = np.eye(cov_s.dim) if eig_t is eig_s else eig_s.vectors.T @ eig_t.vectors
+    diff_s = np.diag(np.log(eig_s.values)) - (m * np.log(eig_t.values)) @ m.T
     value = float(np.sum(diff_s * diff_s)) / (4.0 * cov_s.dim ** 2)
-    return value, (u_s, sig_s, l_s, u_t, sig_t, l_t, m, diff_s)
-
-
-def _logcoral_grads(parts: tuple) -> tuple:
-    """Gradient half of logcoral_loss: a Daleckii-Krein backward of D_s and of
-    D_t = U_t^T (log C_s - log C_t) U_t = M^T diag(l_s) M - diag(l_t)."""
-    u_s, sig_s, l_s, u_t, sig_t, l_t, m, diff_s = parts
-    diff_t = (m.T * l_s) @ m - np.diag(l_t)
-    scale = 1.0 / (2.0 * len(l_s) ** 2)
-    return matrix_log_backward(u_s, sig_s, scale * diff_s), matrix_log_backward(u_t, sig_t, -scale * diff_t)
+    return LogEuclidean(value=value, eig_s=eig_s, eig_t=eig_t, m=m, diff_s=diff_s)
 
 
 def logcoral_loss(cov_s: SymmetricMatrix, cov_t: SymmetricMatrix, epsilon: float = 0.0) -> LossBundle:
     """Log-Euclidean covariance alignment: ||log C_s - log C_t||_F^2 / (4 d^2),
     with epsilon * I added to both covariances before the log."""
-    value, parts = _logcoral_value(cov_s, cov_t, epsilon)
-    return LossBundle(value, *_logcoral_grads(parts))
+    le = log_euclidean(cov_s, cov_t, epsilon)
+    return LossBundle(le.value, *le.grads())
 
 
 def mean_loss(mean_s: np.ndarray, mean_t: np.ndarray) -> LossBundle:

@@ -47,6 +47,9 @@ class MlpModel:
     def num_layers(self) -> int:
         return len(self.weights)
 
+    def tap_width(self, name: str) -> int:
+        return self.dims[_tap_index(name, self.num_layers) + 1]
+
     def check_finite(self):
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
@@ -184,17 +187,17 @@ def train_step(state: TrainState, source: FeatureBatch, target: FeatureBatch,
 
     cls = L.softmax_cross_entropy(cache.post[-1][:n], source.labels)
     coral = L.coral_loss(cov_s, cov_t)
-    logcoral, logcoral_parts = L._logcoral_value(cov_s, cov_t, L.resolve_epsilon(cov_s, cov_t, state.epsilon))
+    logcoral = L.log_euclidean(cov_s, cov_t, L.resolve_epsilon(cov_s, cov_t, state.epsilon))
     mean = L.mean_loss(stats_s.mean, stats_t.mean)
 
     report = {
         "loss_cls": cls.value,
         "loss_coral": coral.value,
-        "loss_logcoral": logcoral,
+        "loss_logcoral": logcoral.value,
         "loss_mean": mean.value,
     }
     total = (weights.classification * cls.value + weights.coral * coral.value
-             + weights.logcoral * logcoral + weights.mean * mean.value)
+             + weights.logcoral * logcoral.value + weights.mean * mean.value)
     report["loss_total"] = total
     if not np.isfinite(total):
         bad = [k for k, v in report.items() if not np.isfinite(v)]
@@ -215,7 +218,7 @@ def train_step(state: TrainState, source: FeatureBatch, target: FeatureBatch,
         # sums of exactly symmetric gradients, so exactly symmetric
         grads = [weights.coral * coral.grad_source, weights.coral * coral.grad_target]
         if weights.logcoral > 0:
-            grads = [g + weights.logcoral * lg for g, lg in zip(grads, L._logcoral_grads(logcoral_parts))]
+            grads = [g + weights.logcoral * lg for g, lg in zip(grads, logcoral.grads())]
         _add(state.cov_tap, np.concatenate([L._chain_centred(grads[0], rows_s, share_s),
                                             L._chain_centred(grads[1], rows_t, share_t)]))
     if weights.mean > 0:
@@ -254,7 +257,7 @@ def total_loss(model: MlpModel, source: FeatureBatch, target: FeatureBatch,
             value += weights.coral * L.coral_loss(cov_s, cov_t).value
         if weights.logcoral > 0:
             eps = L.resolve_epsilon(cov_s, cov_t, epsilon)
-            value += weights.logcoral * L._logcoral_value(cov_s, cov_t, eps)[0]
+            value += weights.logcoral * L.log_euclidean(cov_s, cov_t, eps).value
     if weights.mean > 0:
         mean_s, mean_t = map(batch_mean, _split_tap(cache, mean_tap, n))
         value += weights.mean * L.mean_loss(mean_s, mean_t).value

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,12 +83,20 @@ def _stats_to_npz(domain: str, s: SmoothedStats, out: dict):
         out[f"mean_{domain}_mean"] = s.mean
 
 
-def _stats_from_npz(domain: str, z) -> SmoothedStats:
+def _stats_from_npz(domain: str, z: dict, cov_dim: int, mean_dim: int) -> SmoothedStats:
     momentum = float(z[f"cov_{domain}_momentum"])
     if bool(z[f"cov_{domain}_initialized"]):
-        return SmoothedStats(momentum=momentum, cov=SymmetricMatrix(z[f"cov_{domain}_cov"]),
-                             mean=z[f"mean_{domain}_mean"])
+        return SmoothedStats(momentum=momentum,
+                             cov=SymmetricMatrix(_fitted(z, f"cov_{domain}_cov", (cov_dim, cov_dim))),
+                             mean=_fitted(z, f"mean_{domain}_mean", (mean_dim,)))
     return SmoothedStats(momentum=momentum)
+
+
+def _fitted(z: dict, key: str, shape: tuple) -> np.ndarray:
+    """z[key], which must have the shape the checkpoint's dims and taps give it."""
+    if z[key].shape != shape:
+        raise InvalidInput(f"{key} has shape {z[key].shape}, but dims and taps give {shape}")
+    return z[key]
 
 
 def save_checkpoint(path, state: TrainState):
@@ -111,29 +120,46 @@ def save_checkpoint(path, state: TrainState):
 
 
 def load_checkpoint(path) -> TrainState:
-    with np.load(path, allow_pickle=False) as z:
-        version = int(z["version"])
-        if version != CHECKPOINT_VERSION:
-            raise InvalidInput(f"{path}: checkpoint version {version} is not supported, only version "
-                               f"{CHECKPOINT_VERSION} (version 1 holds a mean-tap covariance that 2 drops)")
-        dims = [int(v) for v in z["dims"]]
-        n_layers = len(dims) - 1
-        model = MlpModel(dims=dims,
-                         weights=[z[f"w{i}"] for i in range(n_layers)],
-                         biases=[z[f"b{i}"] for i in range(n_layers)])
-        meta = json.loads(str(z["meta_json"]))
-        rng = np.random.default_rng()
-        rng.bit_generator.state = meta["rng_state"]
-        return TrainState(
-            model=model, lr=meta["lr"], opt_momentum=meta["opt_momentum"],
-            velocity_w=[z[f"vw{i}"] for i in range(n_layers)],
-            velocity_b=[z[f"vb{i}"] for i in range(n_layers)],
-            stats_source=_stats_from_npz("s", z),
-            stats_target=_stats_from_npz("t", z),
-            step=int(z["step"]), rng=rng,
-            cov_tap=meta["cov_tap"], mean_tap=meta["mean_tap"],
-            epsilon=meta["epsilon"],
-        )
+    """The state saved at path. Raises InvalidInput naming path if the file is
+    not an .npz, lacks a key, holds arrays that do not fit its dims and taps,
+    or holds an lr, opt_momentum or epsilon that RunConfig rejects."""
+    try:
+        with np.load(path, allow_pickle=False) as npz:  # TypeError: a .npy file is no context manager
+            arrays = dict(npz)
+    except (TypeError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise InvalidInput(f"{path}: not an .npz checkpoint ({exc})") from exc
+    try:
+        return _state_from_npz(arrays)
+    except KeyError as exc:
+        raise InvalidInput(f"{path}: checkpoint has no {exc.args[0]!r}") from exc
+    except InvalidInput as exc:
+        raise InvalidInput(f"{path}: {exc}") from exc
+
+
+def _state_from_npz(z: dict) -> TrainState:
+    version = int(z["version"])
+    if version != CHECKPOINT_VERSION:
+        raise InvalidInput(f"checkpoint version {version} is not supported, only version "
+                           f"{CHECKPOINT_VERSION} (version 1 holds a mean-tap covariance that 2 drops)")
+    dims = [int(v) for v in z["dims"]]
+    meta = json.loads(str(z["meta_json"]))
+    RunConfig(lr=meta["lr"], opt_momentum=meta["opt_momentum"], epsilon=meta["epsilon"])  # their range checks
+    layers = range(len(dims) - 1)
+    model = MlpModel(dims=dims, weights=[_fitted(z, f"w{i}", (dims[i], dims[i + 1])) for i in layers],
+                     biases=[_fitted(z, f"b{i}", (dims[i + 1],)) for i in layers])
+    cov_dim, mean_dim = model.tap_width(meta["cov_tap"]), model.tap_width(meta["mean_tap"])
+    rng = np.random.default_rng()
+    rng.bit_generator.state = meta["rng_state"]
+    return TrainState(
+        model=model, lr=meta["lr"], opt_momentum=meta["opt_momentum"],
+        velocity_w=[_fitted(z, f"vw{i}", w.shape) for i, w in zip(layers, model.weights)],
+        velocity_b=[_fitted(z, f"vb{i}", b.shape) for i, b in zip(layers, model.biases)],
+        stats_source=_stats_from_npz("s", z, cov_dim, mean_dim),
+        stats_target=_stats_from_npz("t", z, cov_dim, mean_dim),
+        step=int(z["step"]), rng=rng,
+        cov_tap=meta["cov_tap"], mean_tap=meta["mean_tap"],
+        epsilon=meta["epsilon"],
+    )
 
 
 def init_state(config: RunConfig, feature_dim: int, num_classes: int) -> TrainState:
@@ -219,8 +245,9 @@ ABLATION_CONFIGS = {
 
 def ablate(config: RunConfig, seeds, configs=None):
     """Run the ablation grid. Returns {name: {"accs": [...], "mean": m,
-    "std": s, "failed": [...]}} with one accuracy per seed. Raises
-    InvalidInput if seeds is empty: such a table holds only NaN."""
+    "std": s, "failed": [...]}} with one accuracy per seed that trained; m and
+    s are None where every seed failed, so the table stays strict JSON.
+    Raises InvalidInput if seeds is empty: such a table holds no accuracy."""
     if not seeds:
         raise InvalidInput("ablate needs at least one seed")
     configs = configs or ABLATION_CONFIGS
@@ -237,8 +264,8 @@ def ablate(config: RunConfig, seeds, configs=None):
                 failed.append({"seed": seed, "error": str(exc)})
         table[name] = {
             "accs": accs,
-            "mean": float(np.mean(accs)) if accs else float("nan"),
-            "std": float(np.std(accs)) if accs else float("nan"),
+            "mean": float(np.mean(accs)) if accs else None,
+            "std": float(np.std(accs)) if accs else None,
             "failed": failed,
         }
     return table

@@ -112,10 +112,10 @@ class TestLossesCommand:
         cov_s, cov_t = batch_covariance(load_csv(a)), batch_covariance(load_csv(b))
         calls = []
 
-        def counted(parts, real=losses._logcoral_grads):
-            calls.append(parts)
-            return real(parts)
-        monkeypatch.setattr(losses, "_logcoral_grads", counted)
+        def counted(le, real=losses.LogEuclidean.grads):
+            calls.append(le)
+            return real(le)
+        monkeypatch.setattr(losses.LogEuclidean, "grads", counted)
         assert main(["losses", str(a), str(b), "--format", "json"]) == 0
         assert calls == []
         report = json.loads(capsys.readouterr().out)
@@ -256,6 +256,8 @@ class TestTrainCommand:
                     if failed[key].dtype.kind == "f":
                         assert np.all(np.isfinite(failed[key])), key
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
     def test_overflow_is_a_numerical_failure(self, tmp_path, capsys):
         # weights this large overflow the forward pass to inf, as a diverging
         # run's do; that is a failed run (exit 1), not bad input (exit 2)
@@ -310,6 +312,41 @@ class TestTrainCommand:
         assert main(["train", "--steps", "5", "--resume", str(tmp_path / "v1.npz"),
                      "--out", str(tmp_path / "run")]) == 2
         assert "version 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda a: a.pop("version"),
+        lambda a: a.update(w1=np.zeros((128, 63))),
+        lambda a: a.update(vb0=np.zeros(127)),
+        lambda a: a.update(cov_s_cov=np.eye(5)),
+        *(lambda a, key=key, value=value: a.update(meta_json=np.array(json.dumps(
+            {**json.loads(str(a["meta_json"])), key: value})))
+          for key, value in (("lr", float("nan")), ("opt_momentum", 1.5), ("epsilon", -1.0))),
+    ], ids=["no_version", "w1_shape", "vb0_shape", "cov_5x5", "lr_nan", "opt_momentum_1.5", "epsilon_negative"])
+    def test_unfit_checkpoint_is_bad_input(self, tmp_path, capsys, corrupt):
+        config = RunConfig(steps=3, batch=16, samples_per_class=20)
+        save_checkpoint(tmp_path / "ck.npz", train(config, default_dataset(config))[0])
+        with np.load(tmp_path / "ck.npz") as z:
+            arrays = {k: z[k] for k in z.files}
+        corrupt(arrays)
+        np.savez(tmp_path / "bad.npz", **arrays)
+        out = tmp_path / "run"
+        assert main(["train", "--steps", "5", "--resume", str(tmp_path / "bad.npz"), "--out", str(out)]) == 2
+        assert str(tmp_path / "bad.npz") in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_resume_from_a_file_that_is_no_checkpoint(self, tmp_path, capsys):
+        metrics = tmp_path / "metrics.jsonl"
+        metrics.write_text('{"step": 1, "loss_cls": 1.6}\n')
+        out = tmp_path / "run"
+        assert main(["train", "--steps", "5", "--resume", str(metrics), "--out", str(out)]) == 2
+        assert f"{metrics}: not an .npz checkpoint" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_source_csv_makes_no_output_directory(self, tmp_path, feature_files):
+        out = tmp_path / "run"
+        assert main(["train", "--source-csv", str(tmp_path / "absent.csv"), "--target-csv",
+                     str(feature_files[1]), "--out", str(out)]) == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("eps", ["nan", "inf"])
     def test_bad_epsilon_is_bad_input(self, tmp_path, capsys, eps):
@@ -390,6 +427,24 @@ class TestAblateCommand:
         assert set(table) == {"baseline", "coral", "logcoral", "mean",
                               "coral+mean", "logcoral+mean"}
         assert (tmp_path / "ab" / "ablation.json").exists()
+
+    def test_all_failed_rows_stay_strict_json(self, tmp_path, capsys):
+        # lr=1.0 makes every seed of most configurations diverge
+        def no_constant(name):
+            raise ValueError(f"{name} is not JSON")
+        out = tmp_path / "ab"
+        args = ["ablate", "--lr", "1.0", "--seeds", "1", "--steps", "20"]
+        assert main(args + ["--format", "json", "--out", str(out)]) == 0
+        table = json.loads(capsys.readouterr().out, parse_constant=no_constant)
+        assert json.loads((out / "ablation.json").read_text(), parse_constant=no_constant) == table
+        failed = [name for name, row in table.items() if not row["accs"]]
+        assert failed and all(table[name]["mean"] is table[name]["std"] is None for name in failed)
+        for fmt in ("text", "csv"):
+            assert main(args + ["--format", fmt]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            for name in failed:
+                row = next(line for line in lines if line.startswith(f"{name} ") or line.startswith(f"{name},"))
+                assert "nan" in row and ("(1 failed)" in row if fmt == "text" else row.endswith(",0,1"))
 
     def test_rejects_options_it_does_not_read(self, tmp_path, capsys):
         # each grid configuration sets its own weights

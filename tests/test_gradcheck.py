@@ -35,19 +35,19 @@ def test_probes_evaluate_only_the_value(monkeypatch):
     # one gradient half per analytic bundle; the probes evaluate the value half alone
     calls = []
 
-    def counted(parts, real=losses._logcoral_grads):
-        calls.append(len(parts[2]))
-        return real(parts)
-    monkeypatch.setattr(losses, "_logcoral_grads", counted)
+    def counted(le, real=losses.LogEuclidean.grads):
+        calls.append(le.eig_s.values.size)
+        return real(le)
+    monkeypatch.setattr(losses.LogEuclidean, "grads", counted)
     dims, seeds = (2, 5), range(3)
     assert run_gradcheck(dims=dims, seeds=seeds).passed
     assert calls == list(dims) * len(seeds)
 
 
 def test_scaled_logcoral_gradients_detected(monkeypatch):
-    def scaled(parts, real=losses._logcoral_grads):
-        return tuple((1 + 1e-3) * g for g in real(parts))
-    monkeypatch.setattr(losses, "_logcoral_grads", scaled)
+    def scaled(le, real=losses.LogEuclidean.grads):
+        return tuple((1 + 1e-3) * g for g in real(le))
+    monkeypatch.setattr(losses.LogEuclidean, "grads", scaled)
     result = run_gradcheck(dims=(3,), seeds=range(2))
     assert not result.passed
     assert result.errors["logcoral"] > THRESHOLDS["logcoral"]

@@ -8,6 +8,7 @@ from logcoral.linalg import (
     matrix_exp,
     matrix_log,
     regularize_psd,
+    spd_eig,
     sym_eig,
     sym_part,
 )
@@ -89,12 +90,36 @@ class TestSymEig:
             sym_eig(SymmetricMatrix._trusted(np.array([[np.inf, 0.0], [0.0, 1.0]])))
 
 
-@pytest.mark.parametrize("call", [sym_eig, lambda a: regularize_psd(a, 0.1), default_epsilon, matrix_log],
-                         ids=["sym_eig", "regularize_psd", "default_epsilon", "matrix_log"])
+@pytest.mark.parametrize("call", [sym_eig, spd_eig, lambda a: regularize_psd(a, 0.1), default_epsilon,
+                                  matrix_log],
+                         ids=["sym_eig", "spd_eig", "regularize_psd", "default_epsilon", "matrix_log"])
 def test_plain_array_rejected(call):
     # an asymmetric array would otherwise be read by its lower triangle
     with pytest.raises(InvalidInput, match="expected a SymmetricMatrix, got ndarray"):
         call(np.array([[2.0, 1.0], [0.0, 2.0]]))
+
+
+class TestSpdEig:
+    def test_singular_rejected_without_epsilon(self):
+        with pytest.raises(NotPositiveDefinite) as exc:
+            spd_eig(SymmetricMatrix(np.diag([2.0, 0.0])))
+        assert exc.value.eigenvalue == 0.0
+
+    def test_shifted_spectrum_floored_at_epsilon(self):
+        # rank one: the shifted zero eigenvalues land within rounding of eps, some below it
+        v = np.random.default_rng(0).standard_normal((6, 1)) * 100
+        m, eps = SymmetricMatrix(sym_part(v @ v.T)), 1e-9
+        shifted = sym_eig(regularize_psd(m, eps))
+        assert shifted.values[0] < eps
+        pair = spd_eig(m, eps)
+        assert np.array_equal(pair.values, np.maximum(shifted.values, eps))
+        assert pair.values[0] == eps and not pair.values.flags.writeable
+        assert np.array_equal(pair.vectors, shifted.vectors)
+
+    @pytest.mark.parametrize("eps", [-1.0, np.nan, np.inf])
+    def test_bad_epsilon_rejected(self, eps):
+        with pytest.raises(InvalidInput, match="epsilon"):
+            spd_eig(SymmetricMatrix(np.eye(2)), eps)
 
 
 class TestRegularize:

@@ -7,6 +7,7 @@ from logcoral.losses import (
     LossWeights,
     chain_to_features,
     coral_loss,
+    log_euclidean,
     logcoral_loss,
     mean_loss,
     resolve_epsilon,
@@ -231,9 +232,25 @@ class TestLogCoralLoss:
         assert np.linalg.norm(a.grad_source - b.grad_target) <= 1e-12 * scale
         assert np.linalg.norm(a.grad_target - b.grad_source) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_identical_inputs_decomposed_once_exact_zero(self, eps):
+        c = rand_spd(np.random.default_rng(5), 6)
+        le = log_euclidean(c, SymmetricMatrix(c.data.copy()), eps)
+        assert le.eig_t is le.eig_s
+        assert le.value == 0.0
+        assert all(np.all(g == 0.0) for g in le.grads())
+
+    def test_named_value_gives_the_loss_gradients(self):
+        cs, ct = tap_covariances(np.random.default_rng(16), 16)
+        eps = resolve_epsilon(cs, ct, 0.0)
+        le, bundle = log_euclidean(cs, ct, eps), logcoral_loss(cs, ct, epsilon=eps)
+        assert le.value == bundle.value
+        grad_s, grad_t = le.grads()
+        assert np.array_equal(grad_s, bundle.grad_source) and np.array_equal(grad_t, bundle.grad_target)
+
     def test_identical_singular_inputs_still_raise(self):
-        # the exact-zero shortcut for C_s == C_t comes after both
-        # decompositions, so it does not hide a non-SPD input
+        # the shortcut for C_s == C_t reuses C_s's decomposition, which
+        # still checks it, so it does not hide a non-SPD input
         c = batch_covariance(FeatureBatch(np.array([[1.0, 0.0], [3.0, 0.0]])))
         with pytest.raises(NotPositiveDefinite):
             logcoral_loss(c, c, epsilon=0.0)

@@ -292,8 +292,8 @@ class TestStackedStep:
 
     def test_logcoral_backward_skipped_at_weight_zero(self, monkeypatch):
         calls = []
-        real = L._logcoral_grads
-        monkeypatch.setattr(L, "_logcoral_grads", lambda parts: calls.append(1) or real(parts))
+        real = L.LogEuclidean.grads
+        monkeypatch.setattr(L.LogEuclidean, "grads", lambda le: calls.append(1) or real(le))
         rng = np.random.default_rng(14)
         state = small_state(6)
         for weights, backwards in ((LossWeights(logcoral=0.0), 0), (LossWeights(logcoral=0.0, coral=300.0), 0),
