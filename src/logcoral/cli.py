@@ -160,7 +160,10 @@ def cmd_train(args) -> int:
                            "remove from the flags and the config file")
     config = RunConfig(**values)
     dataset = _load_dataset(args, config)  # every input is read before the output directory is made
-    state = training.load_checkpoint(args.resume) if args.resume else None
+    state = None
+    if args.resume:
+        state = training.load_checkpoint(args.resume)
+        training.check_fit(state.model, dataset)
     out_dir = args.out or "run"
     os.makedirs(out_dir, exist_ok=True)
     metrics_path = os.path.join(out_dir, "metrics.jsonl")

@@ -7,6 +7,7 @@ and second-order (rotation/scale) shift can be dialed independently.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Optional
 
@@ -142,13 +143,22 @@ def save_csv(path, batch: FeatureBatch, header: Optional[str] = None):
 
 def load_csv(path, has_labels: bool = False) -> FeatureBatch:
     """Parse a feature CSV. '#' lines are comments; when has_labels, the last
-    column is the integer label."""
-    rows, labels = [], []
+    column is the integer label. A UTF-8 byte-order mark is skipped.
+
+    Cells are parsed with float() straight into one float64 buffer, which the
+    returned batch's data is a view of, so ingest peaks at about 1.1x the
+    array. Every error is a ParseError naming the file and, for a bad row,
+    its line: a ragged row, a cell that does not parse, a non-finite value,
+    a negative label, a label beyond int64, or a label with no feature
+    column before it."""
+    values = array("d")
+    rows = array("q")  # the file line of each data row
+    labels = array("q")
     width = None
     try:
-        f = open(path, "r", encoding="utf-8")
+        f = open(path, "r", encoding="utf-8-sig")
     except OSError as exc:
-        raise ParseError(f"cannot open {path}: {exc.strerror or exc}")
+        raise ParseError(f"cannot open: {exc.strerror or exc}", path=path)
     with f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
@@ -157,16 +167,27 @@ def load_csv(path, has_labels: bool = False) -> FeatureBatch:
             cells = line.split(",")
             if width is None:
                 width = len(cells)
+                if has_labels and width == 1:
+                    raise ParseError("feature data must be non-empty: the label is the only column",
+                                     line=lineno, path=path)
             elif len(cells) != width:
-                raise ParseError(f"expected {width} columns, got {len(cells)}", line=lineno)
+                raise ParseError(f"expected {width} columns, got {len(cells)}", line=lineno, path=path)
             try:
                 if has_labels:
-                    labels.append(int(cells[-1]))
-                    rows.append([float(c) for c in cells[:-1]])
-                else:
-                    rows.append([float(c) for c in cells])
-            except ValueError as exc:
-                raise ParseError(str(exc), line=lineno)
+                    label = int(cells.pop())
+                    if label < 0:
+                        raise ParseError(f"labels must be nonnegative, got {label}", line=lineno, path=path)
+                    labels.append(label)
+                values.extend(map(float, cells))
+            except (ValueError, OverflowError) as exc:  # OverflowError: a label beyond int64
+                raise ParseError(str(exc), line=lineno, path=path)
+            rows.append(lineno)
     if not rows:
-        raise ParseError(f"no data rows in {path}")
-    return FeatureBatch(np.asarray(rows), labels=np.asarray(labels) if has_labels else None)
+        raise ParseError("no data rows", path=path)
+    data = np.frombuffer(values).reshape(len(rows), width - has_labels)
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        bad = int(finite.argmin())
+        cell = data[bad][~np.isfinite(data[bad])][0]
+        raise ParseError(f"feature values must be finite, got {cell}", line=rows[bad], path=path)
+    return FeatureBatch(data, labels=np.frombuffer(labels, dtype=np.int64) if has_labels else None)

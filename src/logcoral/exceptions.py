@@ -27,8 +27,13 @@ class NumericalFailure(LogCoralError):
 
 
 class ParseError(LogCoralError):
-    """Malformed external data file; carries the offending line number."""
+    """Malformed external data file; carries the file and the offending line
+    number, where they are known."""
 
-    def __init__(self, message, line=None):
+    def __init__(self, message, line=None, path=None):
         self.line = line
-        super().__init__(f"line {line}: {message}" if line is not None else message)
+        self.path = path
+        where = [str(path)] if path is not None else []
+        if line is not None:
+            where.append(f"line {line}")
+        super().__init__(f"{', '.join(where)}: {message}" if where else message)

@@ -184,18 +184,25 @@ def init_state(config: RunConfig, feature_dim: int, num_classes: int) -> TrainSt
     )
 
 
+def check_fit(model: MlpModel, dataset: D.DatasetPair) -> None:
+    """Raise InvalidInput unless the model takes the dataset's features and
+    has an output for each of its source classes."""
+    num_classes = int(dataset.source.labels.max()) + 1
+    if model.dims[0] != dataset.source.d or model.dims[-1] < num_classes:
+        raise InvalidInput(f"model dims {model.dims} do not fit {dataset.source.d} "
+                           f"features and {num_classes} classes")
+
+
 def train(config: RunConfig, dataset: D.DatasetPair, state: TrainState = None,
           metrics_path=None, checkpoint_path=None):
     """Run (or continue) a training run. Returns (state, records) where
     records is the list of per-step metric dicts logged by this call."""
     if dataset.source.labels is None:
         raise InvalidInput("source domain must be labeled")
-    num_classes = int(dataset.source.labels.max()) + 1
     if state is None:
-        state = init_state(config, dataset.source.d, num_classes)
-    if state.model.dims[0] != dataset.source.d or state.model.dims[-1] < num_classes:
-        raise InvalidInput(f"model dims {state.model.dims} do not fit {dataset.source.d} "
-                           f"features and {num_classes} classes")
+        state = init_state(config, dataset.source.d, int(dataset.source.labels.max()) + 1)
+    else:
+        check_fit(state.model, dataset)
 
     records = []
     sink = open(metrics_path, "a", encoding="utf-8") if metrics_path else None

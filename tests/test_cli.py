@@ -1,9 +1,14 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import logcoral
 from logcoral import losses
 from logcoral.cli import main, parse_weights, read_config_file
 from logcoral.data import generate, load_csv, make_benchmark_spec, save_csv
@@ -155,6 +160,23 @@ class TestLossesCommand:
         assert rc == 2
         assert "absent.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cell", ["nan", "1e999"])
+    def test_nonfinite_cell_names_its_file_and_line(self, feature_files, capsys, cell):
+        a, b = feature_files
+        lines = b.read_text().splitlines()
+        lines[7] = lines[7].rsplit(",", 1)[0] + "," + cell
+        b.write_text("\n".join(lines) + "\n")
+        assert main(["losses", str(a), str(b)]) == 2
+        captured = capsys.readouterr()
+        assert f"{b}, line 8: feature values must be finite" in captured.err and captured.out == ""
+
+    def test_label_only_file_is_bad_input(self, tmp_path, capsys):
+        path = tmp_path / "labels.csv"
+        path.write_text("0\n1\n")
+        assert main(["losses", str(path), str(path), "--labels"]) == 2
+        err = capsys.readouterr().err
+        assert "feature data must be non-empty" in err and "Traceback" not in err
+
 
 class TestGradcheckCommand:
     def test_default_passes(self, capsys):
@@ -270,11 +292,13 @@ class TestTrainCommand:
         assert "last good state saved" in capsys.readouterr().err
         assert (out / "checkpoint.npz").read_bytes() == (tmp_path / "big.npz").read_bytes()
 
-    def test_resume_into_wrong_dims_is_bad_input(self, tmp_path):
+    def test_resume_into_wrong_dims_is_bad_input(self, tmp_path, capsys):
         save_checkpoint(tmp_path / "small.npz",
                         init_state(RunConfig(hidden_dims=(8,)), feature_dim=3, num_classes=5))
         assert main(["train", "--steps", "5", "--resume", str(tmp_path / "small.npz"),
                      "--out", str(tmp_path / "run")]) == 2
+        assert "do not fit 16 features and 5 classes" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_resume_refuses_what_the_checkpoint_fixes(self, tmp_path, capsys):
         config = RunConfig(steps=3, batch=16, samples_per_class=20)
@@ -495,3 +519,14 @@ class TestOutputContract:
         with pytest.raises(SystemExit) as exc:
             main(commands["losses"] + ["--json"])
         assert exc.value.code == 2
+
+
+def test_python_dash_m_runs_the_cli(feature_files, capsys):
+    env = dict(os.environ, PYTHONPATH=str(Path(logcoral.__file__).parents[1]))
+    run = [sys.executable, "-m", "logcoral"]
+    helped = subprocess.run(run + ["--help"], env=env, capture_output=True, text=True, timeout=60)
+    assert helped.returncode == 0 and "losses" in helped.stdout
+    args = ["losses", *map(str, feature_files), "--format", "json"]
+    ran = subprocess.run(run + args, env=env, capture_output=True, text=True, timeout=60)
+    assert main(args) == 0
+    assert ran.returncode == 0 and ran.stdout == capsys.readouterr().out

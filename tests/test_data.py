@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,70 @@ class TestCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):
             load_csv(tmp_path / "nope.csv")
+
+    @pytest.mark.parametrize("text, line, words", [
+        ("1.0,2.0,0\n3.0,nan,1\n", 2, "finite, got nan"),
+        ("# h\n1.0,2.0,0\n\n1e999,4.0,1\n", 4, "finite, got inf"),
+        ("1.0,2.0,0\n3.0,4.0,-1\n", 2, "nonnegative"),
+        ("1.0,2.0,0\n3.0,4.0,1.5\n", 2, "invalid literal"),
+        ("1.0,2.0,0\n3.0,4.0,9223372036854775808\n", 2, "int too big"),
+        ("0\n1\n", 1, "feature data must be non-empty"),
+        ("# only a comment\n", None, "no data rows"),
+    ], ids=["nan", "inf", "negative_label", "fractional_label", "huge_label", "label_only", "no_rows"])
+    def test_rejected_cell_names_file_and_line(self, tmp_path, text, line, words):
+        path = tmp_path / "f.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError) as exc:
+            load_csv(path, has_labels=True)
+        assert exc.value.line == line and exc.value.path == path
+        assert str(path) in str(exc.value) and words in str(exc.value)
+
+    def test_every_error_names_the_file(self, tmp_path):
+        for text in ("1.0,2.0\n3.0\n", "1.0,abc\n"):
+            path = tmp_path / "f.csv"
+            path.write_text(text)
+            with pytest.raises(ParseError, match="f.csv, line"):
+                load_csv(path)
+        with pytest.raises(ParseError, match="nope.csv: cannot open"):
+            load_csv(tmp_path / "nope.csv")
+
+    @pytest.mark.parametrize("text", ["1.0,2.0,0\n3.0,4.0,1\n", "# header\n1.0,2.0,0\n3.0,4.0,1\n"],
+                             ids=["before_data", "before_comment"])
+    def test_byte_order_mark_skipped(self, tmp_path, text):
+        path = tmp_path / "f.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        batch = load_csv(path, has_labels=True)
+        assert np.array_equal(batch.data, [[1.0, 2.0], [3.0, 4.0]])
+        assert np.array_equal(batch.labels, [0, 1])
+
+    def test_extreme_values_bit_exact(self, tmp_path):
+        tiny, big = 5e-324, 1.7976931348623157e308
+        x = np.array([[0.0, -0.0, tiny, -tiny, big, -big],
+                      [0.1, 1 / 3, 2 / 3 * 1e-300, np.nextafter(1.0, 2.0), 2.2250738585072014e-308,
+                       123456789.01234567]])
+        labels = np.array([0, 4])
+        via_repr, via_17g = tmp_path / "repr.csv", tmp_path / "g.csv"
+        save_csv(via_repr, FeatureBatch(x, labels=labels))
+        np.savetxt(via_17g, np.column_stack([x, labels]), delimiter=",", fmt=["%.17g"] * 6 + ["%d"])
+        for path in (via_repr, via_17g):
+            back = load_csv(path, has_labels=True)
+            assert np.array_equal(back.data.view(np.int64), x.view(np.int64))
+            assert np.array_equal(back.labels, labels)
+
+    def test_peak_memory_near_the_array(self, tmp_path):
+        rng = np.random.default_rng(5)
+        x = np.maximum(rng.standard_normal((1024, 256)), 0.0)
+        path = tmp_path / "wide.csv"
+        np.savetxt(path, np.column_stack([x, rng.integers(0, 5, 1024)]), delimiter=",",
+                   fmt=["%.17g"] * 256 + ["%d"])
+        tracemalloc.start()
+        try:
+            batch = load_csv(path, has_labels=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(batch.data, x)
+        assert peak <= 1.5 * batch.data.nbytes
 
 
 class TestDatasetPair:
