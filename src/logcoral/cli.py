@@ -54,14 +54,14 @@ def read_config_file(path) -> dict:
     try:
         f = open(path, "r", encoding="utf-8")
     except OSError as exc:
-        raise ParseError(f"cannot open config {path}: {exc.strerror or exc}")
+        raise ParseError(f"cannot open config: {exc.strerror or exc}", path=path)
     with f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise ParseError(f"expected key=value, got {line!r}", line=lineno)
+                raise ParseError(f"expected key=value, got {line!r}", line=lineno, path=path)
             key, _, val = line.partition("=")
             out[key.strip()] = val.strip()
     return out
@@ -159,11 +159,13 @@ def cmd_train(args) -> int:
         raise InvalidInput(f"--resume keeps the checkpoint's {', '.join(fixed)}: "
                            "remove from the flags and the config file")
     config = RunConfig(**values)
-    dataset = _load_dataset(args, config)  # every input is read before the output directory is made
+    dataset = _load_dataset(args, config)  # every input is checked before the output directory is made
     state = None
     if args.resume:
         state = training.load_checkpoint(args.resume)
         training.check_fit(state.model, dataset)
+    else:
+        training.source_classes(dataset)
     out_dir = args.out or "run"
     os.makedirs(out_dir, exist_ok=True)
     metrics_path = os.path.join(out_dir, "metrics.jsonl")

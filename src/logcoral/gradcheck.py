@@ -1,8 +1,8 @@
 """Central finite-difference validation of every analytic gradient in the
 losses module. Directional derivatives along random unit directions
 (symmetric ones for covariance inputs) are compared against <grad, direction>.
-The probes evaluate each loss's value only; the analytic gradients come from
-the public losses."""
+Each probe perturbs one input and evaluates the loss's value only; the
+analytic gradients come from the public losses."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -11,7 +11,7 @@ import numpy as np
 
 from . import losses as L
 from .exceptions import InvalidInput
-from .linalg import SymmetricMatrix, sym_part
+from .linalg import SymmetricMatrix, spd_eig, sym_part
 
 # relative-error bars per loss; the eigendecomposition path is noisier
 THRESHOLDS = {
@@ -40,24 +40,31 @@ def _rel_err(fd: float, an: float) -> float:
     return abs(fd - an) / max(abs(fd), abs(an), 1e-12)
 
 
-def _worst_rel_error(value, bundle, rng, *inputs) -> float:
-    """Worst relative FD error of value(*inputs) over DIRECTIONS unit
-    directions, each shared by the inputs with a gradient in bundle (source,
-    then target), which are perturbed in turn; the rest, such as labels, stay
-    fixed. A symmetric input gets a symmetric direction, so it stays one."""
+def _worst_rel_error(bundle, rng, probes) -> float:
+    """Worst relative FD error over DIRECTIONS unit directions v. probes holds one
+    (x, f) per gradient in bundle (source, then target): f(y) is the loss with that
+    input set to y and every other input, labels included, fixed. Each f is
+    probed at x +- STEP v, with v shared by the probes; a symmetric x gets a
+    symmetric v, so x +- STEP v stays one. `run_gradcheck`'s probes reuse the
+    decomposition of the input they hold fixed and wrap the matrices they
+    build without re-checking them."""
     grads = [g for g in (bundle.grad_source, bundle.grad_target) if g is not None]
-    x = inputs[0]
-    symmetric = x.ndim == 2 and np.array_equal(x, x.T)
+    x0 = probes[0][0]
+    symmetric = x0.ndim == 2 and np.array_equal(x0, x0.T)
     worst = 0.0
     for _ in range(DIRECTIONS):
-        v = sym_part(rng.standard_normal(x.shape)) if symmetric else rng.standard_normal(x.shape)
+        v = sym_part(rng.standard_normal(x0.shape)) if symmetric else rng.standard_normal(x0.shape)
         v /= np.linalg.norm(v)
-        for i, grad in enumerate(grads):
-            plus, minus = list(inputs), list(inputs)
-            plus[i], minus[i] = inputs[i] + STEP * v, inputs[i] - STEP * v
-            fd = (value(*plus) - value(*minus)) / (2 * STEP)
+        for (x, probe), grad in zip(probes, grads, strict=True):
+            fd = (probe(x + STEP * v) - probe(x - STEP * v)) / (2 * STEP)
             worst = max(worst, _rel_err(fd, float(np.sum(grad * v))))
     return worst
+
+
+def _one_at_a_time(value, fixed_s, fixed_t, wrap=lambda y: y):
+    """Probes of value(s, t): one with s = wrap(y) and t = fixed_t, one with
+    s = fixed_s and t = wrap(y)."""
+    return lambda y: value(wrap(y), fixed_t), lambda y: value(fixed_s, wrap(y))
 
 
 @dataclass
@@ -70,8 +77,11 @@ class GradCheckResult:
 def run_gradcheck(dims=(2, 5, 16), seeds=range(100)) -> GradCheckResult:
     """FD-check coral, logcoral, mean and cross-entropy on fresh random inputs
     at every dim for every seed, DIRECTIONS directions each with step STEP.
-    Each analytic bundle comes from one call of the public loss; the FD probes
-    evaluate the value alone, so Log-CORAL's gradient half runs once per draw.
+    Each analytic bundle comes from one call of the public loss. Each FD probe
+    perturbs one input and evaluates the value alone, so Log-CORAL's gradient
+    half runs once per draw, and reuses the decomposition of the input it
+    holds fixed, made once per draw. The matrices the probes build are wrapped
+    unchecked, as the checker made them symmetric and finite itself.
     Raises InvalidInput if seeds or dims is empty, as such a sweep checks
     nothing, or if a dim is below 1."""
     if not seeds or not dims or min(dims) < 1:
@@ -79,28 +89,36 @@ def run_gradcheck(dims=(2, 5, 16), seeds=range(100)) -> GradCheckResult:
     errors = {k: 0.0 for k in THRESHOLDS}
     worst_case = {k: None for k in THRESHOLDS}
 
-    def check(name, value, bundle, **inputs):
-        # draws from the loop's rng; inputs are kept by reference, never copied
-        err = _worst_rel_error(value, bundle, rng, *inputs.values())
+    def check(name, bundle, probes, **inputs):
+        # probes[i] perturbs the i-th input; draws from the loop's rng;
+        # inputs are kept by reference, never copied
+        err = _worst_rel_error(bundle, rng, list(zip(inputs.values(), probes)))
         if err > errors[name]:
             errors[name] = err
             worst_case[name] = {"seed": seed, "dim": dim, **inputs}
 
+    # A probed matrix is c +- STEP v, with c (spd_with_gaps) and v (sym_part) exactly
+    # symmetric and finite; so is the result, which therefore skips the constructor's checks.
+    trusted = SymmetricMatrix._trusted
     for seed in seeds:
         rng = np.random.default_rng(seed)
         for dim in dims:
             c_s, c_t = spd_with_gaps(dim, rng), spd_with_gaps(dim, rng)
-            check("coral", lambda a, b: L.coral_loss(SymmetricMatrix(a), SymmetricMatrix(b)).value,
-                  L.coral_loss(c_s, c_t), cov_s=c_s.data, cov_t=c_t.data)
-            check("logcoral", lambda a, b: L.log_euclidean(SymmetricMatrix(a), SymmetricMatrix(b), 0.0).value,
-                  L.logcoral_loss(c_s, c_t), cov_s=c_s.data, cov_t=c_t.data)
+            check("coral", L.coral_loss(c_s, c_t),
+                  _one_at_a_time(lambda a, b: L.coral_loss(a, b).value, c_s, c_t, trusted),
+                  cov_s=c_s.data, cov_t=c_t.data)
+            check("logcoral", L.logcoral_loss(c_s, c_t),
+                  _one_at_a_time(lambda a, b: L.LogEuclidean.from_eigenpairs(a, b).value,
+                                 spd_eig(c_s), spd_eig(c_t), lambda y: spd_eig(trusted(y))),
+                  cov_s=c_s.data, cov_t=c_t.data)
             m_s, m_t = rng.standard_normal(dim), rng.standard_normal(dim)
-            check("mean", lambda a, b: L.mean_loss(a, b).value, L.mean_loss(m_s, m_t),
+            check("mean", L.mean_loss(m_s, m_t),
+                  _one_at_a_time(lambda a, b: L.mean_loss(a, b).value, m_s, m_t),
                   mean_s=m_s, mean_t=m_t)
             logits = rng.standard_normal((8, dim if dim > 1 else 2))
             labels = rng.integers(0, logits.shape[1], size=8)
-            check("cross_entropy", lambda x, y: L.softmax_cross_entropy(x, y).value,
-                  L.softmax_cross_entropy(logits, labels), logits=logits, labels=labels)
+            check("cross_entropy", L.softmax_cross_entropy(logits, labels),
+                  [lambda y: L.softmax_cross_entropy(y, labels).value], logits=logits, labels=labels)
 
     passed = all(errors[k] <= THRESHOLDS[k] for k in THRESHOLDS)
     return GradCheckResult(errors=errors, passed=passed, worst_case=worst_case)

@@ -89,13 +89,25 @@ def resolve_epsilon(cov_s: SymmetricMatrix, cov_t: SymmetricMatrix, epsilon: flo
 class LogEuclidean:
     """||log C_s - log C_t||_F^2 / (4 d^2) and what its gradients reuse: `spd_eig`'s
     ascending pairs of C_s + eps I and C_t + eps I, m = U_s^T U_t and, with l = log(sigma),
-    diff_s = U_s^T (log C_s - log C_t) U_s = diag(l_s) - M diag(l_t) M^T."""
+    diff_s = U_s^T (log C_s - log C_t) U_s = diag(l_s) - M diag(l_t) M^T. `from_eigenpairs`
+    is the one constructor that computes them; `log_euclidean` calls it on two covariances."""
 
     value: float
     eig_s: EigenPair
     eig_t: EigenPair
     m: np.ndarray
     diff_s: np.ndarray
+
+    @classmethod
+    def from_eigenpairs(cls, eig_s: EigenPair, eig_t: EigenPair) -> "LogEuclidean":
+        """The LogEuclidean of `spd_eig`'s pairs of C_s + eps I and C_t + eps I, in two
+        d x d products and no matrix log; `grads()` adds five more. One pair passed as
+        both stands for equal inputs: then M = I, so D_s and D_t come out exact zeros."""
+        d = eig_s.values.size
+        m = np.eye(d) if eig_t is eig_s else eig_s.vectors.T @ eig_t.vectors
+        diff_s = np.diag(np.log(eig_s.values)) - (m * np.log(eig_t.values)) @ m.T
+        value = float(np.sum(diff_s * diff_s)) / (4.0 * d ** 2)
+        return cls(value=value, eig_s=eig_s, eig_t=eig_t, m=m, diff_s=diff_s)
 
     def grads(self) -> tuple:
         """(dL/dC_s, dL/dC_t): a Daleckii-Krein backward of D_s and of
@@ -108,16 +120,13 @@ class LogEuclidean:
 
 
 def log_euclidean(cov_s: SymmetricMatrix, cov_t: SymmetricMatrix, epsilon: float) -> LogEuclidean:
-    """LogEuclidean of C_s and C_t, in seven d x d products and no matrix log. Equal
-    inputs are decomposed once, with M = I, so D_s and D_t come out exact zeros."""
+    """LogEuclidean of C_s and C_t: `LogEuclidean.from_eigenpairs` of their `spd_eig`
+    pairs. Equal inputs are decomposed once and passed as one pair."""
     if cov_s.dim != cov_t.dim:
         raise InvalidInput(f"dimension mismatch: {cov_s.dim} vs {cov_t.dim}")
     eig_s = spd_eig(cov_s, epsilon)
     eig_t = eig_s if np.array_equal(cov_s.data, cov_t.data) else spd_eig(cov_t, epsilon)
-    m = np.eye(cov_s.dim) if eig_t is eig_s else eig_s.vectors.T @ eig_t.vectors
-    diff_s = np.diag(np.log(eig_s.values)) - (m * np.log(eig_t.values)) @ m.T
-    value = float(np.sum(diff_s * diff_s)) / (4.0 * cov_s.dim ** 2)
-    return LogEuclidean(value=value, eig_s=eig_s, eig_t=eig_t, m=m, diff_s=diff_s)
+    return LogEuclidean.from_eigenpairs(eig_s, eig_t)
 
 
 def logcoral_loss(cov_s: SymmetricMatrix, cov_t: SymmetricMatrix, epsilon: float = 0.0) -> LossBundle:

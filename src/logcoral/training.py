@@ -184,10 +184,25 @@ def init_state(config: RunConfig, feature_dim: int, num_classes: int) -> TrainSt
     )
 
 
+def source_classes(dataset: D.DatasetPair) -> int:
+    """The class count of the source labels, the largest label + 1. Raises
+    InvalidInput if the source is unlabeled, or if that count exceeds the
+    number of source rows: such a label would size the output layer from one
+    stray value."""
+    labels = dataset.source.labels
+    if labels is None:
+        raise InvalidInput("source domain must be labeled")
+    num_classes = int(labels.max()) + 1
+    if num_classes > dataset.source.n:
+        raise InvalidInput(f"source label {num_classes - 1} gives {num_classes} classes, "
+                           f"more than the {dataset.source.n} source rows")
+    return num_classes
+
+
 def check_fit(model: MlpModel, dataset: D.DatasetPair) -> None:
     """Raise InvalidInput unless the model takes the dataset's features and
     has an output for each of its source classes."""
-    num_classes = int(dataset.source.labels.max()) + 1
+    num_classes = source_classes(dataset)
     if model.dims[0] != dataset.source.d or model.dims[-1] < num_classes:
         raise InvalidInput(f"model dims {model.dims} do not fit {dataset.source.d} "
                            f"features and {num_classes} classes")
@@ -197,10 +212,8 @@ def train(config: RunConfig, dataset: D.DatasetPair, state: TrainState = None,
           metrics_path=None, checkpoint_path=None):
     """Run (or continue) a training run. Returns (state, records) where
     records is the list of per-step metric dicts logged by this call."""
-    if dataset.source.labels is None:
-        raise InvalidInput("source domain must be labeled")
     if state is None:
-        state = init_state(config, dataset.source.d, int(dataset.source.labels.max()) + 1)
+        state = init_state(config, dataset.source.d, source_classes(dataset))
     else:
         check_fit(state.model, dataset)
 

@@ -75,6 +75,19 @@ class TestConfigFile:
         assert repr(line.partition("=")[0]) in err and "steps" in err
         assert not out.exists()
 
+    def test_bad_line_names_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("steps=5\nnonsense\n")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"{cfg}, line 2: expected key=value, got 'nonsense'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_file_names_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "absent.cfg"
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        assert f"{cfg}: cannot open config" in capsys.readouterr().err
+
     def test_flags_override_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("steps=5\nbatch=16\nsamples_per_class=20\n")
@@ -405,6 +418,22 @@ class TestTrainCommand:
                      "--target-csv", str(ft), "--out", str(out)]) == 2
         assert "nonnegative" in capsys.readouterr().err
         assert not (out / "checkpoint.npz").exists()
+
+    @pytest.mark.parametrize("label", [40, 2 ** 50])
+    def test_more_classes_than_source_rows_is_bad_input(self, tmp_path, capsys, label):
+        # 40 source rows; a label of 40 or more sets more classes than rows
+        rng = np.random.default_rng(4)
+        labels = rng.integers(0, 3, size=40)
+        labels[7] = label
+        fs, ft = tmp_path / "s.csv", tmp_path / "t.csv"
+        save_csv(fs, FeatureBatch(rng.standard_normal((40, 4)), labels=labels))
+        save_csv(ft, FeatureBatch(rng.standard_normal((40, 4)), labels=labels % 3))
+        out = tmp_path / "run"
+        assert main(["train", "--steps", "5", "--batch", "16", "--source-csv", str(fs),
+                     "--target-csv", str(ft), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"source label {label} gives {label + 1} classes, more than the 40 source rows" in err
+        assert not out.exists()
 
     def test_deterministic_metric_logs(self, tmp_path):
         args = ["train", "--steps", "10", "--batch", "16", "--seed", "5"]

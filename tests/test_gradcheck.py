@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from logcoral import losses
+from logcoral import linalg, losses
 from logcoral.exceptions import InvalidInput
 from logcoral.gradcheck import THRESHOLDS, run_gradcheck, spd_with_gaps
 
@@ -42,6 +42,36 @@ def test_probes_evaluate_only_the_value(monkeypatch):
     dims, seeds = (2, 5), range(3)
     assert run_gradcheck(dims=dims, seeds=seeds).passed
     assert calls == list(dims) * len(seeds)
+
+
+def test_each_draw_decomposes_its_fixed_inputs_once(monkeypatch):
+    # per draw: 2 for the analytic bundle, 1 per fixed input, and 1 per probe
+    # (2 inputs x DIRECTIONS x +-); a probe that re-decomposed its fixed input makes 18
+    calls = []
+
+    def counted(m, real=linalg.sym_eig):
+        calls.append(m.dim)
+        return real(m)
+    monkeypatch.setattr(linalg, "sym_eig", counted)
+    assert run_gradcheck(dims=(5,), seeds=[0]).passed
+    assert calls == [5] * 12
+
+
+def test_probes_trust_only_symmetric_finite_matrices(monkeypatch):
+    # the probes skip SymmetricMatrix's checks; hold them to what those checks enforce
+    seen = []
+
+    def checked(cls, a, real=linalg.SymmetricMatrix._trusted):
+        seen.append(a.copy())
+        return real(a)
+    monkeypatch.setattr(linalg.SymmetricMatrix, "_trusted", classmethod(checked))
+    dims, seeds = (1, 2, 5, 16), range(5)
+    assert run_gradcheck(dims=dims, seeds=seeds).passed
+    # one matrix per coral and logcoral probe: 2 losses x 2 inputs x DIRECTIONS x +-
+    assert len(seen) == 16 * len(dims) * len(seeds)
+    for a in seen:
+        assert a.dtype == float and a.ndim == 2 and a.shape[0] == a.shape[1]
+        assert np.array_equal(a, a.T) and np.all(np.isfinite(a))
 
 
 def test_scaled_logcoral_gradients_detected(monkeypatch):

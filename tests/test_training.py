@@ -60,6 +60,16 @@ class TestTrain:
         assert parsed == records
 
 
+    def test_more_classes_than_source_rows_rejected(self):
+        cfg = short_config()
+        pair = default_dataset(cfg)
+        labels = pair.source.labels.copy()
+        labels[3] = 2 ** 50
+        source = dataclasses.replace(pair.source, labels=labels)
+        with pytest.raises(InvalidInput, match=f"source label {2 ** 50} gives"):
+            train(cfg, dataclasses.replace(pair, source=source))
+
+
 class TestCheckpoint:
     def test_roundtrip_preserves_state(self, tmp_path):
         cfg = short_config()
