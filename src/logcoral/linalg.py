@@ -13,6 +13,11 @@ private `SymmetricMatrix._trusted`. A check that a computed value can still
 fail stays where it can fire: `batch_covariance` checks that its product did
 not overflow, `sym_eig` checks finiteness before LAPACK, and `regularize_psd`
 checks that its epsilon is finite.
+
+`SymmetricMatrix._trusted` may also wrap a stack of matrices (leading axes
+before the last two): `sym_eig`, `spd_eig` and `regularize_psd` take one and
+give stacked results, item by item bit-identical to one call per matrix. The
+other functions, and the public constructor, take one matrix only.
 """
 from __future__ import annotations
 
@@ -50,7 +55,8 @@ class SymmetricMatrix:
         square float ndarray of dimension >= 1, a == a.T exactly, and its
         entries are finite (arithmetic on finite entries overflows only at
         the edge of the float range, and `sym_eig` still checks for that).
-        a is made read-only, as the constructor does."""
+        a is made read-only, as the constructor does. a may also be a stack
+        of such matrices, shape (..., d, d), for the stack-aware functions."""
         m = object.__new__(cls)
         object.__setattr__(m, "data", a)
         a.setflags(write=False)
@@ -58,13 +64,13 @@ class SymmetricMatrix:
 
     @property
     def dim(self) -> int:
-        return self.data.shape[0]
+        return self.data.shape[-1]
 
 
 @dataclass(frozen=True)
 class EigenPair:
     """Eigenvalues in ascending order plus the matching orthonormal
-    eigenvector columns."""
+    eigenvector columns; for a stack, values (..., d) and vectors (..., d, d)."""
 
     values: np.ndarray
     vectors: np.ndarray
@@ -83,7 +89,8 @@ def _data(m: SymmetricMatrix) -> np.ndarray:
 def sym_eig(m: SymmetricMatrix) -> EigenPair:
     """Ascending eigenvalues and orthonormal eigenvectors as LAPACK's `eigh`
     returns them, column signs included: callers read the vectors only through
-    sign-free forms (U f(Sigma) U^T, U_s^T U_t), where a flipped column cancels."""
+    sign-free forms (U f(Sigma) U^T, U_s^T U_t), where a flipped column cancels.
+    A stack gives the stacked pairs of one `eigh` call."""
     a = _data(m)
     if not np.all(np.isfinite(a)):
         raise InvalidInput("matrix has non-finite entries")
@@ -98,13 +105,15 @@ def sym_eig(m: SymmetricMatrix) -> EigenPair:
 
 def spd_eig(m: SymmetricMatrix, epsilon: float = 0.0) -> EigenPair:
     """sym_eig of m + epsilon * I, the spectrum a log needs. Raises
-    NotPositiveDefinite if its smallest eigenvalue is <= 0. At epsilon > 0 the
-    eigenvalues are floored at epsilon; at 0 this is sym_eig's pair itself."""
+    NotPositiveDefinite if its smallest eigenvalue is <= 0, for a stack the
+    smallest of any item. At epsilon > 0 the eigenvalues are floored at epsilon;
+    at 0 this is sym_eig's pair itself."""
     if not 0 <= epsilon < np.inf:
         raise InvalidInput(f"epsilon must be nonnegative and finite, got {epsilon}")
     pair = sym_eig(regularize_psd(m, epsilon) if epsilon > 0 else m)
-    if pair.values[0] <= 0:
-        raise NotPositiveDefinite(float(pair.values[0]))
+    lowest = pair.values[..., 0].min()
+    if lowest <= 0:
+        raise NotPositiveDefinite(float(lowest))
     if epsilon > 0:
         values = np.maximum(pair.values, epsilon)
         values.setflags(write=False)
@@ -116,10 +125,15 @@ def regularize_psd(m: SymmetricMatrix, epsilon: float) -> SymmetricMatrix:
     """Shift every eigenvalue up by exactly epsilon: m + epsilon * I."""
     if not 0 < epsilon < np.inf:
         raise InvalidInput(f"epsilon must be positive and finite, got {epsilon}")
-    a = _data(m)
-    shifted = a.copy()
-    shifted.flat[::a.shape[0] + 1] += epsilon
+    shifted = _data(m).copy()
+    _add_to_diagonal(shifted, epsilon)
     return SymmetricMatrix._trusted(shifted)
+
+
+def _add_to_diagonal(a: np.ndarray, v) -> None:
+    """a[..., i, i] += v[..., i] in place, for a square array or a stack of them;
+    v broadcasts against a's diagonals, shape (..., d)."""
+    np.einsum("...ii->...i", a)[...] += v
 
 
 def default_epsilon(m: SymmetricMatrix) -> float:

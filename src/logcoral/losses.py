@@ -5,6 +5,11 @@ covariance distance, its Log-Euclidean (geodesic) counterpart, a
 `LogEuclidean` value whose `grads()` is the Daleckii-Krein backward pass in
 `linalg`, and a first-order mean distance. Gradients use the
 symmetric-perturbation convention: for a symmetric direction V, dL = <grad, V>.
+
+The public losses take one input each. The value computations they run,
+`_coral_value`, `LogEuclidean.from_eigenpairs`, `_mean_value` and `_cross_entropy`,
+also take leading stack axes and then give one value per item, bit-identical to
+the loss of that item alone; the gradient checker evaluates its probes that way.
 """
 from __future__ import annotations
 
@@ -14,8 +19,9 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import InvalidInput
-from .linalg import EigenPair, SymmetricMatrix, default_epsilon, matrix_log_backward, spd_eig, sym_part
-from .stats import FeatureBatch
+from .linalg import (EigenPair, SymmetricMatrix, _add_to_diagonal, default_epsilon, matrix_log_backward,
+                     spd_eig, sym_part)
+from .stats import FeatureBatch, _class_labels
 
 
 @dataclass(frozen=True)
@@ -73,9 +79,14 @@ def coral_loss(cov_s: SymmetricMatrix, cov_t: SymmetricMatrix) -> LossBundle:
         raise InvalidInput(f"dimension mismatch: {cov_s.dim} vs {cov_t.dim}")
     d = cov_s.dim
     diff = cov_s.data - cov_t.data
-    value = float(np.sum(diff * diff)) / (4.0 * d * d)
     grad = diff / (2.0 * d * d)
-    return LossBundle(value=value, grad_source=grad, grad_target=-grad)
+    return LossBundle(value=float(_coral_value(diff)), grad_source=grad, grad_target=-grad)
+
+
+def _coral_value(diff: np.ndarray):
+    """||C_s - C_t||_F^2 / (4 d^2) of diff = C_s - C_t, d x d or a stack of them."""
+    d = diff.shape[-1]
+    return np.sum(diff * diff, axis=(-2, -1)) / (4.0 * d * d)
 
 
 def resolve_epsilon(cov_s: SymmetricMatrix, cov_t: SymmetricMatrix, epsilon: float) -> float:
@@ -90,9 +101,11 @@ class LogEuclidean:
     """||log C_s - log C_t||_F^2 / (4 d^2) and what its gradients reuse: `spd_eig`'s
     ascending pairs of C_s + eps I and C_t + eps I, m = U_s^T U_t and, with l = log(sigma),
     diff_s = U_s^T (log C_s - log C_t) U_s = diag(l_s) - M diag(l_t) M^T. `from_eigenpairs`
-    is the one constructor that computes them; `log_euclidean` calls it on two covariances."""
+    is the one constructor that computes them; `log_euclidean` calls it on two covariances.
+    Built from a stack of pairs, m and diff_s carry its leading axes, value is an array
+    of one value per item, and `grads()` raises InvalidInput."""
 
-    value: float
+    value: float | np.ndarray
     eig_s: EigenPair
     eig_t: EigenPair
     m: np.ndarray
@@ -102,16 +115,23 @@ class LogEuclidean:
     def from_eigenpairs(cls, eig_s: EigenPair, eig_t: EigenPair) -> "LogEuclidean":
         """The LogEuclidean of `spd_eig`'s pairs of C_s + eps I and C_t + eps I, in two
         d x d products and no matrix log; `grads()` adds five more. One pair passed as
-        both stands for equal inputs: then M = I, so D_s and D_t come out exact zeros."""
-        d = eig_s.values.size
-        m = np.eye(d) if eig_t is eig_s else eig_s.vectors.T @ eig_t.vectors
-        diff_s = np.diag(np.log(eig_s.values)) - (m * np.log(eig_t.values)) @ m.T
-        value = float(np.sum(diff_s * diff_s)) / (4.0 * d ** 2)
-        return cls(value=value, eig_s=eig_s, eig_t=eig_t, m=m, diff_s=diff_s)
+        both stands for equal inputs: then M = I, so D_s and D_t come out exact zeros.
+        Either pair may be `spd_eig`'s of a stack; then so is the result."""
+        d = eig_s.values.shape[-1]
+        m = np.eye(d) if eig_t is eig_s else eig_s.vectors.mT @ eig_t.vectors
+        # 0 - x, not -x: the off-diagonal zeros of equal inputs stay +0, as diag(l_s) - x gives
+        diff_s = 0.0 - (m * np.log(eig_t.values)[..., None, :]) @ m.mT
+        _add_to_diagonal(diff_s, np.log(eig_s.values))
+        value = np.sum(diff_s * diff_s, axis=(-2, -1)) / (4.0 * d ** 2)
+        return cls(value=float(value) if value.ndim == 0 else value,
+                   eig_s=eig_s, eig_t=eig_t, m=m, diff_s=diff_s)
 
     def grads(self) -> tuple:
         """(dL/dC_s, dL/dC_t): a Daleckii-Krein backward of D_s and of
-        D_t = U_t^T (log C_s - log C_t) U_t = M^T diag(l_s) M - diag(l_t)."""
+        D_t = U_t^T (log C_s - log C_t) U_t = M^T diag(l_s) M - diag(l_t).
+        Raises InvalidInput on a LogEuclidean built from a stack."""
+        if self.diff_s.ndim != 2:
+            raise InvalidInput(f"grads() takes one pair, not a stack of shape {self.diff_s.shape}")
         l_s, l_t = np.log(self.eig_s.values), np.log(self.eig_t.values)
         diff_t = (self.m.T * l_s) @ self.m - np.diag(l_t)
         scale = 1.0 / (2.0 * len(l_s) ** 2)
@@ -142,11 +162,16 @@ def mean_loss(mean_s: np.ndarray, mean_t: np.ndarray) -> LossBundle:
     mean_t = np.asarray(mean_t, dtype=float)
     if mean_s.shape != mean_t.shape or mean_s.ndim != 1:
         raise InvalidInput(f"mean vectors must share a 1-D shape, got {mean_s.shape} vs {mean_t.shape}")
-    d = len(mean_s)
+    if mean_s.size == 0:
+        raise InvalidInput("mean vectors must be non-empty")
     diff = mean_s - mean_t
-    value = float(diff @ diff) / (2.0 * d)
-    grad = diff / d
-    return LossBundle(value=value, grad_source=grad, grad_target=-grad)
+    grad = diff / len(diff)
+    return LossBundle(value=float(_mean_value(diff)), grad_source=grad, grad_target=-grad)
+
+
+def _mean_value(diff: np.ndarray):
+    """||mu_s - mu_t||^2 / (2 d) of diff = mu_s - mu_t, a d-vector or a stack of them."""
+    return np.vecdot(diff, diff) / (2.0 * diff.shape[-1])
 
 
 def chain_to_features(loss_grad_cov: np.ndarray, batch: FeatureBatch, scale: float = 1.0) -> np.ndarray:
@@ -170,19 +195,30 @@ def _chain_centred(g: np.ndarray, centred: np.ndarray, scale: float) -> np.ndarr
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> LossBundle:
-    """Mean negative log-likelihood of the true class under a softmax."""
+    """Mean negative log-likelihood of the true class under a softmax. labels are
+    whole numbers in [0, k), one per row of the n x k logits, n >= 1."""
     logits = np.asarray(logits, dtype=float)
-    labels = np.asarray(labels, dtype=int)
+    labels = np.asarray(labels)
     if logits.ndim != 2:
         raise InvalidInput(f"logits must be 2-D, got shape {logits.shape}")
     n, k = logits.shape
+    if n == 0:
+        raise InvalidInput("logits must have at least one row")
     if labels.shape != (n,):
         raise InvalidInput(f"labels must have length {n}, got shape {labels.shape}")
-    if labels.min() < 0 or labels.max() >= k:
-        raise InvalidInput(f"labels must lie in [0, {k}), got range [{labels.min()}, {labels.max()}]")
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
-    value = float(np.mean(log_z - shifted[np.arange(n), labels]))
+    if labels.max() >= k:  # before the int cast, which a huge float label would overflow
+        raise InvalidInput(f"labels must lie in [0, {k}), got maximum {labels.max()}")
+    labels = _class_labels(labels)
+    value, shifted, log_z = _cross_entropy(logits, labels)
     probs = np.exp(shifted - log_z[:, None])
     probs[np.arange(n), labels] -= 1.0
-    return LossBundle(value=value, grad_source=probs / n)
+    return LossBundle(value=float(value), grad_source=probs / n)
+
+
+def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple:
+    """(value, shifted logits, log partition) of softmax_cross_entropy, unchecked, on
+    n x k logits or a stack of them, all against the same n int labels."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=-1))
+    value = np.mean(log_z - shifted[..., np.arange(len(labels)), labels], axis=-1)
+    return value, shifted, log_z

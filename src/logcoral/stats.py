@@ -44,11 +44,7 @@ class FeatureBatch:
             lab = np.asarray(self.labels)
             if lab.shape != (a.shape[0],):
                 raise InvalidInput(f"labels must have length {a.shape[0]}, got shape {lab.shape}")
-            with np.errstate(invalid="ignore"):  # inf % 1 is nan: rejected
-                class_indices = (lab >= 0) & (lab % 1 == 0)
-            if not np.all(class_indices):
-                raise InvalidInput(f"labels must be nonnegative whole numbers, got {lab[~class_indices][0]}")
-            object.__setattr__(self, "labels", lab.astype(int, copy=False))
+            object.__setattr__(self, "labels", _class_labels(lab))
 
     @classmethod
     def _trusted(cls, data: np.ndarray, labels: Optional[np.ndarray] = None) -> "FeatureBatch":
@@ -69,6 +65,20 @@ class FeatureBatch:
     @property
     def d(self) -> int:
         return self.data.shape[1]
+
+
+def _class_labels(lab: np.ndarray) -> np.ndarray:
+    """lab as an int array. Raises InvalidInput unless every entry is a
+    nonnegative whole number: the one label rule of `FeatureBatch` and
+    `softmax_cross_entropy`."""
+    if lab.dtype.kind in "iu":  # whole already; only the sign can fail
+        class_indices = lab >= 0
+    else:
+        with np.errstate(invalid="ignore"):  # inf % 1 is nan: rejected
+            class_indices = (lab >= 0) & (lab % 1 == 0)
+    if not class_indices.all():
+        raise InvalidInput(f"labels must be nonnegative whole numbers, got {lab[~class_indices][0]}")
+    return lab.astype(int, copy=False)
 
 
 def batch_covariance(b: FeatureBatch) -> SymmetricMatrix:

@@ -3,7 +3,7 @@ import pytest
 
 from logcoral import linalg, losses
 from logcoral.exceptions import InvalidInput
-from logcoral.gradcheck import THRESHOLDS, run_gradcheck, spd_with_gaps
+from logcoral.gradcheck import DIRECTIONS, STEP, THRESHOLDS, _rel_err, run_gradcheck, spd_with_gaps
 
 
 def test_spd_generator_respects_gaps():
@@ -45,20 +45,21 @@ def test_probes_evaluate_only_the_value(monkeypatch):
 
 
 def test_each_draw_decomposes_its_fixed_inputs_once(monkeypatch):
-    # per draw: 2 for the analytic bundle, 1 per fixed input, and 1 per probe
-    # (2 inputs x DIRECTIONS x +-); a probe that re-decomposed its fixed input makes 18
+    # per draw: 2 for the analytic bundle, 1 per fixed input, and 1 stack per probed
+    # input of its 2 x DIRECTIONS perturbations; one call per perturbation makes 12
     calls = []
 
     def counted(m, real=linalg.sym_eig):
-        calls.append(m.dim)
+        calls.append(m.data.shape)
         return real(m)
     monkeypatch.setattr(linalg, "sym_eig", counted)
     assert run_gradcheck(dims=(5,), seeds=[0]).passed
-    assert calls == [5] * 12
+    assert calls == [(5, 5)] * 4 + [(2 * DIRECTIONS, 5, 5)] * 2
 
 
 def test_probes_trust_only_symmetric_finite_matrices(monkeypatch):
-    # the probes skip SymmetricMatrix's checks; hold them to what those checks enforce
+    # the Log-CORAL probes skip SymmetricMatrix's checks; hold every matrix in
+    # every stack they wrap to what those checks enforce
     seen = []
 
     def checked(cls, a, real=linalg.SymmetricMatrix._trusted):
@@ -67,11 +68,13 @@ def test_probes_trust_only_symmetric_finite_matrices(monkeypatch):
     monkeypatch.setattr(linalg.SymmetricMatrix, "_trusted", classmethod(checked))
     dims, seeds = (1, 2, 5, 16), range(5)
     assert run_gradcheck(dims=dims, seeds=seeds).passed
-    # one matrix per coral and logcoral probe: 2 losses x 2 inputs x DIRECTIONS x +-
-    assert len(seen) == 16 * len(dims) * len(seeds)
-    for a in seen:
-        assert a.dtype == float and a.ndim == 2 and a.shape[0] == a.shape[1]
-        assert np.array_equal(a, a.T) and np.all(np.isfinite(a))
+    # one stack per Log-CORAL input, of 2 x DIRECTIONS matrices
+    assert len(seen) == 2 * len(dims) * len(seeds)
+    for stack in seen:
+        assert stack.dtype == float and stack.ndim == 3 and len(stack) == 2 * DIRECTIONS
+        for a in stack:
+            assert a.shape[0] == a.shape[1] >= 1
+            assert np.array_equal(a, a.T) and np.all(np.isfinite(a))
 
 
 def test_scaled_logcoral_gradients_detected(monkeypatch):
@@ -88,3 +91,47 @@ def test_scaled_logcoral_gradients_detected(monkeypatch):
 def test_empty_sweep_or_bad_dim_rejected(dims, seeds):
     with pytest.raises(InvalidInput):
         run_gradcheck(dims=dims, seeds=seeds)
+
+
+def _reference_errors(dims, seeds):
+    """run_gradcheck's errors as one probe at a time computes them: for each
+    direction, each input at x + STEP v and x - STEP v through the public losses."""
+    errors = {k: 0.0 for k in THRESHOLDS}
+
+    def check(name, bundle, values, inputs):
+        grads = [g for g in (bundle.grad_source, bundle.grad_target) if g is not None]
+        x0 = inputs[0]
+        symmetric = x0.ndim == 2 and np.array_equal(x0, x0.T)
+        for _ in range(DIRECTIONS):
+            v = rng.standard_normal(x0.shape)
+            v = linalg.sym_part(v) if symmetric else v
+            v /= np.linalg.norm(v)
+            for i, grad in enumerate(grads):
+                def at(y):
+                    return values(*[y if j == i else x for j, x in enumerate(inputs)])
+                fd = (at(inputs[i] + STEP * v) - at(inputs[i] - STEP * v)) / (2 * STEP)
+                errors[name] = max(errors[name], _rel_err(fd, float(np.sum(grad * v))))
+
+    sym = linalg.SymmetricMatrix
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        for dim in dims:
+            c_s, c_t = spd_with_gaps(dim, rng), spd_with_gaps(dim, rng)
+            check("coral", losses.coral_loss(c_s, c_t),
+                  lambda a, b: losses.coral_loss(sym(a), sym(b)).value, [c_s.data, c_t.data])
+            check("logcoral", losses.logcoral_loss(c_s, c_t),
+                  lambda a, b: losses.logcoral_loss(sym(a), sym(b)).value, [c_s.data, c_t.data])
+            m_s, m_t = rng.standard_normal(dim), rng.standard_normal(dim)
+            check("mean", losses.mean_loss(m_s, m_t),
+                  lambda a, b: losses.mean_loss(a, b).value, [m_s, m_t])
+            logits = rng.standard_normal((8, dim if dim > 1 else 2))
+            labels = rng.integers(0, logits.shape[1], size=8)
+            check("cross_entropy", losses.softmax_cross_entropy(logits, labels),
+                  lambda y: losses.softmax_cross_entropy(y, labels).value, [logits])
+    return errors
+
+
+@pytest.mark.parametrize("seeds", [[0], [1], [7], range(3)])
+def test_stacked_probes_match_one_probe_at_a_time(seeds):
+    # every error equals the one the public losses give one perturbation at a time
+    assert run_gradcheck(dims=(2, 5, 16), seeds=seeds).errors == _reference_errors((2, 5, 16), seeds)

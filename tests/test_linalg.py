@@ -121,6 +121,27 @@ class TestSpdEig:
         with pytest.raises(InvalidInput, match="epsilon"):
             spd_eig(SymmetricMatrix(np.eye(2)), eps)
 
+    @pytest.mark.parametrize("eps", [0.0, 1e-3])
+    @pytest.mark.parametrize("d", [1, 2, 5, 16])
+    def test_stack_matches_each_matrix(self, d, eps):
+        rng = np.random.default_rng(d)
+        items = [rand_spd(rng, d) for _ in range(5)]
+        stacked = spd_eig(SymmetricMatrix._trusted(np.stack([m.data for m in items])), eps)
+        assert stacked.values.shape == (5, d) and stacked.vectors.shape == (5, d, d)
+        for i, m in enumerate(items):
+            pair = spd_eig(m, eps)
+            assert stacked.values[i].tobytes() == pair.values.tobytes()
+            assert stacked.vectors[i].tobytes() == pair.vectors.tobytes()
+
+    @pytest.mark.parametrize("bad", [0, 2, 4])
+    def test_stack_with_one_indefinite_item_rejected(self, bad):
+        rng = np.random.default_rng(bad)
+        stack = np.stack([rand_spd(rng, 3).data for _ in range(5)])
+        stack[bad] = np.diag([1.0, -0.5, 2.0])
+        with pytest.raises(NotPositiveDefinite) as exc:
+            spd_eig(SymmetricMatrix._trusted(stack))
+        assert exc.value.eigenvalue == -0.5
+
 
 class TestRegularize:
     def test_zero_matrix(self):

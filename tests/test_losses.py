@@ -2,9 +2,21 @@ import numpy as np
 import pytest
 
 from logcoral.exceptions import InvalidInput, NotPositiveDefinite
-from logcoral.linalg import SymmetricMatrix, matrix_log, matrix_log_backward, regularize_psd, sym_eig, sym_part
+from logcoral.linalg import (
+    SymmetricMatrix,
+    matrix_log,
+    matrix_log_backward,
+    regularize_psd,
+    spd_eig,
+    sym_eig,
+    sym_part,
+)
 from logcoral.losses import (
+    LogEuclidean,
     LossWeights,
+    _coral_value,
+    _cross_entropy,
+    _mean_value,
     chain_to_features,
     coral_loss,
     log_euclidean,
@@ -319,6 +331,15 @@ class TestMeanLoss:
             mean_loss(np.zeros(2), np.zeros(3))
 
 
+@pytest.mark.parametrize("call", [
+    lambda: softmax_cross_entropy(np.zeros((0, 3)), np.zeros(0, dtype=int)),
+    lambda: mean_loss(np.array([]), np.array([])),
+], ids=["cross_entropy_no_rows", "mean_no_entries"])
+def test_empty_input_rejected(call):
+    with pytest.raises(InvalidInput):
+        call()
+
+
 class TestChainToFeatures:
     def test_zero_grad_gives_zero(self):
         rng = np.random.default_rng(13)
@@ -389,3 +410,69 @@ class TestSoftmaxCrossEntropy:
     def test_label_out_of_range(self):
         with pytest.raises(InvalidInput):
             softmax_cross_entropy(np.zeros((2, 3)), np.array([0, 3]))
+
+    @pytest.mark.parametrize("labels", [[-1, 2], [-0.5, 2.0], [0.0, 1e30]])
+    def test_negative_or_huge_label_rejected(self, labels):
+        with pytest.raises(InvalidInput):
+            softmax_cross_entropy(np.zeros((2, 3)), np.array(labels))
+
+    @pytest.mark.parametrize("labels", [[0.7, 2.9], [0.0, 1.5], [0.0, np.nan]])
+    def test_fractional_labels_rejected(self, labels):
+        with pytest.raises(InvalidInput, match="whole numbers"):
+            softmax_cross_entropy(np.zeros((2, 3)), np.array(labels))
+
+    def test_whole_float_labels_accepted(self):
+        logits = np.random.default_rng(2).standard_normal((3, 4))
+        as_float = softmax_cross_entropy(logits, np.array([0.0, 3.0, 1.0]))
+        as_int = softmax_cross_entropy(logits, np.array([0, 3, 1]))
+        assert as_float.value == as_int.value
+        assert np.array_equal(as_float.grad_source, as_int.grad_source)
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 16])
+class TestStackedValues:
+    """Each value computation the losses run takes leading stack axes and gives,
+    bit for bit, the loss of each item alone."""
+
+    ITEMS = 4
+
+    def covariances(self, d):
+        rng = np.random.default_rng(100 + d)
+        return [rand_spd(rng, d, gap=1e-2) for _ in range(self.ITEMS + 1)]
+
+    def test_coral(self, d):
+        *items, fixed = self.covariances(d)
+        stack = np.stack([m.data for m in items])
+        assert bits(_coral_value(stack - fixed.data)) == bits([coral_loss(m, fixed).value for m in items])
+        assert bits(_coral_value(fixed.data - stack)) == bits([coral_loss(fixed, m).value for m in items])
+
+    def test_logcoral(self, d):
+        *items, fixed = self.covariances(d)
+        eig_stack = spd_eig(SymmetricMatrix._trusted(np.stack([m.data for m in items])))
+        as_source = LogEuclidean.from_eigenpairs(eig_stack, spd_eig(fixed))
+        as_target = LogEuclidean.from_eigenpairs(spd_eig(fixed), eig_stack)
+        assert bits(as_source.value) == bits([logcoral_loss(m, fixed).value for m in items])
+        assert bits(as_target.value) == bits([logcoral_loss(fixed, m).value for m in items])
+        for i, m in enumerate(items):
+            assert as_source.diff_s[i].tobytes() == log_euclidean(m, fixed, 0.0).diff_s.tobytes()
+            assert as_target.diff_s[i].tobytes() == log_euclidean(fixed, m, 0.0).diff_s.tobytes()
+        for stacked in (as_source, as_target):
+            with pytest.raises(InvalidInput, match="not a stack"):
+                stacked.grads()
+
+    def test_mean(self, d):
+        rng = np.random.default_rng(200 + d)
+        stack, fixed = rng.standard_normal((self.ITEMS, d)), rng.standard_normal(d)
+        assert bits(_mean_value(stack - fixed)) == bits([mean_loss(m, fixed).value for m in stack])
+        assert bits(_mean_value(fixed - stack)) == bits([mean_loss(fixed, m).value for m in stack])
+
+    def test_cross_entropy(self, d):
+        rng = np.random.default_rng(300 + d)
+        stack = rng.standard_normal((self.ITEMS, 9, d))
+        labels = rng.integers(0, d, size=9)
+        assert bits(_cross_entropy(stack, labels)[0]) == bits(
+            [softmax_cross_entropy(y, labels).value for y in stack])
