@@ -69,15 +69,16 @@ class FeatureBatch:
 
 def _class_labels(lab: np.ndarray) -> np.ndarray:
     """lab as an int array. Raises InvalidInput unless every entry is a
-    nonnegative whole number: the one label rule of `FeatureBatch` and
-    `softmax_cross_entropy`."""
+    nonnegative whole number below 2**63, which int64 holds: the one label
+    rule of `FeatureBatch` and `softmax_cross_entropy`."""
     if lab.dtype.kind in "iu":  # whole already; only the sign can fail
         class_indices = lab >= 0
     else:
         with np.errstate(invalid="ignore"):  # inf % 1 is nan: rejected
-            class_indices = (lab >= 0) & (lab % 1 == 0)
+            class_indices = (lab >= 0) & (lab % 1 == 0) & (lab < 2.0 ** 63)
     if not class_indices.all():
-        raise InvalidInput(f"labels must be nonnegative whole numbers, got {lab[~class_indices][0]}")
+        raise InvalidInput(f"labels must be nonnegative whole numbers below 2**63, "
+                           f"got {lab[~class_indices][0]}")
     return lab.astype(int, copy=False)
 
 

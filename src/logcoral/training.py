@@ -45,6 +45,8 @@ class RunConfig:
     samples_per_class: int = 200
 
     def __post_init__(self):
+        if self.seed < 0:  # numpy's generators take nonnegative seeds only
+            raise InvalidInput(f"seed must be nonnegative, got {self.seed}")
         if self.steps < 1 or self.batch < 2:
             raise InvalidInput("steps must be >= 1 and batch >= 2")
         if not 0 < self.lr < np.inf:

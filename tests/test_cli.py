@@ -221,6 +221,25 @@ class TestGradcheckCommand:
         assert rc == 1
         assert (tmp_path / "gradcheck_failure.npz").exists()
 
+    def test_nan_gradient_fails_and_dumps(self, tmp_path, capsys, monkeypatch):
+        def nan_grads(le, real=losses.LogEuclidean.grads):
+            return tuple(np.full_like(g, np.nan) for g in real(le))
+        monkeypatch.setattr(losses.LogEuclidean, "grads", nan_grads)
+        rc = main(["gradcheck", "--dims", "3", "--trials", "2", "--out", str(tmp_path)])
+        assert rc == 1
+        assert "logcoral: max rel error inf" in capsys.readouterr().out
+        with np.load(tmp_path / "gradcheck_failure.npz") as dump:
+            assert sorted(dump.files) == ["logcoral_cov_s", "logcoral_cov_t", "logcoral_dim",
+                                          "logcoral_seed"]
+            assert dump["logcoral_cov_s"].shape == (3, 3)
+
+    def test_negative_seed_is_bad_input(self, tmp_path, capsys):
+        out = tmp_path / "gc"
+        assert main(["gradcheck", "--dims", "2", "--seed", "-1", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "nonnegative" in captured.err and captured.out == ""
+        assert not out.exists()
+
     def test_dump_holds_the_evaluated_worst_inputs(self, tmp_path, monkeypatch,
                                                    flipped_target_gradients):
         # with --dims 2,5 the worst coral and mean draws are at dim 5, whose
@@ -399,6 +418,12 @@ class TestTrainCommand:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_seed_is_bad_input(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--steps", "5", "--seed", "-1", "--out", str(out)]) == 2
+        assert "seed must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_eval_every_is_bad_input(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("eval_every=0\n")
@@ -512,6 +537,13 @@ class TestAblateCommand:
         captured = capsys.readouterr()
         assert "'weights'" in captured.err and captured.out == ""
         assert not (tmp_path / "ab").exists()
+
+    def test_negative_seed_is_bad_input(self, tmp_path, capsys):
+        out = tmp_path / "ab"
+        assert main(["ablate", "--seeds", "1", "--steps", "3", "--seed", "-1", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "seed must be nonnegative" in captured.err and captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("seeds", ["0", "-3"])
     def test_no_seeds_is_bad_input(self, capsys, seeds):

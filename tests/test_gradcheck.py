@@ -45,8 +45,8 @@ def test_probes_evaluate_only_the_value(monkeypatch):
 
 
 def test_each_draw_decomposes_its_fixed_inputs_once(monkeypatch):
-    # per draw: 2 for the analytic bundle, 1 per fixed input, and 1 stack per probed
-    # input of its 2 x DIRECTIONS perturbations; one call per perturbation makes 12
+    # per draw: 2 for the analytic bundle, then one stack of each input's 2 x DIRECTIONS
+    # perturbations and the input itself, source then target; one call per matrix makes 12
     calls = []
 
     def counted(m, real=linalg.sym_eig):
@@ -54,12 +54,12 @@ def test_each_draw_decomposes_its_fixed_inputs_once(monkeypatch):
         return real(m)
     monkeypatch.setattr(linalg, "sym_eig", counted)
     assert run_gradcheck(dims=(5,), seeds=[0]).passed
-    assert calls == [(5, 5)] * 4 + [(2 * DIRECTIONS, 5, 5)] * 2
+    assert calls == [(5, 5)] * 2 + [(2 * (2 * DIRECTIONS + 1), 5, 5)]
 
 
 def test_probes_trust_only_symmetric_finite_matrices(monkeypatch):
-    # the Log-CORAL probes skip SymmetricMatrix's checks; hold every matrix in
-    # every stack they wrap to what those checks enforce
+    # spd_with_gaps and the Log-CORAL probe skip SymmetricMatrix's checks; hold every
+    # matrix they wrap, each item of the probe's stack included, to what those checks enforce
     seen = []
 
     def checked(cls, a, real=linalg.SymmetricMatrix._trusted):
@@ -68,13 +68,17 @@ def test_probes_trust_only_symmetric_finite_matrices(monkeypatch):
     monkeypatch.setattr(linalg.SymmetricMatrix, "_trusted", classmethod(checked))
     dims, seeds = (1, 2, 5, 16), range(5)
     assert run_gradcheck(dims=dims, seeds=seeds).passed
-    # one stack per Log-CORAL input, of 2 x DIRECTIONS matrices
-    assert len(seen) == 2 * len(dims) * len(seeds)
-    for stack in seen:
-        assert stack.dtype == float and stack.ndim == 3 and len(stack) == 2 * DIRECTIONS
-        for a in stack:
-            assert a.shape[0] == a.shape[1] >= 1
-            assert np.array_equal(a, a.T) and np.all(np.isfinite(a))
+    # per draw: C_s and C_t, then one stack [C_s +- STEP v, C_s, C_t +- STEP v, C_t]
+    n = 2 * DIRECTIONS + 1
+    assert [a.shape for a in seen] == [s for _ in seeds for d in dims
+                                       for s in ((d, d), (d, d), (2 * n, d, d))]
+    for a in seen:
+        assert a.dtype == float
+        for m in a.reshape(-1, *a.shape[-2:]):
+            assert np.array_equal(m, m.T) and np.all(np.isfinite(m))
+    # the stack holds the draw's two covariances themselves, each after its perturbations
+    for c_s, c_t, stack in zip(seen[::3], seen[1::3], seen[2::3]):
+        assert np.array_equal(stack[n - 1], c_s) and np.array_equal(stack[-1], c_t)
 
 
 def test_scaled_logcoral_gradients_detected(monkeypatch):
@@ -86,8 +90,28 @@ def test_scaled_logcoral_gradients_detected(monkeypatch):
     assert result.errors["logcoral"] > THRESHOLDS["logcoral"]
 
 
+def test_nan_gradient_fails(monkeypatch):
+    # a NaN gradient has no finite error: it counts as inf and is the worst case
+    def nan_grads(le, real=losses.LogEuclidean.grads):
+        return tuple(np.full_like(g, np.nan) for g in real(le))
+    monkeypatch.setattr(losses.LogEuclidean, "grads", nan_grads)
+    result = run_gradcheck(dims=(3,), seeds=range(2))
+    assert not result.passed
+    assert result.errors["logcoral"] == np.inf
+    case = result.worst_case["logcoral"]
+    assert case["seed"] == 0 and case["dim"] == 3 and case["cov_s"].shape == (3, 3)
+    assert all(result.errors[k] <= THRESHOLDS[k] for k in ("coral", "mean", "cross_entropy"))
+
+
+def test_rel_err_counts_non_finite_as_inf():
+    fd = np.array([1.0, np.nan, 1.0, np.inf, 1e308])
+    an = np.array([1.0, 1.0, np.nan, np.inf, -1e308])
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, 1e308 + 1e308
+        assert _rel_err(fd, an).tolist() == [0.0, np.inf, np.inf, np.inf, np.inf]
+
+
 @pytest.mark.parametrize("dims, seeds", [((), range(3)), ((2,), range(0)), ((2,), []),
-                                         ((2, -1), range(1))])
+                                         ((2, -1), range(1)), ((2,), range(-1, 2))])
 def test_empty_sweep_or_bad_dim_rejected(dims, seeds):
     with pytest.raises(InvalidInput):
         run_gradcheck(dims=dims, seeds=seeds)
@@ -134,4 +158,5 @@ def _reference_errors(dims, seeds):
 @pytest.mark.parametrize("seeds", [[0], [1], [7], range(3)])
 def test_stacked_probes_match_one_probe_at_a_time(seeds):
     # every error equals the one the public losses give one perturbation at a time
-    assert run_gradcheck(dims=(2, 5, 16), seeds=seeds).errors == _reference_errors((2, 5, 16), seeds)
+    dims = (1, 2, 5, 16)
+    assert run_gradcheck(dims=dims, seeds=seeds).errors == _reference_errors(dims, seeds)

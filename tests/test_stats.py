@@ -39,6 +39,16 @@ class TestFeatureBatch:
         with pytest.raises(InvalidInput):
             FeatureBatch(np.zeros((2, 2)), labels=labels)
 
+    @pytest.mark.parametrize("label", [2.0 ** 63, 1e300])
+    def test_rejects_float_labels_int64_cannot_hold(self, label):
+        # the int cast would turn them into -2**63
+        with pytest.raises(InvalidInput, match="below 2"):
+            FeatureBatch(np.zeros((2, 1)), labels=np.array([label, 0.0]))
+
+    def test_largest_float_label_int64_holds_is_kept(self):
+        label = np.nextafter(2.0 ** 63, 0)
+        assert FeatureBatch(np.zeros((1, 1)), labels=[label]).labels.tolist() == [int(label)]
+
     def test_whole_float_labels_become_integers(self):
         b = FeatureBatch(np.zeros((2, 2)), labels=[2.0, 0.0])
         assert b.labels.dtype.kind == "i" and b.labels.tolist() == [2, 0]
