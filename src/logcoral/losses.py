@@ -179,19 +179,15 @@ def chain_to_features(loss_grad_cov: np.ndarray, batch: FeatureBatch, scale: flo
     dL/dD = scale * (2/(n-1)) * (D - 1 mu^T) sym(dL/dC).
 
     scale carries the (1 - momentum) factor when the covariance entering the
-    loss was a smoothed statistic.
+    loss was a smoothed statistic. The rows are centred as `batch_covariance`
+    centres them; the training step chains through this function.
     """
     g = sym_part(loss_grad_cov)
     if g.shape[0] != batch.d:
         raise InvalidInput(f"covariance gradient is {g.shape[0]}-dim but features are {batch.d}-dim")
     if batch.n < 2:
         raise InvalidInput("need at least 2 rows to chain through a covariance")
-    return _chain_centred(g, batch.data - batch.data.mean(axis=0), scale)
-
-
-def _chain_centred(g: np.ndarray, centred: np.ndarray, scale: float) -> np.ndarray:
-    """chain_to_features, unchecked, on >= 2 centred rows and an exactly symmetric g."""
-    return (2.0 * scale / (centred.shape[0] - 1)) * centred @ g
+    return (2.0 * scale / (batch.n - 1)) * (batch.data - batch.data.mean(axis=0)) @ g
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> LossBundle:

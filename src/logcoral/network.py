@@ -1,7 +1,8 @@
 """Minimal feed-forward classifier with named feature taps, hand-written
 backprop, SGD-with-momentum, and the joint training step that couples the
 classification loss with the covariance/mean alignment losses through
-moving-average statistics."""
+moving-average statistics. `step_objective` is that objective, pure in the
+training state; `train_step` applies its gradients."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -11,7 +12,7 @@ import numpy as np
 
 from .exceptions import InvalidInput, NumericalFailure
 from . import losses as L
-from .stats import FeatureBatch, SmoothedStats, _centred_cov, batch_covariance, batch_mean, update_smoothed
+from .stats import FeatureBatch, SmoothedStats, batch_covariance, batch_mean, update_smoothed
 
 
 def _relu(x):
@@ -162,23 +163,23 @@ def _batch_share(old_stats: SmoothedStats) -> float:
     return 1.0 - old_stats.momentum if old_stats.initialized else 1.0
 
 
-def train_step(state: TrainState, source: FeatureBatch, target: FeatureBatch,
-               weights: L.LossWeights) -> tuple:
-    """One joint SGD step on the weighted sum of classification, CORAL,
-    LogCORAL and mean losses, with one forward and one backward over the
-    stacked source and target rows. Alignment statistics are moving averages;
-    gradients flow only through the current batch's share of them.
-
-    Returns (state, report) where report maps loss names to floats; all four
-    alignment metrics are reported even when their weight is zero.
+def step_objective(state: TrainState, source: FeatureBatch, target: FeatureBatch,
+                   weights: L.LossWeights) -> tuple:
+    """The joint objective of one step, pure in state: the weighted
+    classification, CORAL, LogCORAL and mean losses from one forward over the
+    stacked source and target rows, at moving-average statistics whose
+    gradients flow only through the current batch's share. Uninitialized
+    statistics give the objective at fresh batch statistics. Returns (report,
+    cache, tap_grads, stats_source, stats_target): report holds all five losses
+    whatever their weights; tap_grads the upstream gradients at the taps.
     """
     if source.labels is None:
         raise InvalidInput("source batch must be labeled")
     n = source.n
     cache = _forward_pair(state.model, source, target)
 
-    # the covariance at the covariance tap, of rows centred once for it and the chain; mean at the mean tap
-    (rows_s, batch_cov_s), (rows_t, batch_cov_t) = map(_centred_cov, _split_tap(cache, state.cov_tap, n))
+    tap_s, tap_t = _split_tap(cache, state.cov_tap, n)
+    batch_cov_s, batch_cov_t = batch_covariance(tap_s), batch_covariance(tap_t)
     mtap_s, mtap_t = _split_tap(cache, state.mean_tap, n)
     stats_s = update_smoothed(state.stats_source, batch_cov_s, batch_mean(mtap_s))
     stats_t = update_smoothed(state.stats_target, batch_cov_t, batch_mean(mtap_t))
@@ -203,7 +204,6 @@ def train_step(state: TrainState, source: FeatureBatch, target: FeatureBatch,
         bad = [k for k, v in report.items() if not np.isfinite(v)]
         raise NumericalFailure(f"non-finite loss: {', '.join(bad)}", component=bad[0])
 
-    # upstream gradients at the taps, stacked like the rows of the forward
     taps = {}
 
     def _add(name, g):
@@ -219,13 +219,21 @@ def train_step(state: TrainState, source: FeatureBatch, target: FeatureBatch,
         grads = [weights.coral * coral.grad_source, weights.coral * coral.grad_target]
         if weights.logcoral > 0:
             grads = [g + weights.logcoral * lg for g, lg in zip(grads, logcoral.grads())]
-        _add(state.cov_tap, np.concatenate([L._chain_centred(grads[0], rows_s, share_s),
-                                            L._chain_centred(grads[1], rows_t, share_t)]))
+        _add(state.cov_tap, np.concatenate([L.chain_to_features(grads[0], tap_s, share_s),
+                                            L.chain_to_features(grads[1], tap_t, share_t)]))
     if weights.mean > 0:
         row_s = weights.mean * share_s * mean.grad_source / mtap_s.n
         row_t = weights.mean * share_t * mean.grad_target / mtap_t.n
         _add(state.mean_tap, np.repeat([row_s, row_t], [mtap_s.n, mtap_t.n], axis=0))
+    return report, cache, taps, stats_s, stats_t
 
+
+def train_step(state: TrainState, source: FeatureBatch, target: FeatureBatch,
+               weights: L.LossWeights) -> tuple:
+    """One SGD-with-momentum step on `step_objective`, with one backward over
+    the stacked rows. Returns (state, report); a step that raises commits
+    nothing."""
+    report, cache, taps, stats_s, stats_t = step_objective(state, source, target, weights)
     gw, gb = backward(state.model, cache, taps)
     velocity_w = [state.opt_momentum * v - state.lr * g for v, g in zip(state.velocity_w, gw)]
     velocity_b = [state.opt_momentum * v - state.lr * g for v, g in zip(state.velocity_b, gb)]
@@ -239,29 +247,6 @@ def train_step(state: TrainState, source: FeatureBatch, target: FeatureBatch,
     state.stats_source, state.stats_target = stats_s, stats_t
     state.step += 1
     return state, report
-
-
-def total_loss(model: MlpModel, source: FeatureBatch, target: FeatureBatch,
-               weights: L.LossWeights, cov_tap: str, mean_tap: str, epsilon: float) -> float:
-    """Joint objective on raw (unsmoothed) batch statistics, as a pure
-    function of the model parameters, through train_step's stacked forward
-    and row split, with train_step's epsilon rule. Used by gradient checks."""
-    n = source.n
-    cache = _forward_pair(model, source, target)
-    value = 0.0
-    if weights.classification > 0:
-        value += weights.classification * L.softmax_cross_entropy(cache.post[-1][:n], source.labels).value
-    if weights.coral > 0 or weights.logcoral > 0:
-        cov_s, cov_t = map(batch_covariance, _split_tap(cache, cov_tap, n))
-        if weights.coral > 0:
-            value += weights.coral * L.coral_loss(cov_s, cov_t).value
-        if weights.logcoral > 0:
-            eps = L.resolve_epsilon(cov_s, cov_t, epsilon)
-            value += weights.logcoral * L.log_euclidean(cov_s, cov_t, eps).value
-    if weights.mean > 0:
-        mean_s, mean_t = map(batch_mean, _split_tap(cache, mean_tap, n))
-        value += weights.mean * L.mean_loss(mean_s, mean_t).value
-    return value
 
 
 def evaluate(model: MlpModel, data: FeatureBatch) -> float:

@@ -5,12 +5,13 @@ tap and the mean at another.
 
 Validation happens at the edges. `FeatureBatch(...)` checks what a caller
 hands in: a non-empty finite 2-D array, and labels that are whole,
-nonnegative numbers, one per row. Batches the library cuts from arrays it
-already checked (the rows a training step samples, the source and target
-halves of a tap) skip those checks through the private `FeatureBatch._trusted`.
-`batch_covariance` still checks that its product did not overflow, since
-finite features can have an infinite covariance; its result and the moving
-averages are symmetric by construction and skip the `SymmetricMatrix` checks.
+nonnegative numbers below 2**63, one per row. Batches the library cuts from
+arrays it already checked (the rows a training step samples, the source and
+target halves of a tap) skip those checks through the private
+`FeatureBatch._trusted`. `batch_covariance`, the training step's covariance
+too, checks that its product did not overflow, since finite features can have
+an infinite covariance; its result and the moving averages are symmetric by
+construction and skip the `SymmetricMatrix` checks.
 """
 from __future__ import annotations
 
@@ -71,8 +72,8 @@ def _class_labels(lab: np.ndarray) -> np.ndarray:
     """lab as an int array. Raises InvalidInput unless every entry is a
     nonnegative whole number below 2**63, which int64 holds: the one label
     rule of `FeatureBatch` and `softmax_cross_entropy`."""
-    if lab.dtype.kind in "iu":  # whole already; only the sign can fail
-        class_indices = lab >= 0
+    if lab.dtype.kind in "iu":  # whole already; only the sign, or an unsigned int64 overflow, can fail
+        class_indices = lab >= 0 if lab.dtype.kind == "i" else lab < 2 ** 63
     else:
         with np.errstate(invalid="ignore"):  # inf % 1 is nan: rejected
             class_indices = (lab >= 0) & (lab % 1 == 0) & (lab < 2.0 ** 63)
@@ -86,18 +87,13 @@ def batch_covariance(b: FeatureBatch) -> SymmetricMatrix:
     """Sample covariance with 1/(n-1) normalization, computed from centred
     rows as (D - 1 mu^T)^T (D - 1 mu^T) / (n - 1), which stays accurate at
     large mean offsets."""
-    return _centred_cov(b)[1]
-
-
-def _centred_cov(b: FeatureBatch) -> tuple:
-    """(D - 1 mu^T, batch_covariance(b)), for a caller that reuses the centred rows."""
     if b.n < 2:
         raise InvalidInput(f"covariance needs at least 2 rows, got {b.n}")
     centered = b.data - b.data.mean(axis=0)
     cov = _symmetrize(centered.T @ centered / (b.n - 1))
     if not np.all(np.isfinite(cov)):
         raise InvalidInput("covariance has non-finite entries: the feature values overflow it")
-    return centered, SymmetricMatrix._trusted(cov)
+    return SymmetricMatrix._trusted(cov)
 
 
 def batch_mean(b: FeatureBatch) -> np.ndarray:

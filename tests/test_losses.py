@@ -385,6 +385,11 @@ class TestChainToFeatures:
         with pytest.raises(InvalidInput):
             chain_to_features(np.eye(3), FeatureBatch(np.zeros((4, 2))))
 
+    def test_one_row_rejected(self):
+        # a covariance of one row is undefined, so there is nothing to chain through
+        with pytest.raises(InvalidInput):
+            chain_to_features(np.eye(2), FeatureBatch(np.zeros((1, 2))))
+
 
 class TestSoftmaxCrossEntropy:
     def test_uniform_logits(self):

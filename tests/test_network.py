@@ -14,10 +14,10 @@ from logcoral.network import (
     backward,
     evaluate,
     forward,
-    total_loss,
+    step_objective,
     train_step,
 )
-from logcoral.stats import FeatureBatch, _centred_cov, batch_covariance, batch_mean, update_smoothed
+from logcoral.stats import FeatureBatch, batch_covariance, batch_mean, update_smoothed
 from logcoral.training import RunConfig, default_dataset, init_state, load_checkpoint, train
 
 
@@ -92,7 +92,8 @@ class TestBackward:
         # from the spectral gradient
         for i in range(state.model.num_layers - 1):
             state.model.biases[i] = state.model.biases[i] + 0.8
-        model = copy.deepcopy(state.model)
+        pre = copy.deepcopy(state)
+        model = pre.model
         src = labeled_batch(rng, 24, 4, 3)
         tgt = FeatureBatch(rng.standard_normal((24, 4)) * 1.4 + 0.3)
         weights = LossWeights(classification=1.0, coral=0.7, logcoral=2.0, mean=1.5)
@@ -105,7 +106,9 @@ class TestBackward:
 
         h = 1e-6
         def objective(m):
-            return total_loss(m, src, tgt, weights, cov_tap="h2", mean_tap="h1", epsilon=eps)
+            # the pre-step statistics are uninitialized: the objective at fresh batch statistics
+            report = step_objective(dataclasses.replace(pre, model=m), src, tgt, weights)[0]
+            return report["loss_total"]
 
         worst = 0.0
         for li in range(len(dims) - 1):
@@ -129,21 +132,58 @@ class TestBackward:
             backward(model, cache, {"h1": np.zeros((3, 6))})
 
 
-class TestTotalLoss:
+class TestStepObjective:
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_train_step_at_default_epsilon(self, seed):
         # at step 1 the smoothed statistics are the batch statistics, so
-        # both compute one objective, with the one epsilon rule
+        # the fresh-statistics objective is the one train_step reports
         rng = np.random.default_rng(seed)
         state = small_state(seed)
-        model = copy.deepcopy(state.model)
+        fresh = copy.deepcopy(state)
         src = labeled_batch(rng, 24, 4, 3)
         tgt = FeatureBatch(rng.standard_normal((24, 4)) * 1.4 + 0.3)
         weights = LossWeights(classification=1.0, coral=0.7, logcoral=2.0, mean=1.5)
         _, report = train_step(state, src, tgt, weights)
-        value = total_loss(model, src, tgt, weights, cov_tap=state.cov_tap,
-                           mean_tap=state.mean_tap, epsilon=0.0)
+        value = step_objective(fresh, src, tgt, weights)[0]["loss_total"]
         assert value == report["loss_total"]
+
+    @staticmethod
+    def smoothed_state(rng, weights):
+        """A state a few steps in, so statistics are smoothed and velocities nonzero."""
+        state = small_state(4, lr=0.05, epsilon=1e-2)
+        for _ in range(3):
+            train_step(state, labeled_batch(rng, 20, 4, 3),
+                       FeatureBatch(rng.standard_normal((24, 4)) * 1.3 + 0.2), weights)
+        return state
+
+    def test_leaves_the_state_unchanged(self):
+        rng = np.random.default_rng(21)
+        weights = LossWeights(classification=1.0, coral=0.7, logcoral=2.0, mean=1.5)
+        state = self.smoothed_state(rng, weights)
+        before = copy.deepcopy(state)
+        step_objective(state, labeled_batch(rng, 20, 4, 3),
+                       FeatureBatch(rng.standard_normal((24, 4))), weights)
+
+        def arrays(s):
+            return (s.model.weights + s.model.biases + s.velocity_w + s.velocity_b
+                    + [s.stats_source.cov.data, s.stats_source.mean, s.stats_target.cov.data, s.stats_target.mean])
+        for a, b in zip(arrays(state), arrays(before), strict=True):
+            assert np.array_equal(a, b)
+        assert state.step == before.step == 3
+        assert state.rng.bit_generator.state == before.rng.bit_generator.state
+
+    def test_report_and_statistics_are_train_steps(self):
+        rng = np.random.default_rng(22)
+        weights = LossWeights(classification=1.0, coral=0.7, logcoral=2.0, mean=1.5)
+        state = self.smoothed_state(rng, weights)
+        src = labeled_batch(rng, 20, 4, 3)
+        tgt = FeatureBatch(rng.standard_normal((24, 4)) * 1.3 + 0.2)
+        report, _, _, stats_s, stats_t = step_objective(state, src, tgt, weights)
+        _, want = train_step(state, src, tgt, weights)
+        assert report == want
+        for got, committed in ((stats_s, state.stats_source), (stats_t, state.stats_target)):
+            assert np.array_equal(got.cov.data, committed.cov.data)
+            assert np.array_equal(got.mean, committed.mean)
 
 
 class TestTrainStep:
@@ -273,11 +313,11 @@ class TestStackedStep:
 
         def covariance(batch):
             widths.append(batch.d)
-            return _centred_cov(batch)
+            return batch_covariance(batch)
 
         monkeypatch.setattr(network, "forward", counted("forward", forward))
         monkeypatch.setattr(network, "backward", counted("backward", backward))
-        monkeypatch.setattr(network, "_centred_cov", covariance)
+        monkeypatch.setattr(network, "batch_covariance", covariance)
         monkeypatch.setattr(network, "update_smoothed", counted("update_smoothed", update_smoothed))
         monkeypatch.setattr(network, "batch_mean", counted("batch_mean", batch_mean))
         rng = np.random.default_rng(12)

@@ -49,6 +49,17 @@ class TestFeatureBatch:
         label = np.nextafter(2.0 ** 63, 0)
         assert FeatureBatch(np.zeros((1, 1)), labels=[label]).labels.tolist() == [int(label)]
 
+    def test_rejects_uint64_labels_int64_cannot_hold(self):
+        # the cast to int64 would wrap 2**63 to -2**63
+        with pytest.raises(InvalidInput):
+            FeatureBatch(np.zeros((2, 1)), labels=np.array([2**63, 0], dtype=np.uint64))
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint64])
+    def test_unsigned_labels_int64_holds_are_kept(self, dtype):
+        top = np.iinfo(dtype).max if dtype is np.uint8 else 2**63 - 1
+        b = FeatureBatch(np.zeros((2, 1)), labels=np.array([top, 0], dtype=dtype))
+        assert b.labels.dtype == np.int64 and b.labels.tolist() == [top, 0]
+
     def test_whole_float_labels_become_integers(self):
         b = FeatureBatch(np.zeros((2, 2)), labels=[2.0, 0.0])
         assert b.labels.dtype.kind == "i" and b.labels.tolist() == [2, 0]
