@@ -69,8 +69,9 @@ def _worst_rel_error(bundle, inputs, values, rng) -> float:
     steps = STEP * v
     vals = np.asarray(values([np.concatenate([x + steps, x - steps]) for x in xs]))
     fds = (vals[:, :DIRECTIONS] - vals[:, DIRECTIONS:]) / (2 * STEP)
-    ans = np.sum(np.stack(grads)[:, None] * v, axis=tuple(range(2, v.ndim + 1)))
-    return float(_rel_err(fds, ans).max())
+    with np.errstate(invalid="ignore"):  # an inf gradient gives inf - inf, then inf / inf
+        ans = np.sum(np.stack(grads)[:, None] * v, axis=tuple(range(2, v.ndim + 1)))
+        return float(_rel_err(fds, ans).max())
 
 
 def _pair(eig: EigenPair, index) -> EigenPair:
@@ -94,8 +95,8 @@ def run_gradcheck(dims=(2, 5, 16), seeds=range(100)) -> GradCheckResult:
     draw. The Log-CORAL check decomposes [C_s +- STEP v, C_s, C_t +- STEP v, C_t]
     in one `spd_eig` call, wrapped unchecked, as the checker made each matrix
     symmetric and finite itself: with the bundle's two, 3 eigendecomposition
-    calls per draw. A non-finite error, as from a NaN gradient, fails the sweep
-    and is its worst case.
+    calls per draw. A non-finite error, as from a NaN or inf gradient, fails the
+    sweep and is its worst case.
     Raises InvalidInput if seeds or dims is empty, as such a sweep checks
     nothing, if a seed is negative, or if a dim is below 1."""
     if not seeds or not dims or min(dims) < 1:

@@ -1,8 +1,8 @@
-"""Minimal feed-forward classifier with named feature taps, hand-written
-backprop, SGD-with-momentum, and the joint training step that couples the
-classification loss with the covariance/mean alignment losses through
-moving-average statistics. `step_objective` is that objective, pure in the
-training state; `train_step` applies its gradients."""
+"""Minimal feed-forward classifier whose last hidden layers are the alignment
+taps, hand-written backprop, SGD-with-momentum, and the joint training step
+that couples the classification loss with the covariance/mean alignment losses
+through moving-average statistics. `step_objective` is that objective, pure in
+the training state; `train_step` applies its gradients."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -25,9 +25,9 @@ def _relu_grad(x):
 
 @dataclass
 class MlpModel:
-    """Dense layers with a rectifier between them. Hidden layer i's
-    post-activation output is addressable as tap "h{i+1}"; the final linear
-    output as "logits"."""
+    """Dense layers with a rectifier between them. Layer i's output is post[i]
+    of a forward pass: rectified for hidden layers, the logits for the last.
+    The alignment losses read the hidden layers at `taps`."""
 
     dims: list
     weights: list
@@ -48,8 +48,13 @@ class MlpModel:
     def num_layers(self) -> int:
         return len(self.weights)
 
-    def tap_width(self, name: str) -> int:
-        return self.dims[_tap_index(name, self.num_layers) + 1]
+    @property
+    def taps(self) -> tuple:
+        """(covariance, mean) tap layer indices: the last hidden layer and the one
+        before it, or the last again. Raises InvalidInput without a hidden layer."""
+        if self.num_layers < 2:
+            raise InvalidInput(f"model dims {self.dims} have no hidden layer for the alignment taps")
+        return self.num_layers - 2, max(self.num_layers - 3, 0)
 
     def check_finite(self):
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -64,17 +69,6 @@ class ForwardCache:
     inputs: np.ndarray
     pre: list
     post: list  # post[i] is the output of layer i (activation applied except last)
-
-    def tap(self, name: str) -> np.ndarray:
-        return self.post[_tap_index(name, len(self.post))]
-
-
-def _tap_index(name: str, num_layers: int) -> int:
-    """Layer index of tap "h1" .. "h{num_layers - 1}" or "logits"."""
-    names = [f"h{i}" for i in range(1, num_layers)] + ["logits"]
-    if name not in names:
-        raise InvalidInput(f"unknown tap {name!r}")
-    return names.index(name)
 
 
 def forward(model: MlpModel, x: np.ndarray) -> ForwardCache:
@@ -92,21 +86,18 @@ def forward(model: MlpModel, x: np.ndarray) -> ForwardCache:
 
 
 def backward(model: MlpModel, cache: ForwardCache, tap_grads: dict):
-    """Accumulate parameter gradients from upstream gradients injected at
-    named taps (and/or "logits"). Returns (weight_grads, bias_grads)."""
+    """Accumulate parameter gradients from upstream gradients injected at layer
+    outputs: tap_grads maps layer index i to the gradient w.r.t. cache.post[i],
+    the logits at num_layers - 1. Returns (weight_grads, bias_grads)."""
     n_layers = model.num_layers
-    # upstream gradient w.r.t. the post-activation output of each tapped layer
-    upstream = {}
-    for name, g in tap_grads.items():
-        idx = _tap_index(name, n_layers)
-        if g.shape != cache.post[idx].shape:
-            raise InvalidInput(f"tap {name!r} gradient has shape {g.shape}, expected {cache.post[idx].shape}")
-        upstream[idx] = g
+    for i, g in tap_grads.items():
+        if not 0 <= i < n_layers or g.shape != cache.post[i].shape:
+            raise InvalidInput(f"gradient of shape {g.shape} fits no output of layer {i}")
     gw, gb = [None] * n_layers, [None] * n_layers
     delta = None  # gradient w.r.t. the current layer's output; None while zero
     for i in range(n_layers - 1, -1, -1):
-        if i in upstream:
-            delta = upstream[i] if delta is None else delta + upstream[i]
+        if i in tap_grads:
+            delta = tap_grads[i] if delta is None else delta + tap_grads[i]
         if delta is None:
             # no tap at or above this layer
             gw[i], gb[i] = np.zeros_like(model.weights[i]), np.zeros_like(model.biases[i])
@@ -124,7 +115,7 @@ def backward(model: MlpModel, cache: ForwardCache, tap_grads: dict):
 @dataclass
 class TrainState:
     """Everything a training run carries between steps. Each domain's stats
-    hold the smoothed covariance at cov_tap and the smoothed mean at mean_tap."""
+    hold the smoothed covariance and mean at the model's taps."""
 
     model: MlpModel
     lr: float = 1e-3
@@ -135,8 +126,6 @@ class TrainState:
     stats_target: Optional[SmoothedStats] = None
     step: int = 0
     rng: Optional[np.random.Generator] = None
-    cov_tap: str = ""
-    mean_tap: str = ""
     epsilon: float = 0.0  # 0 -> scale-relative default, see losses.resolve_epsilon
 
 
@@ -148,13 +137,13 @@ def _forward_pair(model: MlpModel, source: FeatureBatch, target: FeatureBatch) -
     return forward(model, np.concatenate([source.data, target.data]))
 
 
-def _split_tap(cache: ForwardCache, name: str, n_source: int) -> tuple:
-    """The source and target rows of one tap, as feature batches. The
-    stacked tap is checked for finiteness once; both halves are nonempty
-    because the batches they came from are."""
-    h = cache.tap(name)
+def _split_tap(cache: ForwardCache, layer: int, n_source: int) -> tuple:
+    """The source and target rows of one layer's output, as feature batches.
+    The stacked output is checked for finiteness once; both halves are
+    nonempty because the batches they came from are."""
+    h = cache.post[layer]
     if not np.all(np.isfinite(h)):
-        raise InvalidInput(f"tap {name!r} has non-finite activations")
+        raise InvalidInput(f"layer {layer} has non-finite activations")
     return FeatureBatch._trusted(h[:n_source]), FeatureBatch._trusted(h[n_source:])
 
 
@@ -171,16 +160,17 @@ def step_objective(state: TrainState, source: FeatureBatch, target: FeatureBatch
     gradients flow only through the current batch's share. Uninitialized
     statistics give the objective at fresh batch statistics. Returns (report,
     cache, tap_grads, stats_source, stats_target): report holds all five losses
-    whatever their weights; tap_grads the upstream gradients at the taps.
+    whatever their weights; tap_grads the upstream gradients by layer index.
     """
     if source.labels is None:
         raise InvalidInput("source batch must be labeled")
     n = source.n
+    cov_layer, mean_layer = state.model.taps
     cache = _forward_pair(state.model, source, target)
 
-    tap_s, tap_t = _split_tap(cache, state.cov_tap, n)
+    tap_s, tap_t = _split_tap(cache, cov_layer, n)
     batch_cov_s, batch_cov_t = batch_covariance(tap_s), batch_covariance(tap_t)
-    mtap_s, mtap_t = _split_tap(cache, state.mean_tap, n)
+    mtap_s, mtap_t = _split_tap(cache, mean_layer, n)
     stats_s = update_smoothed(state.stats_source, batch_cov_s, batch_mean(mtap_s))
     stats_t = update_smoothed(state.stats_target, batch_cov_t, batch_mean(mtap_t))
     share_s, share_t = _batch_share(state.stats_source), _batch_share(state.stats_target)
@@ -206,25 +196,25 @@ def step_objective(state: TrainState, source: FeatureBatch, target: FeatureBatch
 
     taps = {}
 
-    def _add(name, g):
-        taps[name] = taps.get(name, 0.0) + g
+    def _add(layer, g):
+        taps[layer] = taps.get(layer, 0.0) + g
 
     if weights.classification > 0:
         # the classification loss reads source rows only
         logits_grad = np.zeros_like(cache.post[-1])
         logits_grad[:n] = weights.classification * cls.grad_source
-        _add("logits", logits_grad)
+        _add(state.model.num_layers - 1, logits_grad)
     if weights.coral > 0 or weights.logcoral > 0:
         # sums of exactly symmetric gradients, so exactly symmetric
         grads = [weights.coral * coral.grad_source, weights.coral * coral.grad_target]
         if weights.logcoral > 0:
             grads = [g + weights.logcoral * lg for g, lg in zip(grads, logcoral.grads())]
-        _add(state.cov_tap, np.concatenate([L.chain_to_features(grads[0], tap_s, share_s),
-                                            L.chain_to_features(grads[1], tap_t, share_t)]))
+        _add(cov_layer, np.concatenate([L.chain_to_features(grads[0], tap_s, share_s),
+                                        L.chain_to_features(grads[1], tap_t, share_t)]))
     if weights.mean > 0:
         row_s = weights.mean * share_s * mean.grad_source / mtap_s.n
         row_t = weights.mean * share_t * mean.grad_target / mtap_t.n
-        _add(state.mean_tap, np.repeat([row_s, row_t], [mtap_s.n, mtap_t.n], axis=0))
+        _add(mean_layer, np.repeat([row_s, row_t], [mtap_s.n, mtap_t.n], axis=0))
     return report, cache, taps, stats_s, stats_t
 
 

@@ -4,8 +4,8 @@ Metrics are JSON-lines ({step, loss_cls, loss_coral, loss_logcoral,
 loss_mean, loss_total, target_acc?}); checkpoints are version-2 .npz
 containers that carry everything needed for a bit-exact resume (parameters,
 optimizer velocities, rng state, step counter, and each domain's smoothed
-statistics: the covariance at the covariance tap and the mean at the mean
-tap).
+statistics: the covariance at the model's covariance tap and the mean at its
+mean tap, sized from the layer dims through `MlpModel.taps`).
 """
 from __future__ import annotations
 
@@ -75,8 +75,8 @@ def _sample_batch(batch: FeatureBatch, size: int, rng: np.random.Generator,
     return FeatureBatch._trusted(batch.data[idx], labels=labels)
 
 
-# Keys name the tap a value comes from. Older files that also hold cov_{s,t}_mean
-# and mean_{s,t}_{momentum,initialized} load too; those keys are not read.
+# Keys name the tap a value comes from. Older files that also hold cov_{s,t}_mean,
+# mean_{s,t}_{momentum,initialized} or the tap names in meta load too; those are not read.
 def _stats_to_npz(domain: str, s: SmoothedStats, out: dict):
     out[f"cov_{domain}_initialized"] = np.array(s.initialized)
     out[f"cov_{domain}_momentum"] = np.array(s.momentum)
@@ -95,9 +95,9 @@ def _stats_from_npz(domain: str, z: dict, cov_dim: int, mean_dim: int) -> Smooth
 
 
 def _fitted(z: dict, key: str, shape: tuple) -> np.ndarray:
-    """z[key], which must have the shape the checkpoint's dims and taps give it."""
+    """z[key], which must have the shape the checkpoint's dims give it."""
     if z[key].shape != shape:
-        raise InvalidInput(f"{key} has shape {z[key].shape}, but dims and taps give {shape}")
+        raise InvalidInput(f"{key} has shape {z[key].shape}, but dims give {shape}")
     return z[key]
 
 
@@ -114,7 +114,6 @@ def save_checkpoint(path, state: TrainState):
     meta = {
         "lr": state.lr, "opt_momentum": state.opt_momentum,
         "epsilon": state.epsilon,
-        "cov_tap": state.cov_tap, "mean_tap": state.mean_tap,
         "rng_state": state.rng.bit_generator.state,
     }
     arrays["meta_json"] = np.array(json.dumps(meta))
@@ -123,8 +122,8 @@ def save_checkpoint(path, state: TrainState):
 
 def load_checkpoint(path) -> TrainState:
     """The state saved at path. Raises InvalidInput naming path if the file is
-    not an .npz, lacks a key, holds arrays that do not fit its dims and taps,
-    or holds an lr, opt_momentum or epsilon that RunConfig rejects."""
+    not an .npz, lacks a key, has no hidden layer or arrays that do not fit its
+    dims, or holds an lr, opt_momentum or epsilon that RunConfig rejects."""
     try:
         with np.load(path, allow_pickle=False) as npz:  # TypeError: a .npy file is no context manager
             arrays = dict(npz)
@@ -149,7 +148,7 @@ def _state_from_npz(z: dict) -> TrainState:
     layers = range(len(dims) - 1)
     model = MlpModel(dims=dims, weights=[_fitted(z, f"w{i}", (dims[i], dims[i + 1])) for i in layers],
                      biases=[_fitted(z, f"b{i}", (dims[i + 1],)) for i in layers])
-    cov_dim, mean_dim = model.tap_width(meta["cov_tap"]), model.tap_width(meta["mean_tap"])
+    cov_dim, mean_dim = (dims[i + 1] for i in model.taps)
     rng = np.random.default_rng()
     rng.bit_generator.state = meta["rng_state"]
     return TrainState(
@@ -159,20 +158,18 @@ def _state_from_npz(z: dict) -> TrainState:
         stats_source=_stats_from_npz("s", z, cov_dim, mean_dim),
         stats_target=_stats_from_npz("t", z, cov_dim, mean_dim),
         step=int(z["step"]), rng=rng,
-        cov_tap=meta["cov_tap"], mean_tap=meta["mean_tap"],
         epsilon=meta["epsilon"],
     )
 
 
 def init_state(config: RunConfig, feature_dim: int, num_classes: int) -> TrainState:
     """Fresh state for a run. The batch sampler continues the rng stream that
-    initialised the weights. Second-order losses sit on the last hidden
-    layer, the mean loss one layer earlier (the same tap for 1-hidden-layer
-    nets)."""
-    if not config.hidden_dims:
-        raise InvalidInput("model needs at least one hidden layer for alignment taps")
+    initialised the weights. The alignment losses read the model's taps
+    (`MlpModel.taps`), so config.hidden_dims must name at least one hidden
+    layer; InvalidInput otherwise."""
     rng = np.random.default_rng(config.seed)
     model = MlpModel.init([feature_dim, *config.hidden_dims, num_classes], rng)
+    model.taps  # raises here, not as a failed first step
     return TrainState(
         model=model, lr=config.lr, opt_momentum=config.opt_momentum,
         velocity_w=[np.zeros_like(w) for w in model.weights],
@@ -180,8 +177,6 @@ def init_state(config: RunConfig, feature_dim: int, num_classes: int) -> TrainSt
         stats_source=SmoothedStats(momentum=config.momentum),
         stats_target=SmoothedStats(momentum=config.momentum),
         rng=rng,
-        cov_tap=f"h{len(config.hidden_dims)}",
-        mean_tap=f"h{max(len(config.hidden_dims) - 1, 1)}",
         epsilon=config.epsilon,
     )
 

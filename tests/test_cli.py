@@ -221,10 +221,11 @@ class TestGradcheckCommand:
         assert rc == 1
         assert (tmp_path / "gradcheck_failure.npz").exists()
 
-    def test_nan_gradient_fails_and_dumps(self, tmp_path, capsys, monkeypatch):
-        def nan_grads(le, real=losses.LogEuclidean.grads):
-            return tuple(np.full_like(g, np.nan) for g in real(le))
-        monkeypatch.setattr(losses.LogEuclidean, "grads", nan_grads)
+    @staticmethod
+    def _nonfinite_gradient_fails_and_dumps(bad, tmp_path, capsys, monkeypatch):
+        def bad_grads(le, real=losses.LogEuclidean.grads):
+            return tuple(np.full_like(g, bad) for g in real(le))
+        monkeypatch.setattr(losses.LogEuclidean, "grads", bad_grads)
         rc = main(["gradcheck", "--dims", "3", "--trials", "2", "--out", str(tmp_path)])
         assert rc == 1
         assert "logcoral: max rel error inf" in capsys.readouterr().out
@@ -232,6 +233,13 @@ class TestGradcheckCommand:
             assert sorted(dump.files) == ["logcoral_cov_s", "logcoral_cov_t", "logcoral_dim",
                                           "logcoral_seed"]
             assert dump["logcoral_cov_s"].shape == (3, 3)
+
+    def test_nan_gradient_fails_and_dumps(self, tmp_path, capsys, monkeypatch):
+        self._nonfinite_gradient_fails_and_dumps(np.nan, tmp_path, capsys, monkeypatch)
+
+    def test_inf_gradient_fails_and_dumps(self, tmp_path, capsys, monkeypatch):
+        # inf + -inf in the directional derivative: an error of inf, with no numpy warning
+        self._nonfinite_gradient_fails_and_dumps(np.inf, tmp_path, capsys, monkeypatch)
 
     def test_negative_seed_is_bad_input(self, tmp_path, capsys):
         out = tmp_path / "gc"
@@ -368,6 +376,46 @@ class TestTrainCommand:
         assert main(["train", "--steps", "5", "--resume", str(tmp_path / "v1.npz"),
                      "--out", str(tmp_path / "run")]) == 2
         assert "version 1" in capsys.readouterr().err
+
+    def test_checkpoint_naming_its_taps_resumes_bit_exactly(self, tmp_path):
+        # files written before the taps followed from the dims also hold the tap
+        # names in meta; they resume as an uninterrupted run continues
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("samples_per_class=20\nbatch=16\n")
+        run = ["train", "--config", str(cfg), "--out"]
+        assert main(run + [str(tmp_path / "full"), "--steps", "10"]) == 0
+        assert main(run + [str(tmp_path / "first"), "--steps", "4"]) == 0
+        with np.load(tmp_path / "first" / "checkpoint.npz") as z:
+            arrays = {k: z[k] for k in z.files}
+        meta = json.loads(str(arrays["meta_json"]))
+        assert "cov_tap" not in meta and "mean_tap" not in meta
+        arrays["meta_json"] = np.array(json.dumps({**meta, "cov_tap": "h2", "mean_tap": "h1"}))
+        np.savez(tmp_path / "named.npz", **arrays)
+        assert main(run + [str(tmp_path / "resumed"), "--steps", "10",
+                           "--resume", str(tmp_path / "named.npz")]) == 0
+        full = (tmp_path / "full" / "metrics.jsonl").read_bytes().splitlines(keepends=True)
+        assert (tmp_path / "resumed" / "metrics.jsonl").read_bytes() == b"".join(full[4:])
+        assert ((tmp_path / "resumed" / "checkpoint.npz").read_bytes()
+                == (tmp_path / "full" / "checkpoint.npz").read_bytes())
+
+    def test_checkpoint_without_hidden_layer_is_bad_input(self, tmp_path, capsys):
+        # consistent arrays for dims [16, 5]: such a model has no taps to align
+        save_checkpoint(tmp_path / "ck.npz", init_state(RunConfig(), feature_dim=16, num_classes=5))
+        with np.load(tmp_path / "ck.npz") as z:
+            arrays = {k: z[k] for k in z.files if not k[-1].isdigit()}  # no layer arrays
+        arrays.update(dims=np.array([16, 5]), w0=np.zeros((16, 5)), b0=np.zeros(5),
+                      vw0=np.zeros((16, 5)), vb0=np.zeros(5))
+        np.savez(tmp_path / "flat.npz", **arrays)
+        out = tmp_path / "run"
+        assert main(["train", "--steps", "5", "--resume", str(tmp_path / "flat.npz"),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path / "flat.npz") in err and "no hidden layer" in err
+        assert not out.exists()
+
+    def test_init_state_needs_a_hidden_layer(self):
+        with pytest.raises(InvalidInput, match="no hidden layer"):
+            init_state(RunConfig(hidden_dims=()), feature_dim=16, num_classes=5)
 
     @pytest.mark.parametrize("corrupt", [
         lambda a: a.pop("version"),

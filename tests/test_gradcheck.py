@@ -90,17 +90,31 @@ def test_scaled_logcoral_gradients_detected(monkeypatch):
     assert result.errors["logcoral"] > THRESHOLDS["logcoral"]
 
 
+def _sweep_with_logcoral_grads(monkeypatch, value):
+    def filled(le, real=losses.LogEuclidean.grads):
+        return tuple(np.full_like(g, value) for g in real(le))
+    monkeypatch.setattr(losses.LogEuclidean, "grads", filled)
+    return run_gradcheck(dims=(3,), seeds=range(2))
+
+
 def test_nan_gradient_fails(monkeypatch):
     # a NaN gradient has no finite error: it counts as inf and is the worst case
-    def nan_grads(le, real=losses.LogEuclidean.grads):
-        return tuple(np.full_like(g, np.nan) for g in real(le))
-    monkeypatch.setattr(losses.LogEuclidean, "grads", nan_grads)
-    result = run_gradcheck(dims=(3,), seeds=range(2))
+    result = _sweep_with_logcoral_grads(monkeypatch, np.nan)
     assert not result.passed
     assert result.errors["logcoral"] == np.inf
     case = result.worst_case["logcoral"]
     assert case["seed"] == 0 and case["dim"] == 3 and case["cov_s"].shape == (3, 3)
     assert all(result.errors[k] <= THRESHOLDS[k] for k in ("coral", "mean", "cross_entropy"))
+
+
+def test_inf_gradient_fails_without_a_warning(monkeypatch):
+    # inf + -inf along a direction, then inf / inf: reported as an error of inf,
+    # where a numpy warning would raise under the suite's warnings-as-errors
+    result = _sweep_with_logcoral_grads(monkeypatch, np.inf)
+    assert not result.passed
+    assert result.errors["logcoral"] == np.inf
+    case = result.worst_case["logcoral"]
+    assert case["seed"] == 0 and case["dim"] == 3 and case["cov_s"].shape == (3, 3)
 
 
 def test_rel_err_counts_non_finite_as_inf():

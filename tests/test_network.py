@@ -55,26 +55,14 @@ class TestForward:
         with pytest.raises(InvalidInput):
             forward(small_model(), np.zeros((2, 7)))
 
-    def test_taps_address_hidden_layers(self):
-        model = small_model()
-        cache = forward(model, np.zeros((2, 4)))
-        assert cache.tap("h1").shape == (2, 6)
-        assert cache.tap("h2").shape == (2, 5)
-        assert cache.tap("logits").shape == (2, 3)
-        with pytest.raises(InvalidInput):
-            cache.tap("h9")
 
-    @pytest.mark.parametrize("name", ["h0", "z2", "h02", "h 1"])
-    def test_malformed_tap_names_rejected(self, name):
-        # the taps of a 3-layer model are exactly "h1", "h2" and "logits"
-        model = small_model()
-        cache = forward(model, np.zeros((2, 4)))
-        with pytest.raises(InvalidInput):
-            cache.tap(name)
-        with pytest.raises(InvalidInput):
-            backward(model, cache, {name: np.ones((2, 3))})
-        with pytest.raises(InvalidInput):
-            backward(model, cache, {name: np.ones((2, 5))})
+class TestTaps:
+    def test_last_hidden_layer_and_the_one_before(self):
+        # (covariance, mean) layer indices; one hidden layer serves both, none has no taps
+        assert small_model().taps == (1, 0)
+        assert small_model(dims=(4, 6, 3)).taps == (0, 0)
+        with pytest.raises(InvalidInput, match="no hidden layer"):
+            small_model(dims=(3, 2)).taps
 
 
 class TestBackward:
@@ -129,7 +117,10 @@ class TestBackward:
         model = small_model()
         cache = forward(model, np.zeros((2, 4)))
         with pytest.raises(InvalidInput):
-            backward(model, cache, {"h1": np.zeros((3, 6))})
+            backward(model, cache, {0: np.zeros((3, 6))})
+        for layer in (-1, 3):   # no such layer, though (2, 3) is the logits' shape
+            with pytest.raises(InvalidInput):
+                backward(model, cache, {layer: np.zeros((2, 3))})
 
 
 class TestStepObjective:
@@ -238,8 +229,9 @@ def two_pass_step(state, src, tgt, weights):
     model = state.model
     caches = [forward(model, b.data) for b in (src, tgt)]
     olds = [state.stats_source, state.stats_target]
-    taps = [FeatureBatch(c.tap(state.cov_tap)) for c in caches]
-    mean_taps = [FeatureBatch(c.tap(state.mean_tap)) for c in caches]
+    cov_layer, mean_layer = model.taps
+    taps = [FeatureBatch(c.post[cov_layer]) for c in caches]
+    mean_taps = [FeatureBatch(c.post[mean_layer]) for c in caches]
     stats = [update_smoothed(o, batch_covariance(t), batch_mean(m))
              for o, t, m in zip(olds, taps, mean_taps)]
 
@@ -258,11 +250,11 @@ def two_pass_step(state, src, tgt, weights):
         share = 1.0 - olds[k].momentum
         n = mean_taps[k].n
         tap_grads = {
-            state.cov_tap: L.chain_to_features(cov_grad, taps[k], scale=share),
-            state.mean_tap: np.tile(weights.mean * share * mean_grads[k] / n, (n, 1)),
+            cov_layer: L.chain_to_features(cov_grad, taps[k], scale=share),
+            mean_layer: np.tile(weights.mean * share * mean_grads[k] / n, (n, 1)),
         }
         if k == 0:
-            tap_grads["logits"] = weights.classification * cls.grad_source
+            tap_grads[model.num_layers - 1] = weights.classification * cls.grad_source
         dw, db = backward(model, caches[k], tap_grads)
         gw = [a + b for a, b in zip(gw, dw)]
         gb = [a + b for a, b in zip(gb, db)]
@@ -380,7 +372,7 @@ class TestStackedStep:
                            hidden_dims=(8,), eval_every=10)
         dataset = default_dataset(config)
         state = init_state(config, dataset.source.d, config.num_classes)
-        assert state.cov_tap == state.mean_tap == "h1"
+        assert state.model.taps == (0, 0)
         full, full_records = train(config, dataset, state=state)
         assert all(np.isfinite(r["loss_total"]) for r in full_records)
 
