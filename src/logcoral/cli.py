@@ -2,8 +2,8 @@
 
 Subcommands: losses (compare two feature CSVs), gradcheck (finite-difference
 validation), train (one run, metrics + checkpoint), ablate (loss-configuration
-sweep). Exit codes: 0 success, 1 assertion/threshold failure, 2 usage or I/O
-error.
+sweep). Exit codes: 0 success, 1 numerical failure or failed check, 2 bad
+input, usage or I/O error.
 """
 from __future__ import annotations
 
@@ -175,7 +175,7 @@ def cmd_train(args) -> int:
                                         metrics_path=metrics_path,
                                         checkpoint_path=checkpoint_path)
     except (NumericalFailure, NotPositiveDefinite) as exc:
-        print(f"numerical failure: {exc}; last good state saved to {checkpoint_path}",
+        print(f"numerical failure at step {exc.step}: {exc}; last good state saved to {checkpoint_path}",
               file=sys.stderr)
         return 1
     from .network import evaluate
@@ -282,12 +282,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, OSError, InvalidInput) as exc:
+    except (OSError, LogCoralError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except LogCoralError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (ParseError, OSError, InvalidInput)) else 1
 
 
 if __name__ == "__main__":

@@ -1,12 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package. A failure's class is decided
+where its check fires: `InvalidInput` for a value from outside the library,
+`NumericalFailure` for a check on a value the library computed."""
 
 
 class LogCoralError(Exception):
     """Base class for all errors raised by this package."""
 
+    step = None  # `training.train` sets the number of the step that raised
+
 
 class InvalidInput(LogCoralError):
-    """Input violates a documented precondition (shape, range, finiteness)."""
+    """A value from outside the library violates a documented precondition."""
 
 
 class NotPositiveDefinite(LogCoralError):
@@ -18,8 +22,8 @@ class NotPositiveDefinite(LogCoralError):
 
 
 class NumericalFailure(LogCoralError):
-    """An eigendecomposition did not converge, or a value overflowed or became
-    non-finite; component names the layer or loss where that is known."""
+    """A check on a computed value failed: an eigendecomposition did not
+    converge, or a value became non-finite; component names where it failed."""
 
     def __init__(self, message, component=None):
         self.component = component

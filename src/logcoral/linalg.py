@@ -10,9 +10,9 @@ a caller hands in: square, finite, exactly symmetric; every function here but
 `sym_part` takes a SymmetricMatrix only. Matrices this library computes
 itself are symmetric by construction, so they skip those checks through the
 private `SymmetricMatrix._trusted`. A check that a computed value can still
-fail stays where it can fire: `batch_covariance` checks that its product did
-not overflow, `sym_eig` checks finiteness before LAPACK, and `regularize_psd`
-checks that its epsilon is finite.
+fail stays where it can fire and raises `NumericalFailure`: `batch_covariance`
+checks that its product did not overflow, and `sym_eig` checks finiteness
+before LAPACK. `regularize_psd` checks that the caller's epsilon is finite.
 
 `SymmetricMatrix._trusted` may also wrap a stack of matrices (leading axes
 before the last two): `sym_eig`, `spd_eig` and `regularize_psd` take one and
@@ -90,14 +90,15 @@ def sym_eig(m: SymmetricMatrix) -> EigenPair:
     """Ascending eigenvalues and orthonormal eigenvectors as LAPACK's `eigh`
     returns them, column signs included: callers read the vectors only through
     sign-free forms (U f(Sigma) U^T, U_s^T U_t), where a flipped column cancels.
-    A stack gives the stacked pairs of one `eigh` call."""
+    A stack gives the stacked pairs of one `eigh` call. A non-finite (so
+    computed) matrix, or an `eigh` that fails, raises NumericalFailure."""
     a = _data(m)
     if not np.all(np.isfinite(a)):
-        raise InvalidInput("matrix has non-finite entries")
+        raise NumericalFailure("matrix has non-finite entries", component="sym_eig")
     try:
         values, vectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"eigendecomposition failed to converge: {exc}") from exc
+        raise NumericalFailure(f"eigendecomposition failed to converge: {exc}", component="sym_eig") from exc
     values.setflags(write=False)
     vectors.setflags(write=False)
     return EigenPair(values=values, vectors=vectors)

@@ -5,22 +5,13 @@ through moving-average statistics. `step_objective` is that objective, pure in
 the training state; `train_step` applies its gradients."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import InvalidInput, NumericalFailure
 from . import losses as L
 from .stats import FeatureBatch, SmoothedStats, batch_covariance, batch_mean, update_smoothed
-
-
-def _relu(x):
-    return np.maximum(x, 0.0)
-
-
-def _relu_grad(x):
-    return (x > 0.0).astype(float)
 
 
 @dataclass
@@ -64,10 +55,9 @@ class MlpModel:
 
 @dataclass
 class ForwardCache:
-    """Per-layer pre-activations and activations kept for the backward pass."""
+    """The inputs and each layer's output, kept for the backward pass."""
 
     inputs: np.ndarray
-    pre: list
     post: list  # post[i] is the output of layer i (activation applied except last)
 
 
@@ -75,14 +65,13 @@ def forward(model: MlpModel, x: np.ndarray) -> ForwardCache:
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != model.dims[0]:
         raise InvalidInput(f"input has shape {x.shape}, model expects (*, {model.dims[0]})")
-    pre, post = [], []
+    post = []
     a = x
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
         z = a @ w + b
-        pre.append(z)
-        a = z if i == model.num_layers - 1 else _relu(z)
+        a = z if i == model.num_layers - 1 else np.maximum(z, 0.0)
         post.append(a)
-    return ForwardCache(inputs=x, pre=pre, post=post)
+    return ForwardCache(inputs=x, post=post)
 
 
 def backward(model: MlpModel, cache: ForwardCache, tap_grads: dict):
@@ -103,7 +92,7 @@ def backward(model: MlpModel, cache: ForwardCache, tap_grads: dict):
             gw[i], gb[i] = np.zeros_like(model.weights[i]), np.zeros_like(model.biases[i])
             continue
         if i < n_layers - 1:
-            delta = delta * _relu_grad(cache.pre[i])
+            delta = delta * (cache.post[i] > 0.0)  # the rectifier passes where its output is positive
         a_in = cache.inputs if i == 0 else cache.post[i - 1]
         gw[i] = a_in.T @ delta
         gb[i] = delta.sum(axis=0)
@@ -118,15 +107,15 @@ class TrainState:
     hold the smoothed covariance and mean at the model's taps."""
 
     model: MlpModel
-    lr: float = 1e-3
-    opt_momentum: float = 0.9
-    velocity_w: list = field(default_factory=list)
-    velocity_b: list = field(default_factory=list)
-    stats_source: Optional[SmoothedStats] = None
-    stats_target: Optional[SmoothedStats] = None
-    step: int = 0
-    rng: Optional[np.random.Generator] = None
-    epsilon: float = 0.0  # 0 -> scale-relative default, see losses.resolve_epsilon
+    lr: float
+    opt_momentum: float
+    velocity_w: list
+    velocity_b: list
+    stats_source: SmoothedStats
+    stats_target: SmoothedStats
+    step: int
+    rng: np.random.Generator
+    epsilon: float  # 0 -> scale-relative default, see losses.resolve_epsilon
 
 
 def _forward_pair(model: MlpModel, source: FeatureBatch, target: FeatureBatch) -> ForwardCache:
@@ -143,7 +132,7 @@ def _split_tap(cache: ForwardCache, layer: int, n_source: int) -> tuple:
     nonempty because the batches they came from are."""
     h = cache.post[layer]
     if not np.all(np.isfinite(h)):
-        raise InvalidInput(f"layer {layer} has non-finite activations")
+        raise NumericalFailure(f"layer {layer} has non-finite activations", component=f"layer{layer}")
     return FeatureBatch._trusted(h[:n_source]), FeatureBatch._trusted(h[n_source:])
 
 

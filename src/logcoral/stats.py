@@ -9,9 +9,9 @@ nonnegative numbers below 2**63, one per row. Batches the library cuts from
 arrays it already checked (the rows a training step samples, the source and
 target halves of a tap) skip those checks through the private
 `FeatureBatch._trusted`. `batch_covariance`, the training step's covariance
-too, checks that its product did not overflow, since finite features can have
-an infinite covariance; its result and the moving averages are symmetric by
-construction and skip the `SymmetricMatrix` checks.
+too, raises `NumericalFailure` if its product overflows, since finite features
+can have an infinite covariance; its result and the moving averages are
+symmetric by construction and skip the `SymmetricMatrix` checks.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .exceptions import InvalidInput
+from .exceptions import InvalidInput, NumericalFailure
 from .linalg import SymmetricMatrix, _symmetrize
 
 
@@ -86,13 +86,14 @@ def _class_labels(lab: np.ndarray) -> np.ndarray:
 def batch_covariance(b: FeatureBatch) -> SymmetricMatrix:
     """Sample covariance with 1/(n-1) normalization, computed from centred
     rows as (D - 1 mu^T)^T (D - 1 mu^T) / (n - 1), which stays accurate at
-    large mean offsets."""
+    large mean offsets; NumericalFailure if that product overflows."""
     if b.n < 2:
         raise InvalidInput(f"covariance needs at least 2 rows, got {b.n}")
     centered = b.data - b.data.mean(axis=0)
     cov = _symmetrize(centered.T @ centered / (b.n - 1))
     if not np.all(np.isfinite(cov)):
-        raise InvalidInput("covariance has non-finite entries: the feature values overflow it")
+        raise NumericalFailure("covariance has non-finite entries: the feature values overflow it",
+                               component="batch_covariance")
     return SymmetricMatrix._trusted(cov)
 
 

@@ -176,7 +176,7 @@ def init_state(config: RunConfig, feature_dim: int, num_classes: int) -> TrainSt
         velocity_b=[np.zeros_like(b) for b in model.biases],
         stats_source=SmoothedStats(momentum=config.momentum),
         stats_target=SmoothedStats(momentum=config.momentum),
-        rng=rng,
+        step=0, rng=rng,
         epsilon=config.epsilon,
     )
 
@@ -197,8 +197,9 @@ def source_classes(dataset: D.DatasetPair) -> int:
 
 
 def check_fit(model: MlpModel, dataset: D.DatasetPair) -> None:
-    """Raise InvalidInput unless the model takes the dataset's features and
-    has an output for each of its source classes."""
+    """Raise InvalidInput unless the model has taps (`MlpModel.taps`), takes
+    the dataset's features and has an output for each of its source classes."""
+    model.taps  # raises without a hidden layer
     num_classes = source_classes(dataset)
     if model.dims[0] != dataset.source.d or model.dims[-1] < num_classes:
         raise InvalidInput(f"model dims {model.dims} do not fit {dataset.source.d} "
@@ -208,7 +209,9 @@ def check_fit(model: MlpModel, dataset: D.DatasetPair) -> None:
 def train(config: RunConfig, dataset: D.DatasetPair, state: TrainState = None,
           metrics_path=None, checkpoint_path=None):
     """Run (or continue) a training run. Returns (state, records) where
-    records is the list of per-step metric dicts logged by this call."""
+    records is the list of per-step metric dicts logged by this call. A step
+    that raises leaves the last completed state, in the checkpoint too, and
+    re-raises its exception with its class kept and its step set."""
     if state is None:
         state = init_state(config, dataset.source.d, source_classes(dataset))
     else:
@@ -229,10 +232,7 @@ def train(config: RunConfig, dataset: D.DatasetPair, state: TrainState = None,
                 state.rng.bit_generator.state = rng_state
                 if checkpoint_path:
                     save_checkpoint(checkpoint_path, state)
-                if isinstance(exc, InvalidInput):
-                    # the inputs fit the model (checked above), so a value the
-                    # step rejects is one it computed: a diverging run overflowed
-                    raise NumericalFailure(f"step {state.step + 1} overflowed: {exc}") from exc
+                exc.step = state.step + 1
                 raise
             record = {"step": state.step, **report}
             # purely step-periodic so an interrupted + resumed run logs the

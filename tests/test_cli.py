@@ -168,6 +168,17 @@ class TestLossesCommand:
         captured = capsys.readouterr()
         assert "epsilon" in captured.err and captured.out == ""
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+    def test_overflowing_covariance_is_a_numerical_failure(self, tmp_path, capsys):
+        # finite features, read without error, whose covariance overflows
+        rng = np.random.default_rng(3)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        save_csv(a, FeatureBatch(rng.standard_normal((20, 3)) * 1e200))
+        save_csv(b, FeatureBatch(rng.standard_normal((20, 3))))
+        assert main(["losses", str(a), str(b)]) == 1
+        captured = capsys.readouterr()
+        assert "covariance has non-finite entries" in captured.err and captured.out == ""
+
     def test_missing_file_exit_2(self, tmp_path, capsys):
         rc = main(["losses", str(tmp_path / "absent.csv"), str(tmp_path / "absent.csv")])
         assert rc == 2
@@ -331,6 +342,17 @@ class TestTrainCommand:
                      "--out", str(out)]) == 1
         assert "last good state saved" in capsys.readouterr().err
         assert (out / "checkpoint.npz").read_bytes() == (tmp_path / "big.npz").read_bytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+    def test_numerical_failure_names_its_step(self, tmp_path, capsys):
+        state = init_state(RunConfig(), feature_dim=16, num_classes=5)
+        state.model.weights = [w * 1e200 for w in state.model.weights]
+        save_checkpoint(tmp_path / "big.npz", state)
+        assert main(["train", "--steps", "5", "--resume", str(tmp_path / "big.npz"),
+                     "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure at step 1: layer 1 has non-finite activations;")
 
     def test_resume_into_wrong_dims_is_bad_input(self, tmp_path, capsys):
         save_checkpoint(tmp_path / "small.npz",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from logcoral.exceptions import InvalidInput, NotPositiveDefinite
+from logcoral.exceptions import InvalidInput, NotPositiveDefinite, NumericalFailure
 from logcoral.linalg import (
     SymmetricMatrix,
     default_epsilon,
@@ -86,8 +86,9 @@ class TestSymEig:
 
     def test_nonfinite_computed_matrix_rejected(self):
         # a computed matrix skips the constructor's checks, and can overflow
-        with pytest.raises(InvalidInput):
+        with pytest.raises(NumericalFailure) as exc:
             sym_eig(SymmetricMatrix._trusted(np.array([[np.inf, 0.0], [0.0, 1.0]])))
+        assert exc.value.component == "sym_eig"
 
 
 @pytest.mark.parametrize("call", [sym_eig, spd_eig, lambda a: regularize_psd(a, 0.1), default_epsilon,

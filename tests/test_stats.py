@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from logcoral.exceptions import InvalidInput
+from logcoral.exceptions import InvalidInput, NumericalFailure
 from logcoral.linalg import SymmetricMatrix
 from logcoral.stats import (
     FeatureBatch,
@@ -116,8 +116,9 @@ class TestBatchCovariance:
     def test_overflowing_product_rejected(self):
         # finite features whose outer products overflow to inf
         x = np.random.default_rng(10).standard_normal((5, 3)) * 1e200
-        with pytest.raises(InvalidInput):
+        with pytest.raises(NumericalFailure) as exc:
             batch_covariance(FeatureBatch(x))
+        assert exc.value.component == "batch_covariance"
 
     def test_single_row_rejected(self):
         with pytest.raises(InvalidInput):

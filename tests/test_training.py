@@ -4,12 +4,16 @@ import json
 import numpy as np
 import pytest
 
-from logcoral.exceptions import InvalidInput
+from logcoral.exceptions import InvalidInput, NumericalFailure
+from logcoral.linalg import SymmetricMatrix
+from logcoral.network import MlpModel, TrainState
+from logcoral.stats import SmoothedStats
 from logcoral.training import (
     ABLATION_CONFIGS,
     RunConfig,
     ablate,
     default_dataset,
+    init_state,
     load_checkpoint,
     save_checkpoint,
     train,
@@ -68,6 +72,43 @@ class TestTrain:
         source = dataclasses.replace(pair.source, labels=labels)
         with pytest.raises(InvalidInput, match=f"source label {2 ** 50} gives"):
             train(cfg, dataclasses.replace(pair, source=source))
+
+
+class TestFailureClass:
+    """A step's failure keeps the class its check gave it, and names the step."""
+
+    def test_mismatched_statistics_are_bad_input(self):
+        cfg = short_config()
+        state = init_state(cfg, feature_dim=16, num_classes=5)
+        state.stats_source = SmoothedStats(momentum=0.9, cov=SymmetricMatrix(np.eye(3)), mean=np.zeros(3))
+        with pytest.raises(InvalidInput, match="does not match state") as exc:
+            train(cfg, default_dataset(cfg), state=state)
+        assert exc.value.step == 1 and state.step == 0
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+    def test_overflow_names_its_layer_and_step(self):
+        cfg = short_config()
+        state = init_state(cfg, feature_dim=16, num_classes=5)
+        state.model.weights = [w * 1e200 for w in state.model.weights]
+        with pytest.raises(NumericalFailure, match="layer 1 has non-finite activations") as exc:
+            train(cfg, default_dataset(cfg), state=state)
+        assert exc.value.component == "layer1"
+        assert exc.value.step == 1
+
+    def test_state_without_hidden_layer_is_bad_input(self, tmp_path):
+        # a state built by hand, not by init_state or load_checkpoint
+        cfg = short_config()
+        model = MlpModel.init([16, 5], np.random.default_rng(0))
+        state = TrainState(model=model, lr=cfg.lr, opt_momentum=cfg.opt_momentum,
+                           velocity_w=[np.zeros_like(w) for w in model.weights],
+                           velocity_b=[np.zeros_like(b) for b in model.biases],
+                           stats_source=SmoothedStats(), stats_target=SmoothedStats(),
+                           step=0, rng=np.random.default_rng(0), epsilon=cfg.epsilon)
+        with pytest.raises(InvalidInput, match="no hidden layer") as exc:
+            train(cfg, default_dataset(cfg), state=state, checkpoint_path=tmp_path / "ck.npz")
+        assert exc.value.step is None  # raised before any step
+        assert not (tmp_path / "ck.npz").exists()
 
 
 class TestCheckpoint:
