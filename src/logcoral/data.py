@@ -7,8 +7,9 @@ and second-order (rotation/scale) shift can be dialed independently.
 """
 from __future__ import annotations
 
-from array import array
+import re
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -142,52 +143,52 @@ def save_csv(path, batch: FeatureBatch, header: Optional[str] = None):
 
 
 def load_csv(path, has_labels: bool = False) -> FeatureBatch:
-    """Parse a feature CSV. '#' lines are comments; when has_labels, the last
-    column is the integer label. A UTF-8 byte-order mark is skipped.
-
-    Cells are parsed with float() straight into one float64 buffer, which the
-    returned batch's data is a view of, so ingest peaks at about 1.1x the
-    array. Every error is a ParseError naming the file and, for a bad row,
-    its line: a ragged row, a cell that does not parse, a non-finite value,
-    a negative label, a label beyond int64, or a label with no feature
-    column before it."""
-    values = array("d")
-    rows = array("q")  # the file line of each data row
-    labels = array("q")
-    width = None
+    """Parse a feature CSV with numpy's C reader, `np.loadtxt`. '#' starts a
+    comment anywhere on a line; a line empty before its '#' holds no row. When
+    has_labels, the last column is the label, parsed as an exact int64. A UTF-8
+    byte-order mark is skipped; underscores in numbers (1_0) are not accepted.
+    The features are a view of the one parsed table: ingest peaks at about 1.2x
+    the array. Every error is a ParseError naming the file and, for a bad row,
+    its line: a ragged row, a cell that does not parse, a label that is not an
+    int64 or is negative, a non-finite value, or a label with no feature column."""
     try:
         f = open(path, "r", encoding="utf-8-sig")
     except OSError as exc:
         raise ParseError(f"cannot open: {exc.strerror or exc}", path=path)
     with f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            cells = line.split(",")
-            if width is None:
-                width = len(cells)
-                if has_labels and width == 1:
-                    raise ParseError("feature data must be non-empty: the label is the only column",
-                                     line=lineno, path=path)
-            elif len(cells) != width:
-                raise ParseError(f"expected {width} columns, got {len(cells)}", line=lineno, path=path)
-            try:
-                if has_labels:
-                    label = int(cells.pop())
-                    if label < 0:
-                        raise ParseError(f"labels must be nonnegative, got {label}", line=lineno, path=path)
-                    labels.append(label)
-                values.extend(map(float, cells))
-            except (ValueError, OverflowError) as exc:  # OverflowError: a label beyond int64
-                raise ParseError(str(exc), line=lineno, path=path)
-            rows.append(lineno)
-    if not rows:
-        raise ParseError("no data rows", path=path)
-    data = np.frombuffer(values).reshape(len(rows), width - has_labels)
-    finite = np.isfinite(data).all(axis=1)
-    if not finite.all():
-        bad = int(finite.argmin())
-        cell = data[bad][~np.isfinite(data[bad])][0]
-        raise ParseError(f"feature values must be finite, got {cell}", line=rows[bad], path=path)
-    return FeatureBatch(data, labels=np.frombuffer(labels, dtype=np.int64) if has_labels else None)
+        lineno, first = _row(f, 0) or (None, None)
+        if first is None:  # checked here: numpy warns on an input with no rows
+            raise ParseError("no data rows", path=path)
+        width = first.split("#", 1)[0].count(",") + 1
+        if has_labels and width == 1:
+            raise ParseError("feature data must be non-empty: the label is the only column", line=lineno, path=path)
+        dtype = [("x", np.float64, (width - 1,)), ("y", np.int64)] if has_labels else np.float64
+        f.seek(0)
+        try:
+            table = np.loadtxt(f, dtype=dtype, delimiter=",", comments="#", ndmin=1 if has_labels else 2)
+        except ValueError as exc:
+            text = str(exc).split("; use `usecols`")[0]  # numpy's advice, not ours
+            found = re.search(r" at row (\d+)(, column \d+)?\.?$", text)
+            if found is None:
+                raise ParseError(text, path=path)
+            # numpy counts rows from 0 in a cell's message and from 1 in a ragged row's
+            row = int(found[1]) - (not text.startswith("could not convert"))
+            raise ParseError(text[:found.start()] + (found[2] or ""), line=_row(f, row)[0], path=path)
+        data, labels = (table["x"], table["y"]) if has_labels else (table, None)
+        if has_labels and (labels < 0).any():
+            bad = int(np.argmax(labels < 0))
+            raise ParseError(f"labels must be nonnegative, got {labels[bad]}", line=_row(f, bad)[0], path=path)
+        finite = np.isfinite(data).all(axis=1)
+        if not finite.all():
+            bad = int(finite.argmin())
+            cell = data[bad][~np.isfinite(data[bad])][0]
+            raise ParseError(f"feature values must be finite, got {cell}", line=_row(f, bad)[0], path=path)
+    return FeatureBatch._trusted(data, labels)
+
+
+def _row(f, row: int):
+    """(file line, text) of data row `row`, counted from 0, of the open file f, or None
+    past the last; by loadtxt's rule, a line empty before its first '#' holds no row."""
+    f.seek(0)
+    rows = ((n, line) for n, line in enumerate(f, start=1) if line.split("#", 1)[0] not in ("", "\n"))
+    return next(islice(rows, row, None), None)

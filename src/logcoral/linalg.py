@@ -11,8 +11,8 @@ a caller hands in: square, finite, exactly symmetric; every function here but
 itself are symmetric by construction, so they skip those checks through the
 private `SymmetricMatrix._trusted`. A check that a computed value can still
 fail stays where it can fire and raises `NumericalFailure`: `batch_covariance`
-checks that its product did not overflow, and `sym_eig` checks finiteness
-before LAPACK. `regularize_psd` checks that the caller's epsilon is finite.
+checks that its product did not overflow, `sym_eig` checks finiteness
+before LAPACK, and `matrix_exp` and `matrix_log` check their results. `regularize_psd` checks that the caller's epsilon is finite.
 
 `SymmetricMatrix._trusted` may also wrap a stack of matrices (leading axes
 before the last two): `sym_eig`, `spd_eig` and `regularize_psd` take one and
@@ -152,14 +152,21 @@ def spectral_apply(vectors: np.ndarray, f_values: np.ndarray) -> np.ndarray:
 
 def matrix_log(m: SymmetricMatrix) -> SymmetricMatrix:
     """Principal logarithm of an SPD matrix: U log(Sigma) U^T."""
-    pair = spd_eig(m)
-    return SymmetricMatrix(spectral_apply(pair.vectors, np.log(pair.values)))
+    return _spectral_function(spd_eig(m), np.log, "matrix_log")
 
 
 def matrix_exp(m: SymmetricMatrix) -> SymmetricMatrix:
     """Exponential of a symmetric matrix: U exp(Sigma) U^T."""
-    pair = sym_eig(m)
-    return SymmetricMatrix(spectral_apply(pair.vectors, np.exp(pair.values)))
+    return _spectral_function(sym_eig(m), np.exp, "matrix_exp")
+
+
+def _spectral_function(pair: EigenPair, f, component: str) -> SymmetricMatrix:
+    """U f(Sigma) U^T, symmetric; NumericalFailure naming component if not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        out = spectral_apply(pair.vectors, f(pair.values))
+    if not np.all(np.isfinite(out)):
+        raise NumericalFailure(f"{component} result has non-finite entries", component=component)
+    return SymmetricMatrix._trusted(out)
 
 
 def matrix_log_backward(vectors: np.ndarray, values: np.ndarray, upstream_eig: np.ndarray) -> np.ndarray:

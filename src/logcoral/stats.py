@@ -49,11 +49,11 @@ class FeatureBatch:
 
     @classmethod
     def _trusted(cls, data: np.ndarray, labels: Optional[np.ndarray] = None) -> "FeatureBatch":
-        """Wrap rows the library cut from checked arrays, without the
-        constructor's checks. The caller guarantees what those checks
-        enforce: data is a finite 2-D float ndarray with at least one row
-        and one column, and labels is None or a nonnegative integer ndarray
-        with one entry per row."""
+        """Wrap arrays the library checked itself (rows cut from checked
+        arrays, or a parsed CSV) without the constructor's checks. The caller
+        guarantees what those checks enforce: data is a finite 2-D float
+        ndarray with at least one row and one column, and labels is None or a
+        nonnegative integer ndarray with one entry per row."""
         b = object.__new__(cls)
         object.__setattr__(b, "data", data)
         object.__setattr__(b, "labels", labels)

@@ -135,6 +135,62 @@ class TestCsv:
             load_csv(path)
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize("last", ["5,x,1", "5,6"], ids=["bad_cell", "ragged_row"])
+    @pytest.mark.parametrize("has_labels", [True, False], ids=["labelled", "unlabelled"])
+    def test_bad_row_after_comment_and_blank_names_its_line(self, tmp_path, last, has_labels):
+        # numpy numbers a bad cell's data row from 0 and a ragged row from 1
+        path = tmp_path / "f.csv"
+        path.write_text(f"# h\n1,2,0\n\n3,4,1\n{last}\n")
+        with pytest.raises(ParseError) as exc:
+            load_csv(path, has_labels=has_labels)
+        assert exc.value.line == 5 and exc.value.path == path
+        assert " at row " not in str(exc.value) and "usecols" not in str(exc.value)
+
+    @pytest.mark.parametrize("text, words", [
+        ("1,2,3\n1,,3\n", "''"),
+        ("1,2\n  \n3,4\n", "columns"),
+        ("1,2\n1_0,2\n", "'1_0'"),
+        ("1,2\n1;2 at row 7,3\n", "'1;2 at row 7'"),
+    ], ids=["empty_cell", "line_of_spaces", "underscore", "cell_text_like_numpy_message"])
+    def test_unparsed_line_is_named(self, tmp_path, text, words):
+        path = tmp_path / "f.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError) as exc:
+            load_csv(path)
+        assert exc.value.line == 2 and words in str(exc.value)
+
+    def test_comment_after_data(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("1.0,2.0,0 # first row\n3.0,4.0,1#second\n")
+        batch = load_csv(path, has_labels=True)
+        assert np.array_equal(batch.data, [[1.0, 2.0], [3.0, 4.0]])
+        assert np.array_equal(batch.labels, [0, 1])
+
+    @pytest.mark.parametrize("text, has_labels, data", [
+        ("1.0,2.0,3\n", True, [[1.0, 2.0]]),
+        ("1.0,2.0,3.0\n", False, [[1.0, 2.0, 3.0]]),
+        ("1.0\n2.0\n3.0\n", False, [[1.0], [2.0], [3.0]]),
+    ], ids=["one_labelled_row", "one_unlabelled_row", "one_unlabelled_column"])
+    def test_one_row_or_column_stays_2d(self, tmp_path, text, has_labels, data):
+        path = tmp_path / "f.csv"
+        path.write_text(text)
+        batch = load_csv(path, has_labels=has_labels)
+        assert batch.data.shape == np.shape(data) and np.array_equal(batch.data, data)
+        assert batch.labels is None if not has_labels else np.array_equal(batch.labels, [3])
+
+    def test_labelled_features_are_the_leading_columns(self, tmp_path):
+        rng = np.random.default_rng(8)
+        x = np.maximum(rng.standard_normal((64, 9)), 0.0)
+        path = tmp_path / "f.csv"
+        np.savetxt(path, np.column_stack([x, rng.integers(0, 3, 64)]), delimiter=",",
+                   fmt=["%.17g"] * 9 + ["%d"])
+        labelled, whole = load_csv(path, has_labels=True), load_csv(path)
+        assert not labelled.data.flags.c_contiguous  # a strided view of the parsed table
+        assert np.ascontiguousarray(labelled.data).tobytes() == np.ascontiguousarray(whole.data[:, :-1]).tobytes()
+        assert np.array_equal(labelled.labels, whole.data[:, -1])
+        copy = FeatureBatch(np.ascontiguousarray(labelled.data), labels=labelled.labels)
+        assert np.array_equal(batch_covariance(labelled).data, batch_covariance(copy).data)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):
             load_csv(tmp_path / "nope.csv")
@@ -143,8 +199,8 @@ class TestCsv:
         ("1.0,2.0,0\n3.0,nan,1\n", 2, "finite, got nan"),
         ("# h\n1.0,2.0,0\n\n1e999,4.0,1\n", 4, "finite, got inf"),
         ("1.0,2.0,0\n3.0,4.0,-1\n", 2, "nonnegative"),
-        ("1.0,2.0,0\n3.0,4.0,1.5\n", 2, "invalid literal"),
-        ("1.0,2.0,0\n3.0,4.0,9223372036854775808\n", 2, "int too big"),
+        ("1.0,2.0,0\n3.0,4.0,1.5\n", 2, "'1.5'"),
+        ("1.0,2.0,0\n3.0,4.0,9223372036854775808\n", 2, "'9223372036854775808'"),
         ("0\n1\n", 1, "feature data must be non-empty"),
         ("# only a comment\n", None, "no data rows"),
     ], ids=["nan", "inf", "negative_label", "fractional_label", "huge_label", "label_only", "no_rows"])

@@ -229,6 +229,16 @@ class TestMatrixLogExp:
         out = matrix_log(m).data
         assert np.array_equal(out, out.T)
 
+    def test_exp_output_exactly_symmetric_and_read_only(self):
+        out = matrix_exp(rand_sym(np.random.default_rng(12), 8)).data
+        assert np.array_equal(out, out.T) and not out.flags.writeable
+
+    def test_exp_overflow_is_a_numerical_failure(self):
+        # exp(1000) overflows: a computed value, so no InvalidInput and no warning
+        with pytest.raises(NumericalFailure) as exc:
+            matrix_exp(SymmetricMatrix(np.diag([1000.0, 0.0])))
+        assert exc.value.component == "matrix_exp"
+
 
 class TestSymDiagParts:
     def test_sym_part(self):
