@@ -2,8 +2,8 @@
 
 Subcommands: losses (compare two feature CSVs), gradcheck (finite-difference
 validation), train (one run, metrics + checkpoint), ablate (loss-configuration
-sweep). Exit codes: 0 success, 1 numerical failure or failed check, 2 bad
-input, usage or I/O error.
+sweep). Exit codes: 0 success, 1 a failed check or `NumericalFailure` (with
+`NotPositiveDefinite`), 2 bad input (`InvalidInput`, with `ParseError`), usage or I/O error.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import numpy as np
 
 from . import data as D
 from . import training
-from .exceptions import LogCoralError, NotPositiveDefinite, NumericalFailure, ParseError, InvalidInput
+from .exceptions import LogCoralError, NumericalFailure, ParseError, InvalidInput
 from .gradcheck import THRESHOLDS, run_gradcheck
 from .losses import LossWeights, coral_loss, log_euclidean, mean_loss, resolve_epsilon
 from .stats import batch_covariance, batch_mean
@@ -28,9 +28,9 @@ WEIGHT_KEYS = {"cls": "classification", "classification": "classification",
 
 def parse_weights(text: str) -> LossWeights:
     """Parse 'cls=1,logcoral=1,mean=0.5' into LossWeights. Values are
-    multipliers of each loss's calibrated base scale; unmentioned losses
-    default to zero, except classification which defaults to 1."""
-    values = {"classification": 1.0, "coral": 0.0, "logcoral": 0.0, "mean": 0.0}
+    multipliers of each loss's calibrated base scale; unmentioned losses take
+    `LossWeights.from_multipliers`' defaults: 1 for classification, else 0."""
+    values = {}
     for item in text.split(","):
         item = item.strip()
         if not item:
@@ -174,7 +174,7 @@ def cmd_train(args) -> int:
         state, records = training.train(config, dataset, state=state,
                                         metrics_path=metrics_path,
                                         checkpoint_path=checkpoint_path)
-    except (NumericalFailure, NotPositiveDefinite) as exc:
+    except NumericalFailure as exc:
         print(f"numerical failure at step {exc.step}: {exc}; last good state saved to {checkpoint_path}",
               file=sys.stderr)
         return 1
@@ -284,7 +284,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (OSError, LogCoralError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, (ParseError, OSError, InvalidInput)) else 1
+        return 2 if isinstance(exc, (OSError, InvalidInput)) else 1
 
 
 if __name__ == "__main__":

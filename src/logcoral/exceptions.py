@@ -1,6 +1,6 @@
-"""Exception types shared across the package. A failure's class is decided
-where its check fires: `InvalidInput` for a value from outside the library,
-`NumericalFailure` for a check on a value the library computed."""
+"""Exception types shared across the package, in two families decided where the check fires:
+`InvalidInput` (and `ParseError`) for a value from outside the library, `NumericalFailure` (and
+`NotPositiveDefinite`) for a check on a computed value, which no numpy warning precedes."""
 
 
 class LogCoralError(Exception):
@@ -13,14 +13,6 @@ class InvalidInput(LogCoralError):
     """A value from outside the library violates a documented precondition."""
 
 
-class NotPositiveDefinite(LogCoralError):
-    """Matrix has a non-positive eigenvalue where SPD is required."""
-
-    def __init__(self, eigenvalue, message=None):
-        self.eigenvalue = eigenvalue
-        super().__init__(message or f"matrix is not positive definite: eigenvalue {eigenvalue!r} <= 0")
-
-
 class NumericalFailure(LogCoralError):
     """A check on a computed value failed: an eigendecomposition did not
     converge, or a value became non-finite; component names where it failed."""
@@ -30,7 +22,15 @@ class NumericalFailure(LogCoralError):
         super().__init__(message)
 
 
-class ParseError(LogCoralError):
+class NotPositiveDefinite(NumericalFailure):
+    """A spectrum a logarithm needs has an eigenvalue <= 0 (component "spd_eig")."""
+
+    def __init__(self, eigenvalue):
+        self.eigenvalue = eigenvalue
+        super().__init__(f"matrix is not positive definite: eigenvalue {eigenvalue!r} <= 0", component="spd_eig")
+
+
+class ParseError(InvalidInput):
     """Malformed external data file; carries the file and the offending line
     number, where they are known."""
 

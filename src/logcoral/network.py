@@ -118,14 +118,6 @@ class TrainState:
     epsilon: float  # 0 -> scale-relative default, see losses.resolve_epsilon
 
 
-def _forward_pair(model: MlpModel, source: FeatureBatch, target: FeatureBatch) -> ForwardCache:
-    """One forward over the source rows stacked on the target rows. No layer
-    couples rows, so each row's activations are those of its own pass."""
-    if source.d != target.d:
-        raise InvalidInput(f"source and target feature dims differ: {source.d} vs {target.d}")
-    return forward(model, np.concatenate([source.data, target.data]))
-
-
 def _split_tap(cache: ForwardCache, layer: int, n_source: int) -> tuple:
     """The source and target rows of one layer's output, as feature batches.
     The stacked output is checked for finiteness once; both halves are
@@ -141,6 +133,7 @@ def _batch_share(old_stats: SmoothedStats) -> float:
     return 1.0 - old_stats.momentum if old_stats.initialized else 1.0
 
 
+@np.errstate(over="ignore", invalid="ignore")  # taps, covariances and loss total are checked
 def step_objective(state: TrainState, source: FeatureBatch, target: FeatureBatch,
                    weights: L.LossWeights) -> tuple:
     """The joint objective of one step, pure in state: the weighted
@@ -150,12 +143,16 @@ def step_objective(state: TrainState, source: FeatureBatch, target: FeatureBatch
     statistics give the objective at fresh batch statistics. Returns (report,
     cache, tap_grads, stats_source, stats_target): report holds all five losses
     whatever their weights; tap_grads the upstream gradients by layer index.
+    No numpy warning precedes the NumericalFailure of a tap, covariance or loss check.
     """
     if source.labels is None:
         raise InvalidInput("source batch must be labeled")
     n = source.n
     cov_layer, mean_layer = state.model.taps
-    cache = _forward_pair(state.model, source, target)
+    if source.d != target.d:
+        raise InvalidInput(f"source and target feature dims differ: {source.d} vs {target.d}")
+    # one forward over the source rows stacked on the target rows: no layer couples rows
+    cache = forward(state.model, np.concatenate([source.data, target.data]))
 
     tap_s, tap_t = _split_tap(cache, cov_layer, n)
     batch_cov_s, batch_cov_t = batch_covariance(tap_s), batch_covariance(tap_t)
@@ -211,14 +208,16 @@ def train_step(state: TrainState, source: FeatureBatch, target: FeatureBatch,
                weights: L.LossWeights) -> tuple:
     """One SGD-with-momentum step on `step_objective`, with one backward over
     the stacked rows. Returns (state, report); a step that raises commits
-    nothing."""
+    nothing. The backward and the update run with numpy's overflow warnings off:
+    a non-finite gradient or velocity makes the new parameters fail `check_finite`."""
     report, cache, taps, stats_s, stats_t = step_objective(state, source, target, weights)
-    gw, gb = backward(state.model, cache, taps)
-    velocity_w = [state.opt_momentum * v - state.lr * g for v, g in zip(state.velocity_w, gw)]
-    velocity_b = [state.opt_momentum * v - state.lr * g for v, g in zip(state.velocity_b, gb)]
-    model = MlpModel(dims=state.model.dims,
-                     weights=[w + v for w, v in zip(state.model.weights, velocity_w)],
-                     biases=[b + v for b, v in zip(state.model.biases, velocity_b)])
+    with np.errstate(over="ignore", invalid="ignore"):  # checked by model.check_finite
+        gw, gb = backward(state.model, cache, taps)
+        velocity_w = [state.opt_momentum * v - state.lr * g for v, g in zip(state.velocity_w, gw)]
+        velocity_b = [state.opt_momentum * v - state.lr * g for v, g in zip(state.velocity_b, gb)]
+        model = MlpModel(dims=state.model.dims,
+                         weights=[w + v for w, v in zip(state.model.weights, velocity_w)],
+                         biases=[b + v for b, v in zip(state.model.biases, velocity_b)])
     model.check_finite()
 
     # commit only now, so a step that raises leaves the last good state

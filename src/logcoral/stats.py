@@ -86,11 +86,12 @@ def _class_labels(lab: np.ndarray) -> np.ndarray:
 def batch_covariance(b: FeatureBatch) -> SymmetricMatrix:
     """Sample covariance with 1/(n-1) normalization, computed from centred
     rows as (D - 1 mu^T)^T (D - 1 mu^T) / (n - 1), which stays accurate at
-    large mean offsets; NumericalFailure if that product overflows."""
+    large mean offsets; NumericalFailure, with no numpy warning, if it overflows."""
     if b.n < 2:
         raise InvalidInput(f"covariance needs at least 2 rows, got {b.n}")
-    centered = b.data - b.data.mean(axis=0)
-    cov = _symmetrize(centered.T @ centered / (b.n - 1))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked at once
+        centered = b.data - b.data.mean(axis=0)
+        cov = _symmetrize(centered.T @ centered / (b.n - 1))
     if not np.all(np.isfinite(cov)):
         raise NumericalFailure("covariance has non-finite entries: the feature values overflow it",
                                component="batch_covariance")

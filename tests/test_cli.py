@@ -168,7 +168,6 @@ class TestLossesCommand:
         captured = capsys.readouterr()
         assert "epsilon" in captured.err and captured.out == ""
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
     def test_overflowing_covariance_is_a_numerical_failure(self, tmp_path, capsys):
         # finite features, read without error, whose covariance overflows
         rng = np.random.default_rng(3)
@@ -329,8 +328,6 @@ class TestTrainCommand:
                     if failed[key].dtype.kind == "f":
                         assert np.all(np.isfinite(failed[key])), key
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
     def test_overflow_is_a_numerical_failure(self, tmp_path, capsys):
         # weights this large overflow the forward pass to inf, as a diverging
         # run's do; that is a failed run (exit 1), not bad input (exit 2)
@@ -343,8 +340,6 @@ class TestTrainCommand:
         assert "last good state saved" in capsys.readouterr().err
         assert (out / "checkpoint.npz").read_bytes() == (tmp_path / "big.npz").read_bytes()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
     def test_numerical_failure_names_its_step(self, tmp_path, capsys):
         state = init_state(RunConfig(), feature_dim=16, num_classes=5)
         state.model.weights = [w * 1e200 for w in state.model.weights]
@@ -661,3 +656,28 @@ def test_python_dash_m_runs_the_cli(feature_files, capsys):
     ran = subprocess.run(run + args, env=env, capture_output=True, text=True, timeout=60)
     assert main(args) == 0
     assert ran.returncode == 0 and ran.stdout == capsys.readouterr().out
+
+
+def test_failure_line_comes_before_any_numpy_warning(tmp_path):
+    # under -W error a numpy warning would raise in place of the library's own check
+    env = dict(os.environ, PYTHONPATH=str(Path(logcoral.__file__).parents[1]))
+    run = [sys.executable, "-W", "error", "-m", "logcoral"]
+    rng = np.random.default_rng(3)
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    save_csv(a, FeatureBatch(rng.standard_normal((20, 3)) * 1e200))
+    save_csv(b, FeatureBatch(rng.standard_normal((20, 3))))
+    losses = subprocess.run(run + ["losses", str(a), str(b)], env=env, capture_output=True, text=True,
+                            timeout=60)
+    assert losses.returncode == 1 and losses.stdout == ""
+    assert losses.stderr == "error: covariance has non-finite entries: the feature values overflow it\n"
+
+    state = init_state(RunConfig(), feature_dim=16, num_classes=5)
+    state.model.weights = [w * 1e200 for w in state.model.weights]
+    save_checkpoint(tmp_path / "big.npz", state)
+    out = tmp_path / "run"
+    trained = subprocess.run(run + ["train", "--steps", "5", "--resume", str(tmp_path / "big.npz"),
+                                    "--out", str(out)], env=env, capture_output=True, text=True, timeout=60)
+    assert trained.returncode == 1 and trained.stdout == ""
+    assert trained.stderr.startswith("numerical failure at step 1: layer 1 has non-finite activations;")
+    assert trained.stderr.count("\n") == 1 and trained.stderr.endswith("\n")
+    assert (out / "checkpoint.npz").read_bytes() == (tmp_path / "big.npz").read_bytes()

@@ -127,6 +127,7 @@ class TestCsv:
         with pytest.raises(ParseError) as exc:
             load_csv(path)
         assert exc.value.line == 2
+        assert isinstance(exc.value, InvalidInput)
 
     def test_non_numeric_cell_reports_line(self, tmp_path):
         path = tmp_path / "f.csv"

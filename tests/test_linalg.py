@@ -105,6 +105,7 @@ class TestSpdEig:
         with pytest.raises(NotPositiveDefinite) as exc:
             spd_eig(SymmetricMatrix(np.diag([2.0, 0.0])))
         assert exc.value.eigenvalue == 0.0
+        assert isinstance(exc.value, NumericalFailure) and exc.value.component == "spd_eig"
 
     def test_shifted_spectrum_floored_at_epsilon(self):
         # rank one: the shifted zero eigenvalues land within rounding of eps, some below it

@@ -112,7 +112,6 @@ class TestBatchCovariance:
         assert np.all(np.isfinite(c.data))
         assert not c.data.flags.writeable
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
     def test_overflowing_product_rejected(self):
         # finite features whose outer products overflow to inf
         x = np.random.default_rng(10).standard_normal((5, 3)) * 1e200

@@ -85,8 +85,6 @@ class TestFailureClass:
             train(cfg, default_dataset(cfg), state=state)
         assert exc.value.step == 1 and state.step == 0
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
     def test_overflow_names_its_layer_and_step(self):
         cfg = short_config()
         state = init_state(cfg, feature_dim=16, num_classes=5)
