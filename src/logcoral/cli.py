@@ -285,7 +285,3 @@ def main(argv=None) -> int:
     except (OSError, LogCoralError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, (OSError, InvalidInput)) else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .exceptions import InvalidInput
+from .exceptions import InvalidInput, NumericalFailure
 from .linalg import (EigenPair, SymmetricMatrix, _add_to_diagonal, default_epsilon, matrix_log_backward,
                      spd_eig, sym_part)
 from .stats import FeatureBatch, _class_labels
@@ -74,13 +74,17 @@ class LossWeights:
 
 
 def coral_loss(cov_s: SymmetricMatrix, cov_t: SymmetricMatrix) -> LossBundle:
-    """Euclidean covariance alignment: ||C_s - C_t||_F^2 / (4 d^2)."""
+    """Euclidean covariance alignment: ||C_s - C_t||_F^2 / (4 d^2); NumericalFailure if it overflows."""
     if cov_s.dim != cov_t.dim:
         raise InvalidInput(f"dimension mismatch: {cov_s.dim} vs {cov_t.dim}")
     d = cov_s.dim
-    diff = cov_s.data - cov_t.data
+    with np.errstate(over="ignore", invalid="ignore"):  # checked at once
+        diff = cov_s.data - cov_t.data
+        value = float(_coral_value(diff))
+    if not np.isfinite(value):
+        raise NumericalFailure("non-finite loss: loss_coral", component="loss_coral")
     grad = diff / (2.0 * d * d)
-    return LossBundle(value=float(_coral_value(diff)), grad_source=grad, grad_target=-grad)
+    return LossBundle(value=value, grad_source=grad, grad_target=-grad)
 
 
 def _coral_value(diff: np.ndarray):
@@ -90,9 +94,9 @@ def _coral_value(diff: np.ndarray):
 
 
 def resolve_epsilon(cov_s: SymmetricMatrix, cov_t: SymmetricMatrix, epsilon: float) -> float:
-    """The epsilon of the Log-Euclidean term in training and `logcoral losses`:
-    epsilon when nonzero, else max(default_epsilon(C_s), default_epsilon(C_t)).
-    `logcoral_loss` takes epsilon as given: there 0 means no shift."""
+    """The epsilon `logcoral losses` reports values at: epsilon when nonzero, else
+    max(default_epsilon(C_s), default_epsilon(C_t)). Training takes RunConfig's
+    positive epsilon as given, and `logcoral_loss` too: there 0 means no shift."""
     return epsilon if epsilon else max(default_epsilon(cov_s), default_epsilon(cov_t))
 
 
@@ -157,16 +161,19 @@ def logcoral_loss(cov_s: SymmetricMatrix, cov_t: SymmetricMatrix, epsilon: float
 
 
 def mean_loss(mean_s: np.ndarray, mean_t: np.ndarray) -> LossBundle:
-    """First-order alignment: ||mu_s - mu_t||^2 / (2 d) on mean vectors."""
-    mean_s = np.asarray(mean_s, dtype=float)
-    mean_t = np.asarray(mean_t, dtype=float)
+    """First-order alignment: ||mu_s - mu_t||^2 / (2 d) on mean vectors; NumericalFailure if it overflows."""
+    mean_s, mean_t = np.asarray(mean_s, dtype=float), np.asarray(mean_t, dtype=float)
     if mean_s.shape != mean_t.shape or mean_s.ndim != 1:
         raise InvalidInput(f"mean vectors must share a 1-D shape, got {mean_s.shape} vs {mean_t.shape}")
-    if mean_s.size == 0:
-        raise InvalidInput("mean vectors must be non-empty")
-    diff = mean_s - mean_t
+    if mean_s.size == 0 or not (np.isfinite(mean_s).all() and np.isfinite(mean_t).all()):
+        raise InvalidInput("mean vectors must be non-empty and finite")
+    with np.errstate(over="ignore", invalid="ignore"):  # checked at once
+        diff = mean_s - mean_t
+        value = float(_mean_value(diff))
+    if not np.isfinite(value):
+        raise NumericalFailure("non-finite loss: loss_mean", component="loss_mean")
     grad = diff / len(diff)
-    return LossBundle(value=float(_mean_value(diff)), grad_source=grad, grad_target=-grad)
+    return LossBundle(value=value, grad_source=grad, grad_target=-grad)
 
 
 def _mean_value(diff: np.ndarray):

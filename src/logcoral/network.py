@@ -115,7 +115,7 @@ class TrainState:
     stats_target: SmoothedStats
     step: int
     rng: np.random.Generator
-    epsilon: float  # 0 -> scale-relative default, see losses.resolve_epsilon
+    epsilon: float  # the Log-CORAL shift of every step; RunConfig keeps it positive, 0 means no shift
 
 
 def _split_tap(cache: ForwardCache, layer: int, n_source: int) -> tuple:
@@ -136,13 +136,13 @@ def _batch_share(old_stats: SmoothedStats) -> float:
 @np.errstate(over="ignore", invalid="ignore")  # taps, covariances and loss total are checked
 def step_objective(state: TrainState, source: FeatureBatch, target: FeatureBatch,
                    weights: L.LossWeights) -> tuple:
-    """The joint objective of one step, pure in state: the weighted
-    classification, CORAL, LogCORAL and mean losses from one forward over the
-    stacked source and target rows, at moving-average statistics whose
-    gradients flow only through the current batch's share. Uninitialized
-    statistics give the objective at fresh batch statistics. Returns (report,
-    cache, tap_grads, stats_source, stats_target): report holds all five losses
-    whatever their weights; tap_grads the upstream gradients by layer index.
+    """The joint objective of one step, pure in state: the weighted classification, CORAL,
+    LogCORAL and mean losses from one forward over the stacked source and target rows, at
+    moving-average statistics whose gradients flow only through the current batch's share,
+    and at the constant shift state.epsilon. Uninitialized statistics give the objective at
+    fresh batch statistics. Returns (report, cache, tap_grads, stats_source, stats_target):
+    report holds all five losses whatever their weights; tap_grads the upstream gradients by
+    layer index, the covariance ones chained to the tap rows by `chain_to_features`.
     No numpy warning precedes the NumericalFailure of a tap, covariance or loss check.
     """
     if source.labels is None:
@@ -164,7 +164,7 @@ def step_objective(state: TrainState, source: FeatureBatch, target: FeatureBatch
 
     cls = L.softmax_cross_entropy(cache.post[-1][:n], source.labels)
     coral = L.coral_loss(cov_s, cov_t)
-    logcoral = L.log_euclidean(cov_s, cov_t, L.resolve_epsilon(cov_s, cov_t, state.epsilon))
+    logcoral = L.log_euclidean(cov_s, cov_t, state.epsilon)
     mean = L.mean_loss(stats_s.mean, stats_t.mean)
 
     report = {

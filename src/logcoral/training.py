@@ -33,9 +33,7 @@ class RunConfig:
     batch: int = 64
     lr: float = 1e-3
     weights: LossWeights = field(default_factory=LossWeights)
-    epsilon: float = 1e-2         # large enough to damp noise eigendirections
-                                  # of low-rank batch covariances; 0 -> scale-
-                                  # relative default, see losses.resolve_epsilon
+    epsilon: float = 1e-2         # the run's one positive Log-CORAL shift; damps low-rank noise
     momentum: float = 0.9         # moving-average momentum of the statistics
     opt_momentum: float = 0.9
     hidden_dims: tuple = (128, 64)
@@ -55,8 +53,8 @@ class RunConfig:
             raise InvalidInput(f"momentum must be in (0, 1), got {self.momentum}")
         if not 0.0 <= self.opt_momentum < 1.0:
             raise InvalidInput(f"optimizer momentum must be in [0, 1), got {self.opt_momentum}")
-        if not 0 <= self.epsilon < np.inf:
-            raise InvalidInput(f"epsilon must be nonnegative and finite, got {self.epsilon}")
+        if not 0 < self.epsilon < np.inf:
+            raise InvalidInput(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.eval_every < 1:
             raise InvalidInput(f"eval_every must be >= 1, got {self.eval_every}")
 
@@ -95,9 +93,11 @@ def _stats_from_npz(domain: str, z: dict, cov_dim: int, mean_dim: int) -> Smooth
 
 
 def _fitted(z: dict, key: str, shape: tuple) -> np.ndarray:
-    """z[key], which must have the shape the checkpoint's dims give it."""
+    """z[key], which must be finite and have the shape the checkpoint's dims give it."""
     if z[key].shape != shape:
         raise InvalidInput(f"{key} has shape {z[key].shape}, but dims give {shape}")
+    if not np.all(np.isfinite(z[key])):
+        raise InvalidInput(f"{key} has non-finite entries")
     return z[key]
 
 
@@ -111,19 +111,16 @@ def save_checkpoint(path, state: TrainState):
         arrays[f"vb{i}"] = state.velocity_b[i]
     _stats_to_npz("s", state.stats_source, arrays)
     _stats_to_npz("t", state.stats_target, arrays)
-    meta = {
-        "lr": state.lr, "opt_momentum": state.opt_momentum,
-        "epsilon": state.epsilon,
-        "rng_state": state.rng.bit_generator.state,
-    }
+    meta = {"lr": state.lr, "opt_momentum": state.opt_momentum, "epsilon": state.epsilon,
+            "rng_state": state.rng.bit_generator.state}
     arrays["meta_json"] = np.array(json.dumps(meta))
     np.savez(path, **arrays)
 
 
 def load_checkpoint(path) -> TrainState:
-    """The state saved at path. Raises InvalidInput naming path if the file is
-    not an .npz, lacks a key, has no hidden layer or arrays that do not fit its
-    dims, or holds an lr, opt_momentum or epsilon that RunConfig rejects."""
+    """The state saved at path. Raises InvalidInput naming path if the file is not an
+    .npz, lacks a key, has no hidden layer, has arrays that are non-finite or do not fit
+    its dims, or holds an lr, opt_momentum or epsilon (0 too) that RunConfig rejects."""
     try:
         with np.load(path, allow_pickle=False) as npz:  # TypeError: a .npy file is no context manager
             arrays = dict(npz)

@@ -35,6 +35,13 @@ def feature_files(tmp_path):
     return a, b
 
 
+def with_first_entry(array, value):
+    """A copy of array whose first entry is value."""
+    out = array.copy()
+    out.flat[0] = value
+    return out
+
+
 class TestParseWeights:
     def test_basic(self):
         w = parse_weights("cls=1,logcoral=1,mean=1")
@@ -441,8 +448,12 @@ class TestTrainCommand:
         lambda a: a.update(cov_s_cov=np.eye(5)),
         *(lambda a, key=key, value=value: a.update(meta_json=np.array(json.dumps(
             {**json.loads(str(a["meta_json"])), key: value})))
-          for key, value in (("lr", float("nan")), ("opt_momentum", 1.5), ("epsilon", -1.0))),
-    ], ids=["no_version", "w1_shape", "vb0_shape", "cov_5x5", "lr_nan", "opt_momentum_1.5", "epsilon_negative"])
+          for key, value in (("lr", float("nan")), ("opt_momentum", 1.5), ("epsilon", -1.0), ("epsilon", 0.0))),
+        lambda a: a.update(w1=with_first_entry(a["w1"], np.nan)),
+        lambda a: a.update(vb0=with_first_entry(a["vb0"], np.inf)),
+        lambda a: a.update(mean_s_mean=with_first_entry(a["mean_s_mean"], np.nan)),
+    ], ids=["no_version", "w1_shape", "vb0_shape", "cov_5x5", "lr_nan", "opt_momentum_1.5", "epsilon_negative",
+            "epsilon_zero", "w1_nan", "vb0_inf", "mean_s_mean_nan"])
     def test_unfit_checkpoint_is_bad_input(self, tmp_path, capsys, corrupt):
         config = RunConfig(steps=3, batch=16, samples_per_class=20)
         save_checkpoint(tmp_path / "ck.npz", train(config, default_dataset(config))[0])
@@ -469,7 +480,7 @@ class TestTrainCommand:
                      str(feature_files[1]), "--out", str(out)]) == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    @pytest.mark.parametrize("eps", ["0", "nan", "inf"])
     def test_bad_epsilon_is_bad_input(self, tmp_path, capsys, eps):
         out = tmp_path / "run"
         assert main(["train", "--steps", "5", "--epsilon", eps, "--out", str(out)]) == 2
@@ -610,6 +621,14 @@ class TestAblateCommand:
         assert "seed must be nonnegative" in captured.err and captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("eps", ["0", "nan"])
+    def test_bad_epsilon_is_bad_input(self, tmp_path, capsys, eps):
+        out = tmp_path / "ab"
+        assert main(["ablate", "--seeds", "1", "--steps", "3", "--epsilon", eps, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "epsilon must be positive" in captured.err and captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("seeds", ["0", "-3"])
     def test_no_seeds_is_bad_input(self, capsys, seeds):
         assert main(["ablate", "--seeds", seeds]) == 2
@@ -670,6 +689,13 @@ def test_failure_line_comes_before_any_numpy_warning(tmp_path):
                             timeout=60)
     assert losses.returncode == 1 and losses.stdout == ""
     assert losses.stderr == "error: covariance has non-finite entries: the feature values overflow it\n"
+    # finite covariances whose CORAL value overflows; with the large mean the mean value overflows too
+    for source in (rng.standard_normal((20, 3)) * 1e100, 3e160 + 1e149 * rng.standard_normal((20, 3))):
+        save_csv(a, FeatureBatch(source))
+        losses = subprocess.run(run + ["losses", str(a), str(b)], env=env, capture_output=True, text=True,
+                                timeout=60)
+        assert losses.returncode == 1 and losses.stdout == ""
+        assert losses.stderr == "error: non-finite loss: loss_coral\n"
 
     state = init_state(RunConfig(), feature_dim=16, num_classes=5)
     state.model.weights = [w * 1e200 for w in state.model.weights]

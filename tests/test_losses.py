@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from logcoral.exceptions import InvalidInput, NotPositiveDefinite
+from logcoral.exceptions import InvalidInput, NotPositiveDefinite, NumericalFailure
 from logcoral.linalg import (
     SymmetricMatrix,
     matrix_log,
@@ -164,6 +164,12 @@ class TestCoralLoss:
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidInput):
             coral_loss(SymmetricMatrix(np.eye(2)), SymmetricMatrix(np.eye(3)))
+
+    @pytest.mark.parametrize("scale", [1e160, 1e308])  # the squared difference overflows; at 1e308 the difference too
+    def test_overflowing_value_is_a_numerical_failure(self, scale):
+        with pytest.raises(NumericalFailure, match="non-finite loss: loss_coral") as exc:
+            coral_loss(SymmetricMatrix(scale * np.eye(2)), SymmetricMatrix(-scale * np.eye(2)))
+        assert exc.value.component == "loss_coral"
 
 
 class TestLogCoralLoss:
@@ -329,6 +335,19 @@ class TestMeanLoss:
     def test_length_mismatch(self):
         with pytest.raises(InvalidInput):
             mean_loss(np.zeros(2), np.zeros(3))
+
+    @pytest.mark.parametrize("means", [([np.nan, 0.0], [0.0, 0.0]), ([0.0, 0.0], [0.0, np.inf])],
+                             ids=["source_nan", "target_inf"])
+    def test_nonfinite_input_is_bad_input(self, means):
+        # a caller's value, so not the NumericalFailure of a computed one
+        with pytest.raises(InvalidInput, match="finite"):
+            mean_loss(np.array(means[0]), np.array(means[1]))
+
+    @pytest.mark.parametrize("scale", [3e160, 1e308])  # the squared difference overflows; at 1e308 the difference too
+    def test_overflowing_value_is_a_numerical_failure(self, scale):
+        with pytest.raises(NumericalFailure, match="non-finite loss: loss_mean") as exc:
+            mean_loss(np.full(3, scale), np.full(3, -scale))
+        assert exc.value.component == "loss_mean"
 
 
 @pytest.mark.parametrize("call", [

@@ -26,9 +26,9 @@ def small_model(seed=0, dims=(4, 6, 5, 3)):
 
 
 def small_state(seed=0, **config):
-    """A fresh training state whose model is small_model(seed). epsilon
-    defaults to 0, the scale-relative default per covariance."""
-    config = {"seed": seed, "hidden_dims": (6, 5), "epsilon": 0.0, **config}
+    """A fresh training state whose model is small_model(seed), at RunConfig's
+    epsilon unless config gives another."""
+    config = {"seed": seed, "hidden_dims": (6, 5), **config}
     return init_state(RunConfig(**config), feature_dim=4, num_classes=3)
 
 
@@ -66,12 +66,13 @@ class TestTaps:
 
 
 class TestBackward:
-    @pytest.mark.parametrize("seed", range(3))
-    def test_full_objective_parameter_gradients(self, seed):
+    # RunConfig's epsilon keeps the bare seed as id; 1e-6 is the scale default_epsilon gives these taps
+    @pytest.mark.parametrize("seed, eps", [(0, 1e-2), (1, 1e-2), (2, 1e-2), (0, 1e-6), (1, 1e-6), (2, 1e-6)],
+                             ids=["0", "1", "2", "0-eps1e-06", "1-eps1e-06", "2-eps1e-06"])
+    def test_full_objective_parameter_gradients(self, seed, eps):
         # finite differences through classification + logcoral + mean path
         rng = np.random.default_rng(seed)
         dims = (4, 6, 5, 3)
-        eps = 1e-2
         # analytic gradients via a single unsmoothed train step
         state = small_state(seed, lr=1.0, opt_momentum=0.0, epsilon=eps)
         # keep pre-activations away from the rectifier kink, where central
@@ -335,8 +336,7 @@ class TestStackedStep:
                                    FeatureBatch(rng.standard_normal((16, 4))), weights)
             assert len(calls) == backwards
             cov_s, cov_t = state.stats_source.cov, state.stats_target.cov
-            eps = L.resolve_epsilon(cov_s, cov_t, state.epsilon)
-            assert report["loss_logcoral"] == L.logcoral_loss(cov_s, cov_t, epsilon=eps).value
+            assert report["loss_logcoral"] == L.logcoral_loss(cov_s, cov_t, epsilon=state.epsilon).value
 
     def test_builds_no_checked_values(self, monkeypatch):
         # a step's matrices and batches are computed, so they skip the

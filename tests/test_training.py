@@ -27,7 +27,7 @@ def short_config(**kw):
 
 
 class TestRunConfig:
-    @pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("eps", [0.0, -1e-3, np.nan, np.inf, -np.inf])
     def test_bad_epsilon_rejected(self, eps):
         with pytest.raises(InvalidInput, match="epsilon"):
             RunConfig(epsilon=eps)
