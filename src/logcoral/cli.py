@@ -18,7 +18,8 @@ from . import data as D
 from . import training
 from .exceptions import LogCoralError, NumericalFailure, ParseError, InvalidInput
 from .gradcheck import THRESHOLDS, run_gradcheck
-from .losses import LossWeights, coral_loss, log_euclidean, mean_loss, resolve_epsilon
+from .linalg import default_epsilon
+from .losses import LossWeights, coral_loss, log_euclidean, mean_loss
 from .stats import batch_covariance, batch_mean
 from .training import RunConfig
 
@@ -103,7 +104,7 @@ def cmd_losses(args) -> int:
     source = D.load_csv(args.source, has_labels=args.labels)
     target = D.load_csv(args.target, has_labels=args.labels)
     cov_s, cov_t = batch_covariance(source), batch_covariance(target)
-    eps = resolve_epsilon(cov_s, cov_t, args.epsilon)
+    eps = args.epsilon or max(default_epsilon(cov_s), default_epsilon(cov_t))  # 0: the scale-relative shift
     le = log_euclidean(cov_s, cov_t, eps)
     report = {
         "coral": coral_loss(cov_s, cov_t).value,

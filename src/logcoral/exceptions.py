@@ -1,6 +1,6 @@
-"""Exception types shared across the package, in two families decided where the check fires:
-`InvalidInput` (and `ParseError`) for a value from outside the library, `NumericalFailure` (and
-`NotPositiveDefinite`) for a check on a computed value, which no numpy warning precedes."""
+"""Exception types shared across the package, in two families. The code that computes a value checks
+it and raises `NumericalFailure` (or `NotPositiveDefinite`), with no numpy warning first; a public
+function treats its arguments as outside input and raises `InvalidInput` (or `ParseError`)."""
 
 
 class LogCoralError(Exception):

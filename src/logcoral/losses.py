@@ -19,8 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import InvalidInput, NumericalFailure
-from .linalg import (EigenPair, SymmetricMatrix, _add_to_diagonal, default_epsilon, matrix_log_backward,
-                     spd_eig, sym_part)
+from .linalg import EigenPair, SymmetricMatrix, _add_to_diagonal, matrix_log_backward, spd_eig, sym_part
 from .stats import FeatureBatch, _class_labels
 
 
@@ -91,13 +90,6 @@ def _coral_value(diff: np.ndarray):
     """||C_s - C_t||_F^2 / (4 d^2) of diff = C_s - C_t, d x d or a stack of them."""
     d = diff.shape[-1]
     return np.sum(diff * diff, axis=(-2, -1)) / (4.0 * d * d)
-
-
-def resolve_epsilon(cov_s: SymmetricMatrix, cov_t: SymmetricMatrix, epsilon: float) -> float:
-    """The epsilon `logcoral losses` reports values at: epsilon when nonzero, else
-    max(default_epsilon(C_s), default_epsilon(C_t)). Training takes RunConfig's
-    positive epsilon as given, and `logcoral_loss` too: there 0 means no shift."""
-    return epsilon if epsilon else max(default_epsilon(cov_s), default_epsilon(cov_t))
 
 
 @dataclass(frozen=True)
@@ -199,20 +191,24 @@ def chain_to_features(loss_grad_cov: np.ndarray, batch: FeatureBatch, scale: flo
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> LossBundle:
     """Mean negative log-likelihood of the true class under a softmax. labels are
-    whole numbers in [0, k), one per row of the n x k logits, n >= 1."""
+    whole numbers in [0, k), one per row of the n x k finite logits, n >= 1;
+    NumericalFailure, with no numpy warning, if the value overflows."""
     logits = np.asarray(logits, dtype=float)
     labels = np.asarray(labels)
-    if logits.ndim != 2:
-        raise InvalidInput(f"logits must be 2-D, got shape {logits.shape}")
+    if logits.ndim != 2 or len(logits) == 0:
+        raise InvalidInput(f"logits must be 2-D with at least one row, got shape {logits.shape}")
     n, k = logits.shape
-    if n == 0:
-        raise InvalidInput("logits must have at least one row")
     if labels.shape != (n,):
         raise InvalidInput(f"labels must have length {n}, got shape {labels.shape}")
     if labels.max() >= k:  # before the int cast, which a huge float label would overflow
         raise InvalidInput(f"labels must lie in [0, {k}), got maximum {labels.max()}")
+    if not np.isfinite(logits).all():
+        raise InvalidInput("logits have non-finite entries")
     labels = _class_labels(labels)
-    value, shifted, log_z = _cross_entropy(logits, labels)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked at once
+        value, shifted, log_z = _cross_entropy(logits, labels)
+    if not np.isfinite(value):
+        raise NumericalFailure("non-finite loss: loss_cls", component="loss_cls")
     probs = np.exp(shifted - log_z[:, None])
     probs[np.arange(n), labels] -= 1.0
     return LossBundle(value=float(value), grad_source=probs / n)

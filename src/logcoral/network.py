@@ -123,7 +123,7 @@ def _split_tap(cache: ForwardCache, layer: int, n_source: int) -> tuple:
     The stacked output is checked for finiteness once; both halves are
     nonempty because the batches they came from are."""
     h = cache.post[layer]
-    if not np.all(np.isfinite(h)):
+    if not np.isfinite(h).all():
         raise NumericalFailure(f"layer {layer} has non-finite activations", component=f"layer{layer}")
     return FeatureBatch._trusted(h[:n_source]), FeatureBatch._trusted(h[n_source:])
 
@@ -133,7 +133,7 @@ def _batch_share(old_stats: SmoothedStats) -> float:
     return 1.0 - old_stats.momentum if old_stats.initialized else 1.0
 
 
-@np.errstate(over="ignore", invalid="ignore")  # taps, covariances and loss total are checked
+@np.errstate(over="ignore", invalid="ignore")  # every value is checked where it is computed
 def step_objective(state: TrainState, source: FeatureBatch, target: FeatureBatch,
                    weights: L.LossWeights) -> tuple:
     """The joint objective of one step, pure in state: the weighted classification, CORAL,
@@ -143,7 +143,8 @@ def step_objective(state: TrainState, source: FeatureBatch, target: FeatureBatch
     fresh batch statistics. Returns (report, cache, tap_grads, stats_source, stats_target):
     report holds all five losses whatever their weights; tap_grads the upstream gradients by
     layer index, the covariance ones chained to the tap rows by `chain_to_features`.
-    No numpy warning precedes the NumericalFailure of a tap, covariance or loss check.
+    Each value is checked where it is computed, with no numpy warning first: the taps and
+    logits here (`layer<i>`), statistics and losses by their own functions, the total here.
     """
     if source.labels is None:
         raise InvalidInput("source batch must be labeled")
@@ -162,23 +163,18 @@ def step_objective(state: TrainState, source: FeatureBatch, target: FeatureBatch
     share_s, share_t = _batch_share(state.stats_source), _batch_share(state.stats_target)
     cov_s, cov_t = stats_s.cov, stats_t.cov
 
-    cls = L.softmax_cross_entropy(cache.post[-1][:n], source.labels)
+    logits_s, _ = _split_tap(cache, state.model.num_layers - 1, n)
+    cls = L.softmax_cross_entropy(logits_s.data, source.labels)
     coral = L.coral_loss(cov_s, cov_t)
     logcoral = L.log_euclidean(cov_s, cov_t, state.epsilon)
     mean = L.mean_loss(stats_s.mean, stats_t.mean)
 
-    report = {
-        "loss_cls": cls.value,
-        "loss_coral": coral.value,
-        "loss_logcoral": logcoral.value,
-        "loss_mean": mean.value,
-    }
     total = (weights.classification * cls.value + weights.coral * coral.value
              + weights.logcoral * logcoral.value + weights.mean * mean.value)
-    report["loss_total"] = total
-    if not np.isfinite(total):
-        bad = [k for k, v in report.items() if not np.isfinite(v)]
-        raise NumericalFailure(f"non-finite loss: {', '.join(bad)}", component=bad[0])
+    if not np.isfinite(total):  # each loss checked itself; a large weight can still overflow the sum
+        raise NumericalFailure("non-finite loss: loss_total", component="loss_total")
+    report = {"loss_cls": cls.value, "loss_coral": coral.value, "loss_logcoral": logcoral.value,
+              "loss_mean": mean.value, "loss_total": total}
 
     taps = {}
 

@@ -8,9 +8,10 @@ hands in: a non-empty finite 2-D array, and labels that are whole,
 nonnegative numbers below 2**63, one per row. Batches the library cuts from
 arrays it already checked (the rows a training step samples, the source and
 target halves of a tap) skip those checks through the private
-`FeatureBatch._trusted`. `batch_covariance`, the training step's covariance
-too, raises `NumericalFailure` if its product overflows, since finite features
-can have an infinite covariance; its result and the moving averages are
+`FeatureBatch._trusted`. Each statistic is checked by the function that
+computes it: `batch_covariance` and `batch_mean`, the training step's too, raise
+`NumericalFailure` if the value overflows, since finite features can have an
+infinite covariance or column sum. The covariance and the moving averages are
 symmetric by construction and skip the `SymmetricMatrix` checks.
 """
 from __future__ import annotations
@@ -99,8 +100,14 @@ def batch_covariance(b: FeatureBatch) -> SymmetricMatrix:
 
 
 def batch_mean(b: FeatureBatch) -> np.ndarray:
-    """Column means of the feature matrix."""
-    return b.data.mean(axis=0)
+    """Column means of the feature matrix; NumericalFailure, with no numpy warning, if a
+    column's sum overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):  # checked at once
+        mean = b.data.mean(axis=0)
+    if not np.isfinite(mean).all():
+        raise NumericalFailure("mean has non-finite entries: the feature values overflow it",
+                               component="batch_mean")
+    return mean
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from logcoral import losses
 from logcoral.cli import main, parse_weights, read_config_file
 from logcoral.data import generate, load_csv, make_benchmark_spec, save_csv
 from logcoral.exceptions import InvalidInput
-from logcoral.linalg import regularize_psd
+from logcoral.linalg import default_epsilon, regularize_psd
 from logcoral.stats import FeatureBatch, batch_covariance
 from logcoral.training import (
     RunConfig,
@@ -149,7 +149,7 @@ class TestLossesCommand:
     def test_condition_numbers_from_the_value_half(self, feature_files, monkeypatch, capsys):
         a, b = feature_files
         covs = [batch_covariance(load_csv(f)) for f in (a, b)]
-        eps = losses.resolve_epsilon(*covs, 0.0)
+        eps = max(default_epsilon(c) for c in covs)
         want = [np.linalg.cond(regularize_psd(c, eps).data) for c in covs]
 
         def no_svd(*args, **kwargs):
@@ -707,3 +707,17 @@ def test_failure_line_comes_before_any_numpy_warning(tmp_path):
     assert trained.stderr.startswith("numerical failure at step 1: layer 1 has non-finite activations;")
     assert trained.stderr.count("\n") == 1 and trained.stderr.endswith("\n")
     assert (out / "checkpoint.npz").read_bytes() == (tmp_path / "big.npz").read_bytes()
+
+    # a mean tap of finite rows of 1e307, whose column sums overflow: a computed value, not bad input
+    state = init_state(RunConfig(), feature_dim=16, num_classes=5)
+    model = state.model
+    model.weights[0], model.biases[0] = np.zeros_like(model.weights[0]), np.full_like(model.biases[0], 1e307)
+    model.weights[1], model.biases[1] = np.zeros_like(model.weights[1]), np.ones_like(model.biases[1])
+    save_checkpoint(tmp_path / "mean.npz", state)
+    out = tmp_path / "mean_run"
+    trained = subprocess.run(run + ["train", "--steps", "3", "--resume", str(tmp_path / "mean.npz"),
+                                    "--out", str(out)], env=env, capture_output=True, text=True, timeout=60)
+    assert trained.returncode == 1 and trained.stdout == ""
+    assert trained.stderr == (f"numerical failure at step 1: mean has non-finite entries: the feature values "
+                              f"overflow it; last good state saved to {out / 'checkpoint.npz'}\n")
+    assert (out / "checkpoint.npz").read_bytes() == (tmp_path / "mean.npz").read_bytes()

@@ -4,6 +4,7 @@ import pytest
 from logcoral.exceptions import InvalidInput, NotPositiveDefinite, NumericalFailure
 from logcoral.linalg import (
     SymmetricMatrix,
+    default_epsilon,
     matrix_log,
     matrix_log_backward,
     regularize_psd,
@@ -22,7 +23,6 @@ from logcoral.losses import (
     log_euclidean,
     logcoral_loss,
     mean_loss,
-    resolve_epsilon,
     softmax_cross_entropy,
 )
 from logcoral.stats import FeatureBatch, batch_covariance
@@ -234,7 +234,7 @@ class TestLogCoralLoss:
         # the loss never forms log C; on degenerate tap spectra it must still
         # agree with the form that does, to rounding
         cs, ct = tap_covariances(np.random.default_rng(d), d)
-        eps = resolve_epsilon(cs, ct, 0.0)
+        eps = max(default_epsilon(cs), default_epsilon(ct))
         bundle = logcoral_loss(cs, ct, epsilon=eps)
         value, (grad_s, grad_t) = two_log_logcoral(cs, ct, eps)
         assert abs(bundle.value - value) <= 1e-12 * value
@@ -243,7 +243,7 @@ class TestLogCoralLoss:
 
     def test_swap_symmetry_at_tap_width(self):
         cs, ct = tap_covariances(np.random.default_rng(64), 64)
-        eps = resolve_epsilon(cs, ct, 0.0)
+        eps = max(default_epsilon(cs), default_epsilon(ct))
         a, b = logcoral_loss(cs, ct, epsilon=eps), logcoral_loss(ct, cs, epsilon=eps)
         assert abs(a.value - b.value) <= 1e-12 * a.value
         scale = np.linalg.norm(a.grad_source)
@@ -260,7 +260,7 @@ class TestLogCoralLoss:
 
     def test_named_value_gives_the_loss_gradients(self):
         cs, ct = tap_covariances(np.random.default_rng(16), 16)
-        eps = resolve_epsilon(cs, ct, 0.0)
+        eps = max(default_epsilon(cs), default_epsilon(ct))
         le, bundle = log_euclidean(cs, ct, eps), logcoral_loss(cs, ct, epsilon=eps)
         assert le.value == bundle.value
         grad_s, grad_t = le.grads()
@@ -451,6 +451,17 @@ class TestSoftmaxCrossEntropy:
         as_int = softmax_cross_entropy(logits, np.array([0, 3, 1]))
         assert as_float.value == as_int.value
         assert np.array_equal(as_float.grad_source, as_int.grad_source)
+
+    def test_nonfinite_logits_are_bad_input(self):
+        # a caller's value, so not the NumericalFailure of a computed one
+        with pytest.raises(InvalidInput, match="logits have non-finite entries"):
+            softmax_cross_entropy(np.array([[np.nan, 0.0]]), np.array([1]))
+
+    def test_overflowing_value_is_a_numerical_failure(self):
+        # finite logits whose max shift overflows; no numpy warning comes first
+        with pytest.raises(NumericalFailure, match="non-finite loss: loss_cls") as exc:
+            softmax_cross_entropy(np.array([[1e308, -1e308]]), np.array([1]))
+        assert exc.value.component == "loss_cls"
 
 
 def bits(values):

@@ -6,7 +6,7 @@ import pytest
 
 from logcoral import losses as L
 from logcoral import network
-from logcoral.exceptions import InvalidInput
+from logcoral.exceptions import InvalidInput, NumericalFailure
 from logcoral.linalg import SymmetricMatrix
 from logcoral.losses import LossWeights
 from logcoral.network import (
@@ -176,6 +176,15 @@ class TestStepObjective:
         for got, committed in ((stats_s, state.stats_source), (stats_t, state.stats_target)):
             assert np.array_equal(got.cov.data, committed.cov.data)
             assert np.array_equal(got.mean, committed.mean)
+
+    def test_overflowing_weighted_total_is_a_numerical_failure(self):
+        # each loss is finite (loss_cls about 2); only the total the step weights itself overflows
+        rng = np.random.default_rng(23)
+        weights = LossWeights(classification=1e308)
+        with pytest.raises(NumericalFailure, match="non-finite loss: loss_total") as exc:
+            step_objective(small_state(5), labeled_batch(rng, 20, 4, 3),
+                           FeatureBatch(rng.standard_normal((24, 4)) * 1.3 + 0.2), weights)
+        assert exc.value.component == "loss_total"
 
 
 class TestTrainStep:

@@ -141,6 +141,12 @@ class TestBatchMean:
         weighted = (7 * batch_mean(FeatureBatch(a)) + 13 * batch_mean(FeatureBatch(b))) / 20
         assert np.allclose(whole, weighted)
 
+    def test_overflowing_sum_rejected(self):
+        # finite features whose column sum overflows to inf; no numpy warning comes first
+        with pytest.raises(NumericalFailure, match="mean has non-finite entries") as exc:
+            batch_mean(FeatureBatch(np.full((64, 2), 1e307)))
+        assert exc.value.component == "batch_mean"
+
 
 class TestSmoothedStats:
     def test_momentum_range_enforced(self):

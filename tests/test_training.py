@@ -94,6 +94,22 @@ class TestFailureClass:
         assert exc.value.component == "layer1"
         assert exc.value.step == 1
 
+    @pytest.mark.parametrize("component", ["batch_mean", "layer2"])
+    def test_computed_value_names_where_it_overflowed(self, component):
+        # layer 0 is the mean tap of the 16-128-64-5 model, layer 2 its logits
+        cfg = RunConfig(steps=3)
+        state = init_state(cfg, feature_dim=16, num_classes=5)
+        model = state.model
+        if component == "batch_mean":  # finite rows of 1e307, whose column sums overflow
+            model.weights[0], model.biases[0] = np.zeros_like(model.weights[0]), np.full_like(model.biases[0], 1e307)
+            model.weights[1], model.biases[1] = np.zeros_like(model.weights[1]), np.ones_like(model.biases[1])
+        else:  # logits past the float range; at 1e307 this step's are finite, and loss_cls fires
+            model.weights[2] = model.weights[2] * 1e308
+        with pytest.raises(NumericalFailure) as exc:
+            train(cfg, default_dataset(cfg), state=state)
+        assert exc.value.component == component
+        assert exc.value.step == 1 and state.step == 0
+
     def test_state_without_hidden_layer_is_bad_input(self, tmp_path):
         # a state built by hand, not by init_state or load_checkpoint
         cfg = short_config()
