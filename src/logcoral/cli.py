@@ -154,21 +154,16 @@ def _load_dataset(args, config: RunConfig):
 
 
 def cmd_train(args) -> int:
+    """One `training.train` run into --out (default run/), which `train` makes once its input fits."""
     values = run_config_values(args)
     fixed = [key for key in ("lr", "momentum", "epsilon") if key in values] if args.resume else []
     if fixed:  # a resumed run keeps the checkpoint's values of these keys
         raise InvalidInput(f"--resume keeps the checkpoint's {', '.join(fixed)}: "
                            "remove from the flags and the config file")
     config = RunConfig(**values)
-    dataset = _load_dataset(args, config)  # every input is checked before the output directory is made
-    state = None
-    if args.resume:
-        state = training.load_checkpoint(args.resume)
-        training.check_fit(state.model, dataset)
-    else:
-        training.source_classes(dataset)
+    dataset = _load_dataset(args, config)
+    state = training.load_checkpoint(args.resume) if args.resume else None
     out_dir = args.out or "run"
-    os.makedirs(out_dir, exist_ok=True)
     metrics_path = os.path.join(out_dir, "metrics.jsonl")
     checkpoint_path = os.path.join(out_dir, "checkpoint.npz")
     try:

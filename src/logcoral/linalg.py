@@ -41,7 +41,7 @@ class SymmetricMatrix:
             raise InvalidInput(f"expected a square matrix, got shape {a.shape}")
         if a.shape[0] < 1:
             raise InvalidInput("matrix dimension must be >= 1")
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise InvalidInput("matrix has non-finite entries")
         if not np.array_equal(a, a.T):
             raise InvalidInput("matrix is not symmetric; use SymmetricMatrix(sym_part(a))")
@@ -93,7 +93,7 @@ def sym_eig(m: SymmetricMatrix) -> EigenPair:
     A stack gives the stacked pairs of one `eigh` call. A non-finite (so
     computed) matrix, or an `eigh` that fails, raises NumericalFailure."""
     a = _data(m)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NumericalFailure("matrix has non-finite entries", component="sym_eig")
     try:
         values, vectors = np.linalg.eigh(a)
@@ -164,7 +164,7 @@ def _spectral_function(pair: EigenPair, f, component: str) -> SymmetricMatrix:
     """U f(Sigma) U^T, symmetric; NumericalFailure naming component if not finite."""
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         out = spectral_apply(pair.vectors, f(pair.values))
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NumericalFailure(f"{component} result has non-finite entries", component=component)
     return SymmetricMatrix._trusted(out)
 

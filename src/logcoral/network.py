@@ -18,9 +18,8 @@ from .stats import FeatureBatch, SmoothedStats, batch_covariance, batch_mean, up
 class MlpModel:
     """Dense layers with a rectifier between them. Layer i's output is post[i]
     of a forward pass: rectified for hidden layers, the logits for the last.
-    The alignment losses read the hidden layers at `taps`."""
+    The alignment losses read the hidden layers at `taps`; `dims` comes from the weights."""
 
-    dims: list
     weights: list
     biases: list
 
@@ -33,7 +32,12 @@ class MlpModel:
             # He initialization, suited to the rectifier
             weights.append(rng.standard_normal((d_in, d_out)) * np.sqrt(2.0 / d_in))
             biases.append(np.zeros(d_out))
-        return cls(dims=list(dims), weights=weights, biases=biases)
+        return cls(weights=weights, biases=biases)
+
+    @property
+    def dims(self) -> list:
+        """Layer widths, input first, read from the weight shapes."""
+        return [self.weights[0].shape[0], *(w.shape[1] for w in self.weights)]
 
     @property
     def num_layers(self) -> int:
@@ -49,7 +53,7 @@ class MlpModel:
 
     def check_finite(self):
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+            if not (np.isfinite(w).all() and np.isfinite(b).all()):
                 raise NumericalFailure(f"non-finite parameters in layer {i}", component=f"layer{i}")
 
 
@@ -128,23 +132,20 @@ def _split_tap(cache: ForwardCache, layer: int, n_source: int) -> tuple:
     return FeatureBatch._trusted(h[:n_source]), FeatureBatch._trusted(h[n_source:])
 
 
-def _batch_share(old_stats: SmoothedStats) -> float:
-    """Weight of the current batch inside the smoothed value after an update."""
-    return 1.0 - old_stats.momentum if old_stats.initialized else 1.0
-
-
 @np.errstate(over="ignore", invalid="ignore")  # every value is checked where it is computed
 def step_objective(state: TrainState, source: FeatureBatch, target: FeatureBatch,
                    weights: L.LossWeights) -> tuple:
     """The joint objective of one step, pure in state: the weighted classification, CORAL,
     LogCORAL and mean losses from one forward over the stacked source and target rows, at
-    moving-average statistics whose gradients flow only through the current batch's share,
+    moving-average statistics whose gradients flow only through the batch's `batch_share`,
     and at the constant shift state.epsilon. Uninitialized statistics give the objective at
     fresh batch statistics. Returns (report, cache, tap_grads, stats_source, stats_target):
     report holds all five losses whatever their weights; tap_grads the upstream gradients by
     layer index, the covariance ones chained to the tap rows by `chain_to_features`.
     Each value is checked where it is computed, with no numpy warning first: the taps and
     logits here (`layer<i>`), statistics and losses by their own functions, the total here.
+    One loss's gradients are a call with one-hot weights at the same state: `backward` is linear
+    in tap_grads, so the four one-hot gradients sum to those at `from_multipliers(1, 1, 1, 1)`.
     """
     if source.labels is None:
         raise InvalidInput("source batch must be labeled")
@@ -160,7 +161,7 @@ def step_objective(state: TrainState, source: FeatureBatch, target: FeatureBatch
     mtap_s, mtap_t = _split_tap(cache, mean_layer, n)
     stats_s = update_smoothed(state.stats_source, batch_cov_s, batch_mean(mtap_s))
     stats_t = update_smoothed(state.stats_target, batch_cov_t, batch_mean(mtap_t))
-    share_s, share_t = _batch_share(state.stats_source), _batch_share(state.stats_target)
+    share_s, share_t = state.stats_source.batch_share, state.stats_target.batch_share
     cov_s, cov_t = stats_s.cov, stats_t.cov
 
     logits_s, _ = _split_tap(cache, state.model.num_layers - 1, n)
@@ -211,8 +212,7 @@ def train_step(state: TrainState, source: FeatureBatch, target: FeatureBatch,
         gw, gb = backward(state.model, cache, taps)
         velocity_w = [state.opt_momentum * v - state.lr * g for v, g in zip(state.velocity_w, gw)]
         velocity_b = [state.opt_momentum * v - state.lr * g for v, g in zip(state.velocity_b, gb)]
-        model = MlpModel(dims=state.model.dims,
-                         weights=[w + v for w, v in zip(state.model.weights, velocity_w)],
+        model = MlpModel(weights=[w + v for w, v in zip(state.model.weights, velocity_w)],
                          biases=[b + v for b, v in zip(state.model.biases, velocity_b)])
     model.check_finite()
 

@@ -5,14 +5,13 @@ tap and the mean at another.
 
 Validation happens at the edges. `FeatureBatch(...)` checks what a caller
 hands in: a non-empty finite 2-D array, and labels that are whole,
-nonnegative numbers below 2**63, one per row. Batches the library cuts from
-arrays it already checked (the rows a training step samples, the source and
-target halves of a tap) skip those checks through the private
-`FeatureBatch._trusted`. Each statistic is checked by the function that
-computes it: `batch_covariance` and `batch_mean`, the training step's too, raise
-`NumericalFailure` if the value overflows, since finite features can have an
-infinite covariance or column sum. The covariance and the moving averages are
-symmetric by construction and skip the `SymmetricMatrix` checks.
+nonnegative numbers below 2**63, one per row; `SmoothedStats(...)` checks its
+cov and mean. Batches the library cuts from checked arrays (a step's sampled
+rows, the halves of a tap) skip those checks through the private
+`FeatureBatch._trusted`. `batch_covariance` and `batch_mean`, the training
+step's too, raise `NumericalFailure` if the value overflows, as finite features
+can have an infinite covariance or column sum. The covariance and the moving
+averages are symmetric by construction and skip the `SymmetricMatrix` checks.
 """
 from __future__ import annotations
 
@@ -22,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import InvalidInput, NumericalFailure
-from .linalg import SymmetricMatrix, _symmetrize
+from .linalg import SymmetricMatrix, _data, _symmetrize
 
 
 @dataclass(frozen=True)
@@ -39,7 +38,7 @@ class FeatureBatch:
             raise InvalidInput(f"feature data must be 2-D, got shape {a.shape}")
         if a.shape[0] < 1 or a.shape[1] < 1:
             raise InvalidInput(f"feature data must be non-empty, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise InvalidInput("feature data has non-finite entries")
         object.__setattr__(self, "data", a)
         if self.labels is not None:
@@ -93,7 +92,7 @@ def batch_covariance(b: FeatureBatch) -> SymmetricMatrix:
     with np.errstate(over="ignore", invalid="ignore"):  # checked at once
         centered = b.data - b.data.mean(axis=0)
         cov = _symmetrize(centered.T @ centered / (b.n - 1))
-    if not np.all(np.isfinite(cov)):
+    if not np.isfinite(cov).all():
         raise NumericalFailure("covariance has non-finite entries: the feature values overflow it",
                                component="batch_covariance")
     return SymmetricMatrix._trusted(cov)
@@ -114,7 +113,8 @@ def batch_mean(b: FeatureBatch) -> np.ndarray:
 class SmoothedStats:
     """Moving-average covariance and mean of one domain, which may come from
     different feature taps, updated functionally. Both are None until the
-    first update, which seeds them with the batch values verbatim."""
+    first update, which seeds them with the batch values verbatim. cov must be
+    a `SymmetricMatrix` and mean a finite 1-D array, else InvalidInput."""
 
     momentum: float = 0.9
     cov: Optional[SymmetricMatrix] = None
@@ -125,20 +125,30 @@ class SmoothedStats:
             raise InvalidInput(f"momentum must be in (0, 1), got {self.momentum}")
         if (self.cov is None) != (self.mean is None):
             raise InvalidInput("cov and mean must both be set or both be None")
+        if self.cov is not None:
+            _data(self.cov)  # a SymmetricMatrix, so finite
+            object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
+            if self.mean.ndim != 1 or not np.isfinite(self.mean).all():
+                raise InvalidInput(f"mean must be a finite 1-D array, got shape {self.mean.shape}")
 
     @property
     def initialized(self) -> bool:
         return self.mean is not None
 
+    @property
+    def batch_share(self) -> float:
+        """The next batch's weight in `update_smoothed`: 1 - momentum, or 1.0 before the first update."""
+        return 1.0 - self.momentum if self.initialized else 1.0
+
 
 def update_smoothed(s: SmoothedStats, cov: SymmetricMatrix, mean: np.ndarray) -> SmoothedStats:
-    """One moving-average step, momentum * old + (1 - momentum) * batch, of cov and mean."""
-    mean = np.asarray(mean, dtype=float)
+    """One moving-average step of cov and mean, momentum * old + s.batch_share * batch,
+    through the `SmoothedStats` constructor. A plain-array cov or a NaN mean is InvalidInput."""
     if not s.initialized:
         return SmoothedStats(momentum=s.momentum, cov=cov, mean=mean)
-    if cov.dim != s.cov.dim or len(mean) != len(s.mean):
-        raise InvalidInput(f"batch (cov dim {cov.dim}, mean length {len(mean)}) does not match "
-                           f"state (cov dim {s.cov.dim}, mean length {len(s.mean)})")
-    m = s.momentum
-    return SmoothedStats(momentum=m, cov=SymmetricMatrix._trusted(m * s.cov.data + (1.0 - m) * cov.data),
-                         mean=m * s.mean + (1.0 - m) * mean)
+    mean = np.asarray(mean, dtype=float)
+    if _data(cov).shape != s.cov.data.shape or mean.shape != s.mean.shape:
+        raise InvalidInput(f"batch (cov {cov.dim}, mean {mean.shape}) does not match state ({s.cov.dim}, {s.mean.shape})")
+    m, share = s.momentum, s.batch_share
+    return SmoothedStats(momentum=m, cov=SymmetricMatrix._trusted(m * s.cov.data + share * cov.data),
+                         mean=m * s.mean + share * mean)

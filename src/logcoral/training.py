@@ -9,8 +9,10 @@ mean tap, sized from the layer dims through `MlpModel.taps`).
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
+import os
 import zipfile
 from dataclasses import dataclass, field
 
@@ -96,7 +98,7 @@ def _fitted(z: dict, key: str, shape: tuple) -> np.ndarray:
     """z[key], which must be finite and have the shape the checkpoint's dims give it."""
     if z[key].shape != shape:
         raise InvalidInput(f"{key} has shape {z[key].shape}, but dims give {shape}")
-    if not np.all(np.isfinite(z[key])):
+    if not np.isfinite(z[key]).all():
         raise InvalidInput(f"{key} has non-finite entries")
     return z[key]
 
@@ -143,7 +145,7 @@ def _state_from_npz(z: dict) -> TrainState:
     meta = json.loads(str(z["meta_json"]))
     RunConfig(lr=meta["lr"], opt_momentum=meta["opt_momentum"], epsilon=meta["epsilon"])  # their range checks
     layers = range(len(dims) - 1)
-    model = MlpModel(dims=dims, weights=[_fitted(z, f"w{i}", (dims[i], dims[i + 1])) for i in layers],
+    model = MlpModel(weights=[_fitted(z, f"w{i}", (dims[i], dims[i + 1])) for i in layers],
                      biases=[_fitted(z, f"b{i}", (dims[i + 1],)) for i in layers])
     cov_dim, mean_dim = (dims[i + 1] for i in model.taps)
     rng = np.random.default_rng()
@@ -154,8 +156,7 @@ def _state_from_npz(z: dict) -> TrainState:
         velocity_b=[_fitted(z, f"vb{i}", b.shape) for i, b in zip(layers, model.biases)],
         stats_source=_stats_from_npz("s", z, cov_dim, mean_dim),
         stats_target=_stats_from_npz("t", z, cov_dim, mean_dim),
-        step=int(z["step"]), rng=rng,
-        epsilon=meta["epsilon"],
+        step=int(z["step"]), rng=rng, epsilon=meta["epsilon"],
     )
 
 
@@ -173,8 +174,7 @@ def init_state(config: RunConfig, feature_dim: int, num_classes: int) -> TrainSt
         velocity_b=[np.zeros_like(b) for b in model.biases],
         stats_source=SmoothedStats(momentum=config.momentum),
         stats_target=SmoothedStats(momentum=config.momentum),
-        step=0, rng=rng,
-        epsilon=config.epsilon,
+        step=0, rng=rng, epsilon=config.epsilon,
     )
 
 
@@ -205,18 +205,19 @@ def check_fit(model: MlpModel, dataset: D.DatasetPair) -> None:
 
 def train(config: RunConfig, dataset: D.DatasetPair, state: TrainState = None,
           metrics_path=None, checkpoint_path=None):
-    """Run (or continue) a training run. Returns (state, records) where
-    records is the list of per-step metric dicts logged by this call. A step
-    that raises leaves the last completed state, in the checkpoint too, and
-    re-raises its exception with its class kept and its step set."""
+    """Run (or continue) a training run. Returns (state, records) where records is
+    the list of per-step metric dicts logged by this call. The state (fresh if none is
+    given) must fit the dataset, `check_fit`, before the parent directories of
+    metrics_path and checkpoint_path are made. A step that raises leaves the last
+    completed state, in the checkpoint too, and re-raises with its class and step set."""
     if state is None:
         state = init_state(config, dataset.source.d, source_classes(dataset))
-    else:
-        check_fit(state.model, dataset)
+    check_fit(state.model, dataset)
+    for path in filter(None, (metrics_path, checkpoint_path)):
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
 
     records = []
-    sink = open(metrics_path, "a", encoding="utf-8") if metrics_path else None
-    try:
+    with open(metrics_path, "a", encoding="utf-8") if metrics_path else contextlib.nullcontext() as sink:
         while state.step < config.steps:
             rng_state = state.rng.bit_generator.state
             src = _sample_batch(dataset.source, config.batch, state.rng, with_labels=True)
@@ -239,9 +240,6 @@ def train(config: RunConfig, dataset: D.DatasetPair, state: TrainState = None,
             records.append(record)
             if sink:
                 sink.write(json.dumps(record) + "\n")
-    finally:
-        if sink:
-            sink.close()
     if checkpoint_path:
         save_checkpoint(checkpoint_path, state)
     return state, records

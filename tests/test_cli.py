@@ -94,6 +94,7 @@ class TestConfigFile:
         cfg = tmp_path / "absent.cfg"
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
         assert f"{cfg}: cannot open config" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_flags_override_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -400,6 +401,7 @@ class TestTrainCommand:
         assert main(["train", "--steps", "5", "--resume", str(tmp_path / "v1.npz"),
                      "--out", str(tmp_path / "run")]) == 2
         assert "version 1" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_checkpoint_naming_its_taps_resumes_bit_exactly(self, tmp_path):
         # files written before the taps followed from the dims also hold the tap
@@ -505,6 +507,7 @@ class TestTrainCommand:
         cfg.write_text("eval_every=0\n")
         assert main(["train", "--config", str(cfg), "--steps", "5",
                      "--out", str(tmp_path / "run")]) == 2
+        assert not (tmp_path / "run").exists()
 
     def test_negative_csv_label_is_bad_input(self, tmp_path, capsys):
         pair = generate(make_benchmark_spec(num_classes=3, dim=4, samples_per_class=30, seed=3))
@@ -518,7 +521,7 @@ class TestTrainCommand:
         assert main(["train", "--steps", "5", "--batch", "16", "--source-csv", str(fs),
                      "--target-csv", str(ft), "--out", str(out)]) == 2
         assert "nonnegative" in capsys.readouterr().err
-        assert not (out / "checkpoint.npz").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("label", [40, 2 ** 50])
     def test_more_classes_than_source_rows_is_bad_input(self, tmp_path, capsys, label):

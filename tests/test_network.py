@@ -46,7 +46,7 @@ class TestForward:
         assert np.all(cache.post[-1] == 0.0)
 
     def test_identity_single_layer(self):
-        model = MlpModel(dims=[3, 3], weights=[np.eye(3)], biases=[np.zeros(3)])
+        model = MlpModel(weights=[np.eye(3)], biases=[np.zeros(3)])
         x = np.random.default_rng(1).standard_normal((4, 3))
         cache = forward(model, x)
         assert np.array_equal(cache.post[-1], x)
@@ -54,6 +54,29 @@ class TestForward:
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidInput):
             forward(small_model(), np.zeros((2, 7)))
+
+
+class TestHandBuiltModel:
+    def test_weights_and_biases_are_the_whole_model(self):
+        assert [f.name for f in dataclasses.fields(MlpModel)] == ["weights", "biases"]
+
+    def test_dims_come_from_the_weights_and_survive_a_checkpoint(self, tmp_path):
+        rng = np.random.default_rng(9)
+        widths = (16, 40, 24, 5)  # not RunConfig's hidden widths
+        model = MlpModel(weights=[rng.standard_normal((a, b)) * np.sqrt(2.0 / a)
+                                  for a, b in zip(widths[:-1], widths[1:])],
+                         biases=[np.zeros(b) for b in widths[1:]])
+        assert model.dims == list(widths) and model.taps == (1, 0)
+        cfg = RunConfig(steps=3, batch=16, samples_per_class=20)
+        state = dataclasses.replace(init_state(cfg, 16, 5), model=model,
+                                    velocity_w=[np.zeros_like(w) for w in model.weights],
+                                    velocity_b=[np.zeros_like(b) for b in model.biases])
+        state, _ = train(cfg, default_dataset(cfg), state=state, checkpoint_path=tmp_path / "ck.npz")
+        loaded = load_checkpoint(tmp_path / "ck.npz")
+        assert loaded.model.dims == state.model.dims == list(widths) and loaded.step == 3
+        for a, b in zip(loaded.model.weights + loaded.model.biases,
+                        state.model.weights + state.model.biases, strict=True):
+            assert np.array_equal(a, b)
 
 
 class TestTaps:
@@ -185,6 +208,31 @@ class TestStepObjective:
             step_objective(small_state(5), labeled_batch(rng, 20, 4, 3),
                            FeatureBatch(rng.standard_normal((24, 4)) * 1.3 + 0.2), weights)
         assert exc.value.component == "loss_total"
+
+
+class TestPerLossGradients:
+    """step_objective is pure, so each loss's gradients come from a call with one-hot
+    weights at the same state; backward is linear in the tap gradients, so they sum."""
+
+    @pytest.mark.parametrize("seed, steps", [(0, 0), (0, 50), (1, 300)])
+    def test_one_hot_gradients_sum_to_the_joint_ones(self, seed, steps):
+        config = RunConfig(seed=seed, steps=max(steps, 1))
+        dataset = default_dataset(config)
+        state = init_state(config, 16, 5) if steps == 0 else train(config, dataset)[0]
+        rng = np.random.default_rng(seed + 100)
+        i, j = rng.integers(0, dataset.source.n, size=64), rng.integers(0, dataset.target.n, size=64)
+        src = FeatureBatch(dataset.source.data[i], labels=dataset.source.labels[i])
+        tgt = FeatureBatch(dataset.target.data[j])
+
+        def grads(weights):
+            _, cache, taps, _, _ = step_objective(state, src, tgt, weights)
+            gw, gb = backward(state.model, cache, taps)
+            return gw + gb
+        joint = grads(LossWeights.from_multipliers(1, 1, 1, 1))
+        parts = [grads(LossWeights.from_multipliers(*np.eye(4)[k])) for k in range(4)]
+        for layer, g in enumerate(joint):
+            err = np.linalg.norm(sum(p[layer] for p in parts) - g) / np.linalg.norm(g)
+            assert err <= 1e-12, (layer, err)
 
 
 class TestTrainStep:
@@ -399,7 +447,7 @@ class TestStackedStep:
 
 class TestEvaluate:
     def test_perfect_predictions(self):
-        model = MlpModel(dims=[2, 2], weights=[np.eye(2) * 10], biases=[np.zeros(2)])
+        model = MlpModel(weights=[np.eye(2) * 10], biases=[np.zeros(2)])
         data = FeatureBatch(np.array([[1.0, 0.0], [0.0, 1.0]]), labels=[0, 1])
         assert evaluate(model, data) == 1.0
 

@@ -195,6 +195,38 @@ class TestSmoothedStats:
         with pytest.raises(InvalidInput):
             update_smoothed(s, SymmetricMatrix(np.eye(2)), np.zeros(2))
 
+    @pytest.mark.parametrize("momentum", [0.9, 0.37])
+    def test_batch_share_is_the_update_weight(self, momentum):
+        rng = np.random.default_rng(3)
+        s = SmoothedStats(momentum=momentum)
+        assert s.batch_share == 1.0
+        s = update_smoothed(s, SymmetricMatrix(np.eye(3)), rng.standard_normal(3))
+        assert s.batch_share == 1.0 - momentum
+        a = rng.standard_normal((3, 3))
+        cov, mean = SymmetricMatrix(a + a.T), rng.standard_normal(3)
+        new = update_smoothed(s, cov, mean)
+        assert np.array_equal(new.cov.data, momentum * s.cov.data + s.batch_share * cov.data)
+        assert np.array_equal(new.mean, momentum * s.mean + s.batch_share * mean)
+
+    @pytest.mark.parametrize("mean", [[np.nan, 0.0], [np.inf, 0.0], [[0.0, 0.0]]],
+                             ids=["nan", "inf", "2-D"])
+    def test_mean_must_be_finite_and_1d(self, mean):
+        with pytest.raises(InvalidInput, match="mean must be a finite 1-D array"):
+            SmoothedStats(cov=SymmetricMatrix(np.eye(2)), mean=np.array(mean))
+        with pytest.raises(InvalidInput, match="mean must be a finite 1-D array"):
+            update_smoothed(SmoothedStats(), SymmetricMatrix(np.eye(2)), mean)
+        if np.ndim(mean) == 1:  # through the moving average too
+            s = update_smoothed(SmoothedStats(), SymmetricMatrix(np.eye(2)), np.zeros(2))
+            with pytest.raises(InvalidInput, match="mean must be a finite 1-D array"):
+                update_smoothed(s, SymmetricMatrix(np.eye(2)), mean)
+
+    def test_cov_must_be_a_symmetric_matrix(self):
+        with pytest.raises(InvalidInput, match="expected a SymmetricMatrix, got ndarray"):
+            SmoothedStats(cov=np.eye(2), mean=np.zeros(2))
+        s = update_smoothed(SmoothedStats(), SymmetricMatrix(np.eye(2)), np.zeros(2))
+        with pytest.raises(InvalidInput, match="expected a SymmetricMatrix, got ndarray"):
+            update_smoothed(s, np.eye(2), np.zeros(2))
+
     def test_cov_and_mean_set_together(self):
         with pytest.raises(InvalidInput):
             SmoothedStats(mean=np.zeros(2))

@@ -64,6 +64,29 @@ class TestTrain:
         assert parsed == records
 
 
+    def test_output_directories_are_made(self, tmp_path):
+        cfg = short_config(steps=3)
+        metrics, checkpoint = tmp_path / "a" / "b" / "metrics.jsonl", tmp_path / "c" / "ck.npz"
+        train(cfg, default_dataset(cfg), metrics_path=metrics, checkpoint_path=checkpoint)
+        assert len(metrics.read_text().splitlines()) == 3
+        assert load_checkpoint(checkpoint).step == 3
+
+    def test_unfit_input_makes_no_directory(self, tmp_path):
+        # the setup checks run before any output directory is made
+        cfg = short_config(steps=3)
+        out = tmp_path / "new"
+        paths = dict(metrics_path=out / "metrics.jsonl", checkpoint_path=out / "ck.npz")
+        small = init_state(RunConfig(hidden_dims=(8,)), feature_dim=3, num_classes=5)
+        with pytest.raises(InvalidInput, match="do not fit 16 features and 5 classes"):
+            train(cfg, default_dataset(cfg), state=small, **paths)
+        pair = default_dataset(cfg)
+        labels = pair.source.labels.copy()
+        labels[3] = 2 ** 50
+        unfit = dataclasses.replace(pair, source=dataclasses.replace(pair.source, labels=labels))
+        with pytest.raises(InvalidInput, match="source label"):
+            train(cfg, unfit, **paths)
+        assert not out.exists()
+
     def test_more_classes_than_source_rows_rejected(self):
         cfg = short_config()
         pair = default_dataset(cfg)
