@@ -5,10 +5,9 @@ all directions and inputs of a check at once, as arrays.
 Each check evaluates the loss's value only, in one call per draw that takes
 the stacks of all perturbations of every input, each perturbed with the other
 inputs held fixed: the stack-aware value computations of `losses`
-(`_coral_value`, `LogEuclidean.from_eigenpairs`, `_mean_value`,
-`_cross_entropy`) and `linalg.spd_eig` take them whole. The Log-CORAL check
-decomposes its fixed and perturbed covariances in one stacked call. The
-analytic gradients come from the public losses."""
+(`_coral_value`, `log_euclidean`, `_mean_value`, `_cross_entropy`) take them
+whole, Log-CORAL's through the call the training step and the command line
+make. The analytic gradients come from the public losses."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ import numpy as np
 
 from . import losses as L
 from .exceptions import InvalidInput
-from .linalg import EigenPair, SymmetricMatrix, spd_eig, sym_part
+from .linalg import SymmetricMatrix, sym_part
 
 # relative-error bars per loss; the eigendecomposition path is noisier
 THRESHOLDS = {
@@ -74,11 +73,6 @@ def _worst_rel_error(bundle, inputs, values, rng) -> float:
         return float(_rel_err(fds, ans).max())
 
 
-def _pair(eig: EigenPair, index) -> EigenPair:
-    """The pair, or the stack of pairs, at index of a stacked EigenPair."""
-    return EigenPair(values=eig.values[index], vectors=eig.vectors[index])
-
-
 @dataclass
 class GradCheckResult:
     errors: dict          # loss name -> worst relative error seen
@@ -89,20 +83,20 @@ class GradCheckResult:
 def run_gradcheck(dims=(2, 5, 16), seeds=range(100)) -> GradCheckResult:
     """FD-check coral, logcoral, mean and cross-entropy on fresh random inputs
     at every dim for every seed, DIRECTIONS directions each with step STEP.
-    Each analytic bundle comes from one call of the public loss. Each check
-    evaluates the value alone, in one call on the stacks of all 2 x DIRECTIONS
-    perturbations of each input, so Log-CORAL's gradient half runs once per
-    draw. The Log-CORAL check decomposes [C_s +- STEP v, C_s, C_t +- STEP v, C_t]
-    in one `spd_eig` call, wrapped unchecked, as the checker made each matrix
-    symmetric and finite itself: with the bundle's two, 3 eigendecomposition
-    calls per draw. A non-finite error, as from a NaN or inf gradient, fails the
-    sweep and is its worst case.
+    Each analytic bundle comes from one call of the public loss. Each check evaluates
+    the value alone, in one call on the stacks of all 2 x DIRECTIONS perturbations of
+    each input, so Log-CORAL's gradient half runs once per draw. Its probes are two
+    `log_euclidean` calls on stacks wrapped unchecked, as the checker made each matrix
+    symmetric and finite itself: with the bundle's, 3 `spd_eig` calls per draw, on
+    [C_s, C_t], [C_s +- STEP v, C_t] and [C_s, C_t +- STEP v]. A non-finite error, as
+    from a NaN or inf gradient, fails the sweep and is its worst case.
     Raises InvalidInput if seeds or dims is empty, as such a sweep checks
     nothing, if a seed is negative, or if a dim is below 1."""
     if not seeds or not dims or min(dims) < 1:
         raise InvalidInput(f"gradcheck needs at least one seed and dims >= 1, got dims {dims}")
     if min(seeds) < 0:
         raise InvalidInput(f"seeds must be nonnegative, got {min(seeds)}")
+    T = SymmetricMatrix._trusted  # spd_with_gaps's c and every c +- STEP v are symmetric and finite
     errors = {k: 0.0 for k in THRESHOLDS}
     worst_case = {k: None for k in THRESHOLDS}
 
@@ -113,15 +107,6 @@ def run_gradcheck(dims=(2, 5, 16), seeds=range(100)) -> GradCheckResult:
             errors[name] = err
             worst_case[name] = {"seed": seed, "dim": dim, **inputs}
 
-    def logcoral_values(stacks):
-        ys_s, ys_t = stacks
-        n = len(ys_s)
-        # c_s, c_t (spd_with_gaps) and every c +- STEP v are exactly symmetric and
-        # finite, so the stack skips the constructor's checks
-        eig = spd_eig(SymmetricMatrix._trusted(np.concatenate([ys_s, s[None], ys_t, t[None]])))
-        return [L.LogEuclidean.from_eigenpairs(_pair(eig, slice(n)), _pair(eig, 2 * n + 1)).value,
-                L.LogEuclidean.from_eigenpairs(_pair(eig, n), _pair(eig, slice(n + 1, 2 * n + 1))).value]
-
     for seed in seeds:
         rng = np.random.default_rng(seed)
         for dim in dims:
@@ -130,7 +115,9 @@ def run_gradcheck(dims=(2, 5, 16), seeds=range(100)) -> GradCheckResult:
             check("coral", L.coral_loss(c_s, c_t),
                   lambda ys: [L._coral_value(ys[0] - t), L._coral_value(s - ys[1])],
                   cov_s=s, cov_t=t)
-            check("logcoral", L.logcoral_loss(c_s, c_t), logcoral_values, cov_s=s, cov_t=t)
+            check("logcoral", L.logcoral_loss(c_s, c_t),
+                  lambda ys: [L.log_euclidean(T(ys[0]), c_t, 0.0).value, L.log_euclidean(c_s, T(ys[1]), 0.0).value],
+                  cov_s=s, cov_t=t)
             m_s, m_t = rng.standard_normal(dim), rng.standard_normal(dim)
             check("mean", L.mean_loss(m_s, m_t),
                   lambda ys: [L._mean_value(ys[0] - m_t), L._mean_value(m_s - ys[1])],

@@ -16,8 +16,9 @@ before LAPACK, and `matrix_exp` and `matrix_log` check their results. `regulariz
 
 `SymmetricMatrix._trusted` may also wrap a stack of matrices (leading axes
 before the last two): `sym_eig`, `spd_eig` and `regularize_psd` take one and
-give stacked results, item by item bit-identical to one call per matrix. The
-other functions, and the public constructor, take one matrix only.
+give stacked results, item by item bit-identical to one call per matrix (so
+`losses.log_euclidean` decomposes both its inputs in one call). The other
+functions, and the public constructor, take one matrix only.
 """
 from __future__ import annotations
 

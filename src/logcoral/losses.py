@@ -7,9 +7,9 @@ covariance distance, its Log-Euclidean (geodesic) counterpart, a
 symmetric-perturbation convention: for a symmetric direction V, dL = <grad, V>.
 
 The public losses take one input each. The value computations they run,
-`_coral_value`, `LogEuclidean.from_eigenpairs`, `_mean_value` and `_cross_entropy`,
-also take leading stack axes and then give one value per item, bit-identical to
-the loss of that item alone; the gradient checker evaluates its probes that way.
+`_coral_value`, `log_euclidean`, `_mean_value` and `_cross_entropy`, also take
+leading stack axes and then give one value per item, bit-identical to the loss
+of that item alone; the gradient checker evaluates its probes that way.
 """
 from __future__ import annotations
 
@@ -136,13 +136,21 @@ class LogEuclidean:
 
 
 def log_euclidean(cov_s: SymmetricMatrix, cov_t: SymmetricMatrix, epsilon: float) -> LogEuclidean:
-    """LogEuclidean of C_s and C_t: `LogEuclidean.from_eigenpairs` of their `spd_eig`
-    pairs. Equal inputs are decomposed once and passed as one pair."""
+    """LogEuclidean of C_s and C_t: `LogEuclidean.from_eigenpairs` of their pairs from one
+    `spd_eig` call on C_s's items, then C_t's. Either may be a `_trusted` stack; then so
+    is the result. Equal inputs are decomposed once and passed as one pair."""
     if cov_s.dim != cov_t.dim:
         raise InvalidInput(f"dimension mismatch: {cov_s.dim} vs {cov_t.dim}")
-    eig_s = spd_eig(cov_s, epsilon)
-    eig_t = eig_s if np.array_equal(cov_s.data, cov_t.data) else spd_eig(cov_t, epsilon)
-    return LogEuclidean.from_eigenpairs(eig_s, eig_t)
+    s, t, d = cov_s.data, cov_t.data, cov_s.dim
+    if np.array_equal(s, t):
+        eig = spd_eig(cov_s, epsilon)
+        return LogEuclidean.from_eigenpairs(eig, eig)
+    # each is checked or trusted symmetric and finite, so their concatenation is too
+    eig = spd_eig(SymmetricMatrix._trusted(np.concatenate([s.reshape(-1, d, d), t.reshape(-1, d, d)])), epsilon)
+    n = s.size // (d * d)
+    return LogEuclidean.from_eigenpairs(
+        EigenPair(values=eig.values[:n].reshape(s.shape[:-1]), vectors=eig.vectors[:n].reshape(s.shape)),
+        EigenPair(values=eig.values[n:].reshape(t.shape[:-1]), vectors=eig.vectors[n:].reshape(t.shape)))
 
 
 def logcoral_loss(cov_s: SymmetricMatrix, cov_t: SymmetricMatrix, epsilon: float = 0.0) -> LossBundle:

@@ -194,8 +194,12 @@ def source_classes(dataset: D.DatasetPair) -> int:
 
 
 def check_fit(model: MlpModel, dataset: D.DatasetPair) -> None:
-    """Raise InvalidInput unless the model has taps (`MlpModel.taps`), takes
+    """Raise InvalidInput unless the model's layers chain (2-D weights, each bias and the
+    next weight as wide as its weight's output), it has taps (`MlpModel.taps`), takes
     the dataset's features and has an output for each of its source classes."""
+    w, b = [np.shape(a) for a in model.weights], [np.shape(a) for a in model.biases]
+    if {len(s) for s in w} != {2} or w + b != [*zip(model.dims, model.dims[1:]), *zip(model.dims[1:])]:
+        raise InvalidInput(f"model layers do not chain: weights {w}, biases {b}")
     model.taps  # raises without a hidden layer
     num_classes = source_classes(dataset)
     if model.dims[0] != dataset.source.d or model.dims[-1] < num_classes:

@@ -1,8 +1,10 @@
+import copy
 import dataclasses
 
+import numpy as np
 import pytest
 
-from logcoral import losses
+from logcoral import losses, training
 
 
 @pytest.fixture
@@ -15,3 +17,31 @@ def flipped_target_gradients(monkeypatch):
             b = real(*args, **kwargs)
             return dataclasses.replace(b, grad_target=-b.grad_target)
         monkeypatch.setattr(losses, name, flipped)
+
+
+def _is_default_run(config, dataset):
+    """Whether config differs from RunConfig() in seed and weights only, and dataset
+    equals default_dataset(config)."""
+    if config != training.RunConfig(seed=config.seed, weights=config.weights):
+        return False
+    default = training.default_dataset(config)
+    return all(np.array_equal(a.data, b.data) and np.array_equal(a.labels, b.labels)
+               for a, b in ((dataset.source, default.source), (dataset.target, default.target)))
+
+
+@pytest.fixture(scope="session")
+def memo_train():
+    """`training.train` with a session-wide memo of its default-dataset runs. A call
+    with no state or paths, on a config and dataset `_is_default_run` accepts, trains
+    once per session and returns its own copy of that run's (state, records). Every
+    other call goes to the real `train`."""
+    runs = {}
+
+    def train(config, dataset, *args, **kwargs):
+        if args or kwargs or not _is_default_run(config, dataset):
+            return training.train(config, dataset, *args, **kwargs)
+        key = (config.seed, config.weights)
+        if key not in runs:
+            runs[key] = training.train(config, dataset)
+        return copy.deepcopy(runs[key])
+    return train

@@ -45,8 +45,9 @@ def test_probes_evaluate_only_the_value(monkeypatch):
 
 
 def test_each_draw_decomposes_its_fixed_inputs_once(monkeypatch):
-    # per draw: 2 for the analytic bundle, then one stack of each input's 2 x DIRECTIONS
-    # perturbations and the input itself, source then target; one call per matrix makes 12
+    # per draw, one call per log_euclidean: [C_s, C_t] for the analytic bundle, then each
+    # input's 2 x DIRECTIONS perturbations with the other input, source then target;
+    # one call per matrix makes 12
     calls = []
 
     def counted(m, real=linalg.sym_eig):
@@ -54,7 +55,7 @@ def test_each_draw_decomposes_its_fixed_inputs_once(monkeypatch):
         return real(m)
     monkeypatch.setattr(linalg, "sym_eig", counted)
     assert run_gradcheck(dims=(5,), seeds=[0]).passed
-    assert calls == [(5, 5)] * 2 + [(2 * (2 * DIRECTIONS + 1), 5, 5)]
+    assert calls == [(2, 5, 5), (2 * DIRECTIONS + 1, 5, 5), (2 * DIRECTIONS + 1, 5, 5)]
 
 
 def test_probes_trust_only_symmetric_finite_matrices(monkeypatch):
@@ -68,17 +69,22 @@ def test_probes_trust_only_symmetric_finite_matrices(monkeypatch):
     monkeypatch.setattr(linalg.SymmetricMatrix, "_trusted", classmethod(checked))
     dims, seeds = (1, 2, 5, 16), range(5)
     assert run_gradcheck(dims=dims, seeds=seeds).passed
-    # per draw: C_s and C_t, then one stack [C_s +- STEP v, C_s, C_t +- STEP v, C_t]
-    n = 2 * DIRECTIONS + 1
-    assert [a.shape for a in seen] == [s for _ in seeds for d in dims
-                                       for s in ((d, d), (d, d), (2 * n, d, d))]
+    # per draw: C_s and C_t; log_euclidean's [C_s, C_t] for the bundle; the probe's
+    # C_s +- STEP v, then log_euclidean's [C_s +- STEP v, C_t]; the probe's C_t +- STEP v,
+    # then log_euclidean's [C_s, C_t +- STEP v]
+    n = 2 * DIRECTIONS
+    assert [a.shape for a in seen] == [s for _ in seeds for d in dims for s in (
+        (d, d), (d, d), (2, d, d), (n, d, d), (n + 1, d, d), (n, d, d), (n + 1, d, d))]
     for a in seen:
         assert a.dtype == float
         for m in a.reshape(-1, *a.shape[-2:]):
             assert np.array_equal(m, m.T) and np.all(np.isfinite(m))
-    # the stack holds the draw's two covariances themselves, each after its perturbations
-    for c_s, c_t, stack in zip(seen[::3], seen[1::3], seen[2::3]):
-        assert np.array_equal(stack[n - 1], c_s) and np.array_equal(stack[-1], c_t)
+    # each concatenation holds the draw's two covariances or one of them after the
+    # other's perturbations, which are the probe's own stack
+    for c_s, c_t, both, ys_s, with_t, ys_t, with_s in zip(*(seen[i::7] for i in range(7))):
+        assert np.array_equal(both, np.stack([c_s, c_t]))
+        assert np.array_equal(with_t, np.concatenate([ys_s, c_t[None]]))
+        assert np.array_equal(with_s, np.concatenate([c_s[None], ys_t]))
 
 
 def test_scaled_logcoral_gradients_detected(monkeypatch):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from logcoral import linalg
 from logcoral.exceptions import InvalidInput, NotPositiveDefinite, NumericalFailure
 from logcoral.linalg import (
     SymmetricMatrix,
@@ -258,6 +259,27 @@ class TestLogCoralLoss:
         assert le.value == 0.0
         assert all(np.all(g == 0.0) for g in le.grads())
 
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_distinct_inputs_decomposed_in_one_call(self, monkeypatch, eps):
+        # one sym_eig call on [C_s, C_t], bit for bit the pairs of one call per input
+        rng = np.random.default_rng(6)
+        cs, ct = rand_spd(rng, 6), rand_spd(rng, 6)
+        two_calls = LogEuclidean.from_eigenpairs(spd_eig(cs, eps), spd_eig(ct, eps))
+        calls = []
+
+        def counted(m, real=linalg.sym_eig):
+            calls.append(m.data.shape)
+            return real(m)
+        monkeypatch.setattr(linalg, "sym_eig", counted)
+        le = log_euclidean(cs, ct, eps)
+        assert calls == [(2, 6, 6)]
+        assert le.value == two_calls.value and le.diff_s.tobytes() == two_calls.diff_s.tobytes()
+        for pair, want in ((le.eig_s, two_calls.eig_s), (le.eig_t, two_calls.eig_t)):
+            assert pair.values.tobytes() == want.values.tobytes()
+            assert pair.vectors.tobytes() == want.vectors.tobytes()
+        for got, want in zip(le.grads(), two_calls.grads()):
+            assert got.tobytes() == want.tobytes()
+
     def test_named_value_gives_the_loss_gradients(self):
         cs, ct = tap_covariances(np.random.default_rng(16), 16)
         eps = max(default_epsilon(cs), default_epsilon(ct))
@@ -486,18 +508,29 @@ class TestStackedValues:
         assert bits(_coral_value(fixed.data - stack)) == bits([coral_loss(fixed, m).value for m in items])
 
     def test_logcoral(self, d):
+        # a stack in either place, through from_eigenpairs or through log_euclidean
         *items, fixed = self.covariances(d)
-        eig_stack = spd_eig(SymmetricMatrix._trusted(np.stack([m.data for m in items])))
-        as_source = LogEuclidean.from_eigenpairs(eig_stack, spd_eig(fixed))
-        as_target = LogEuclidean.from_eigenpairs(spd_eig(fixed), eig_stack)
-        assert bits(as_source.value) == bits([logcoral_loss(m, fixed).value for m in items])
-        assert bits(as_target.value) == bits([logcoral_loss(fixed, m).value for m in items])
-        for i, m in enumerate(items):
-            assert as_source.diff_s[i].tobytes() == log_euclidean(m, fixed, 0.0).diff_s.tobytes()
-            assert as_target.diff_s[i].tobytes() == log_euclidean(fixed, m, 0.0).diff_s.tobytes()
-        for stacked in (as_source, as_target):
-            with pytest.raises(InvalidInput, match="not a stack"):
-                stacked.grads()
+        stack = SymmetricMatrix._trusted(np.stack([m.data for m in items]))
+        for eps in (0.0, 0.1):
+            eig_stack = spd_eig(stack, eps)
+            for as_source, as_target in (
+                    (LogEuclidean.from_eigenpairs(eig_stack, spd_eig(fixed, eps)),
+                     LogEuclidean.from_eigenpairs(spd_eig(fixed, eps), eig_stack)),
+                    (log_euclidean(stack, fixed, eps), log_euclidean(fixed, stack, eps))):
+                assert bits(as_source.value) == bits([logcoral_loss(m, fixed, eps).value for m in items])
+                assert bits(as_target.value) == bits([logcoral_loss(fixed, m, eps).value for m in items])
+                for i, m in enumerate(items):
+                    assert as_source.diff_s[i].tobytes() == log_euclidean(m, fixed, eps).diff_s.tobytes()
+                    assert as_target.diff_s[i].tobytes() == log_euclidean(fixed, m, eps).diff_s.tobytes()
+                for stacked in (as_source, as_target):
+                    with pytest.raises(InvalidInput, match="not a stack"):
+                        stacked.grads()
+            # equal inputs, a stack or one matrix, keep one decomposition and exact zeros
+            same = log_euclidean(stack, SymmetricMatrix._trusted(stack.data.copy()), eps)
+            assert same.eig_t is same.eig_s
+            assert np.all(same.value == 0.0) and np.all(same.diff_s == 0.0)
+            le = log_euclidean(fixed, SymmetricMatrix(fixed.data.copy()), eps)
+            assert le.value == 0.0 and all(np.all(g == 0.0) for g in le.grads())
 
     def test_mean(self, d):
         rng = np.random.default_rng(200 + d)

@@ -147,6 +147,26 @@ class TestFailureClass:
         assert exc.value.step is None  # raised before any step
         assert not (tmp_path / "ck.npz").exists()
 
+    @pytest.mark.parametrize("layer, shape, name", [
+        ("weights", (100, 64), "w1"),   # 128 outputs feed a layer that takes 100
+        ("biases", (100,), "b0"),       # a bias wider than its weight's 128 outputs
+        ("weights", (16 * 128,), "w0"),  # not 2-D
+    ])
+    def test_layers_that_do_not_chain_are_bad_input(self, tmp_path, layer, shape, name):
+        # a hand-built model: check_fit names the shapes before any step or directory
+        cfg = RunConfig(steps=3, batch=16, samples_per_class=20)
+        state = init_state(cfg, feature_dim=16, num_classes=5)
+        arrays = list(getattr(state.model, layer))
+        arrays[int(name[1])] = np.zeros(shape)
+        state = dataclasses.replace(state, model=dataclasses.replace(state.model, **{layer: arrays}))
+        out = tmp_path / "new"
+        with pytest.raises(InvalidInput, match="model layers do not chain: weights") as exc:
+            train(cfg, default_dataset(cfg), state=state, metrics_path=out / "metrics.jsonl",
+                  checkpoint_path=out / "ck.npz")
+        assert f"{shape}" in str(exc.value)
+        assert exc.value.step is None and state.step == 0
+        assert not out.exists()
+
 
 class TestCheckpoint:
     def test_roundtrip_preserves_state(self, tmp_path):
