@@ -119,7 +119,7 @@ class TrainState:
     stats_target: SmoothedStats
     step: int
     rng: np.random.Generator
-    epsilon: float  # the Log-CORAL shift of every step; RunConfig keeps it positive, 0 means no shift
+    epsilon: float  # each step's Log-CORAL shift; train requires it positive, step_objective takes 0 (no shift)
 
 
 def _split_tap(cache: ForwardCache, layer: int, n_source: int) -> tuple:

@@ -5,7 +5,7 @@ loss_mean, loss_total, target_acc?}); checkpoints are version-2 .npz
 containers that carry everything needed for a bit-exact resume (parameters,
 optimizer velocities, rng state, step counter, and each domain's smoothed
 statistics: the covariance at the model's covariance tap and the mean at its
-mean tap, sized from the layer dims through `MlpModel.taps`).
+mean tap). `check_state` is the one check of a run's state, loaded or given.
 """
 from __future__ import annotations
 
@@ -85,22 +85,12 @@ def _stats_to_npz(domain: str, s: SmoothedStats, out: dict):
         out[f"mean_{domain}_mean"] = s.mean
 
 
-def _stats_from_npz(domain: str, z: dict, cov_dim: int, mean_dim: int) -> SmoothedStats:
+def _stats_from_npz(domain: str, z: dict) -> SmoothedStats:
     momentum = float(z[f"cov_{domain}_momentum"])
     if bool(z[f"cov_{domain}_initialized"]):
-        return SmoothedStats(momentum=momentum,
-                             cov=SymmetricMatrix(_fitted(z, f"cov_{domain}_cov", (cov_dim, cov_dim))),
-                             mean=_fitted(z, f"mean_{domain}_mean", (mean_dim,)))
+        return SmoothedStats(momentum=momentum, cov=SymmetricMatrix(z[f"cov_{domain}_cov"]),
+                             mean=z[f"mean_{domain}_mean"])
     return SmoothedStats(momentum=momentum)
-
-
-def _fitted(z: dict, key: str, shape: tuple) -> np.ndarray:
-    """z[key], which must be finite and have the shape the checkpoint's dims give it."""
-    if z[key].shape != shape:
-        raise InvalidInput(f"{key} has shape {z[key].shape}, but dims give {shape}")
-    if not np.isfinite(z[key]).all():
-        raise InvalidInput(f"{key} has non-finite entries")
-    return z[key]
 
 
 def save_checkpoint(path, state: TrainState):
@@ -120,20 +110,23 @@ def save_checkpoint(path, state: TrainState):
 
 
 def load_checkpoint(path) -> TrainState:
-    """The state saved at path. Raises InvalidInput naming path if the file is not an
-    .npz, lacks a key, has no hidden layer, has arrays that are non-finite or do not fit
-    its dims, or holds an lr, opt_momentum or epsilon (0 too) that RunConfig rejects."""
+    """The state saved at path; InvalidInput naming path unless it is a version-2 .npz checkpoint
+    with every key, whose values parse (a 2-D dims does not) and whose state passes `check_state`."""
     try:
         with np.load(path, allow_pickle=False) as npz:  # TypeError: a .npy file is no context manager
             arrays = dict(npz)
     except (TypeError, ValueError, EOFError, zipfile.BadZipFile) as exc:
         raise InvalidInput(f"{path}: not an .npz checkpoint ({exc})") from exc
     try:
-        return _state_from_npz(arrays)
+        state = _state_from_npz(arrays)
+        check_state(state)
+        return state
     except KeyError as exc:
         raise InvalidInput(f"{path}: checkpoint has no {exc.args[0]!r}") from exc
     except InvalidInput as exc:
         raise InvalidInput(f"{path}: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"{path}: malformed checkpoint ({exc})") from exc
 
 
 def _state_from_npz(z: dict) -> TrainState:
@@ -141,21 +134,15 @@ def _state_from_npz(z: dict) -> TrainState:
     if version != CHECKPOINT_VERSION:
         raise InvalidInput(f"checkpoint version {version} is not supported, only version "
                            f"{CHECKPOINT_VERSION} (version 1 holds a mean-tap covariance that 2 drops)")
-    dims = [int(v) for v in z["dims"]]
+    layers = range(len([int(d) for d in z["dims"]]) - 1)  # the layer count; the weights give the widths
     meta = json.loads(str(z["meta_json"]))
-    RunConfig(lr=meta["lr"], opt_momentum=meta["opt_momentum"], epsilon=meta["epsilon"])  # their range checks
-    layers = range(len(dims) - 1)
-    model = MlpModel(weights=[_fitted(z, f"w{i}", (dims[i], dims[i + 1])) for i in layers],
-                     biases=[_fitted(z, f"b{i}", (dims[i + 1],)) for i in layers])
-    cov_dim, mean_dim = (dims[i + 1] for i in model.taps)
     rng = np.random.default_rng()
     rng.bit_generator.state = meta["rng_state"]
     return TrainState(
-        model=model, lr=meta["lr"], opt_momentum=meta["opt_momentum"],
-        velocity_w=[_fitted(z, f"vw{i}", w.shape) for i, w in zip(layers, model.weights)],
-        velocity_b=[_fitted(z, f"vb{i}", b.shape) for i, b in zip(layers, model.biases)],
-        stats_source=_stats_from_npz("s", z, cov_dim, mean_dim),
-        stats_target=_stats_from_npz("t", z, cov_dim, mean_dim),
+        model=MlpModel(weights=[z[f"w{i}"] for i in layers], biases=[z[f"b{i}"] for i in layers]),
+        lr=meta["lr"], opt_momentum=meta["opt_momentum"],
+        velocity_w=[z[f"vw{i}"] for i in layers], velocity_b=[z[f"vb{i}"] for i in layers],
+        stats_source=_stats_from_npz("s", z), stats_target=_stats_from_npz("t", z),
         step=int(z["step"]), rng=rng, epsilon=meta["epsilon"],
     )
 
@@ -193,30 +180,43 @@ def source_classes(dataset: D.DatasetPair) -> int:
     return num_classes
 
 
-def check_fit(model: MlpModel, dataset: D.DatasetPair) -> None:
-    """Raise InvalidInput unless the model's layers chain (2-D weights, each bias and the
-    next weight as wide as its weight's output), it has taps (`MlpModel.taps`), takes
-    the dataset's features and has an output for each of its source classes."""
+def check_state(state: TrainState) -> None:
+    """Raise InvalidInput unless state is one consistent run: chained layers with taps (2-D weights, each
+    bias and the next weight as wide as its weight's output), one velocity per weight and bias, of its shape,
+    tap-wide statistics, finite arrays, step >= 0, and the lr, opt_momentum and epsilon RunConfig allows."""
+    model = state.model
     w, b = [np.shape(a) for a in model.weights], [np.shape(a) for a in model.biases]
     if {len(s) for s in w} != {2} or w + b != [*zip(model.dims, model.dims[1:]), *zip(model.dims[1:])]:
         raise InvalidInput(f"model layers do not chain: weights {w}, biases {b}")
-    model.taps  # raises without a hidden layer
-    num_classes = source_classes(dataset)
-    if model.dims[0] != dataset.source.d or model.dims[-1] < num_classes:
-        raise InvalidInput(f"model dims {model.dims} do not fit {dataset.source.d} "
-                           f"features and {num_classes} classes")
+    cov_dim, mean_dim = (model.dims[i + 1] for i in model.taps)  # taps raises without a hidden layer
+    vw, vb = [np.shape(a) for a in state.velocity_w], [np.shape(a) for a in state.velocity_b]
+    if (vw, vb) != (w, b):
+        raise InvalidInput(f"velocities {vw}, {vb} do not match the weights {w} and biases {b}")
+    for name, s in (("source", state.stats_source), ("target", state.stats_target)):
+        if s.initialized and (s.cov.data.shape, s.mean.shape) != ((cov_dim, cov_dim), (mean_dim,)):
+            raise InvalidInput(f"{name} statistics (cov {s.cov.data.shape}, mean {s.mean.shape}) do not fit "
+                               f"the taps' widths, {cov_dim} and {mean_dim}")
+    arrays = {"w": model.weights, "b": model.biases, "vw": state.velocity_w, "vb": state.velocity_b}
+    if bad := [f"{k}{i}" for k, group in arrays.items() for i, a in enumerate(group) if not np.isfinite(a).all()]:
+        raise InvalidInput(f"non-finite entries in {', '.join(bad)}")
+    if state.step < 0:
+        raise InvalidInput(f"step must be nonnegative, got {state.step}")
+    RunConfig(lr=state.lr, opt_momentum=state.opt_momentum, epsilon=state.epsilon)  # their range checks
 
 
 def train(config: RunConfig, dataset: D.DatasetPair, state: TrainState = None,
           metrics_path=None, checkpoint_path=None):
     """Run (or continue) a training run. Returns (state, records) where records is
     the list of per-step metric dicts logged by this call. The state (fresh if none is
-    given) must fit the dataset, `check_fit`, before the parent directories of
+    given) must pass `check_state` and fit the dataset before the parent directories of
     metrics_path and checkpoint_path are made. A step that raises leaves the last
     completed state, in the checkpoint too, and re-raises with its class and step set."""
     if state is None:
         state = init_state(config, dataset.source.d, source_classes(dataset))
-    check_fit(state.model, dataset)
+    check_state(state)
+    num_classes, dims = source_classes(dataset), state.model.dims
+    if dims[0] != dataset.source.d or dims[-1] < num_classes:
+        raise InvalidInput(f"model dims {dims} do not fit {dataset.source.d} features and {num_classes} classes")
     for path in filter(None, (metrics_path, checkpoint_path)):
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
 

@@ -450,12 +450,18 @@ class TestTrainCommand:
         lambda a: a.update(cov_s_cov=np.eye(5)),
         *(lambda a, key=key, value=value: a.update(meta_json=np.array(json.dumps(
             {**json.loads(str(a["meta_json"])), key: value})))
-          for key, value in (("lr", float("nan")), ("opt_momentum", 1.5), ("epsilon", -1.0), ("epsilon", 0.0))),
+          for key, value in (("lr", float("nan")), ("opt_momentum", 1.5), ("epsilon", -1.0), ("epsilon", 0.0),
+                             ("lr", "0.001"))),
         lambda a: a.update(w1=with_first_entry(a["w1"], np.nan)),
         lambda a: a.update(vb0=with_first_entry(a["vb0"], np.inf)),
         lambda a: a.update(mean_s_mean=with_first_entry(a["mean_s_mean"], np.nan)),
+        lambda a: a.update(dims=a["dims"][None]),
+        lambda a: a.update(meta_json=np.array("{not json")),
+        lambda a: a.update(meta_json=np.array(json.dumps([1e-3, 0.9]))),
+        lambda a: a.update(step=np.array(-4)),
     ], ids=["no_version", "w1_shape", "vb0_shape", "cov_5x5", "lr_nan", "opt_momentum_1.5", "epsilon_negative",
-            "epsilon_zero", "w1_nan", "vb0_inf", "mean_s_mean_nan"])
+            "epsilon_zero", "lr_string", "w1_nan", "vb0_inf", "mean_s_mean_nan", "dims_2d", "meta_not_json",
+            "meta_list", "step_negative"])
     def test_unfit_checkpoint_is_bad_input(self, tmp_path, capsys, corrupt):
         config = RunConfig(steps=3, batch=16, samples_per_class=20)
         save_checkpoint(tmp_path / "ck.npz", train(config, default_dataset(config))[0])

@@ -101,12 +101,14 @@ class TestFailureClass:
     """A step's failure keeps the class its check gave it, and names the step."""
 
     def test_mismatched_statistics_are_bad_input(self):
+        # check_state compares them with the taps' widths before the first step
         cfg = short_config()
         state = init_state(cfg, feature_dim=16, num_classes=5)
         state.stats_source = SmoothedStats(momentum=0.9, cov=SymmetricMatrix(np.eye(3)), mean=np.zeros(3))
-        with pytest.raises(InvalidInput, match="does not match state") as exc:
+        with pytest.raises(InvalidInput, match=r"source statistics \(cov \(3, 3\), mean \(3,\)\) "
+                                               r"do not fit the taps' widths, 64 and 128") as exc:
             train(cfg, default_dataset(cfg), state=state)
-        assert exc.value.step == 1 and state.step == 0
+        assert exc.value.step is None and state.step == 0
 
     def test_overflow_names_its_layer_and_step(self):
         cfg = short_config()
@@ -153,7 +155,7 @@ class TestFailureClass:
         ("weights", (16 * 128,), "w0"),  # not 2-D
     ])
     def test_layers_that_do_not_chain_are_bad_input(self, tmp_path, layer, shape, name):
-        # a hand-built model: check_fit names the shapes before any step or directory
+        # a hand-built model: check_state names the shapes before any step or directory
         cfg = RunConfig(steps=3, batch=16, samples_per_class=20)
         state = init_state(cfg, feature_dim=16, num_classes=5)
         arrays = list(getattr(state.model, layer))
@@ -164,6 +166,28 @@ class TestFailureClass:
             train(cfg, default_dataset(cfg), state=state, metrics_path=out / "metrics.jsonl",
                   checkpoint_path=out / "ck.npz")
         assert f"{shape}" in str(exc.value)
+        assert exc.value.step is None and state.step == 0
+        assert not out.exists()
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda s: {"velocity_w": [np.zeros((3, 3)), *s.velocity_w[1:]]}, r"velocities \[\(3, 3\), "),
+        (lambda s: {"velocity_b": s.velocity_b[:-1]}, r"velocities .*, \[\(128,\), \(64,\)\] do not match"),
+        (lambda s: {"velocity_w": [*s.velocity_w, np.zeros((5, 5))]}, r"velocities .*\(5, 5\)\], "),
+        (lambda s: {"lr": -1.0}, "learning rate must be positive and finite, got -1.0"),
+        (lambda s: {"opt_momentum": 2.0}, r"optimizer momentum must be in \[0, 1\), got 2.0"),
+        (lambda s: {"model": dataclasses.replace(s.model, weights=[s.model.weights[0], np.full((128, 64), np.nan),
+                                                                    s.model.weights[2]])},
+         "non-finite entries in w1$"),
+    ], ids=["velocity_w0_3x3", "velocity_b_short", "velocity_w_extra", "lr_negative", "opt_momentum_2", "w1_nan"])
+    def test_inconsistent_state_is_bad_input(self, tmp_path, change, message):
+        # a hand-built state: check_state names what is wrong before any step or directory
+        cfg = RunConfig(steps=3, batch=16, samples_per_class=20)
+        state = init_state(cfg, feature_dim=16, num_classes=5)
+        state = dataclasses.replace(state, **change(state))
+        out = tmp_path / "new"
+        with pytest.raises(InvalidInput, match=message) as exc:
+            train(cfg, default_dataset(cfg), state=state, metrics_path=out / "metrics.jsonl",
+                  checkpoint_path=out / "ck.npz")
         assert exc.value.step is None and state.step == 0
         assert not out.exists()
 
@@ -196,6 +220,20 @@ class TestCheckpoint:
 
         assert first + second == full_records
         assert (tmp_path / "part.jsonl").read_text() == (tmp_path / "full.jsonl").read_text()
+
+    def test_every_array_cut_short_is_bad_input(self, tmp_path):
+        # one entry short on its last axis, each layer array and statistic fails the load, naming the file
+        config = RunConfig(steps=3, batch=16, samples_per_class=20)
+        train(config, default_dataset(config), checkpoint_path=tmp_path / "ck.npz")
+        with np.load(tmp_path / "ck.npz") as z:
+            arrays = {k: z[k] for k in z.files}
+        keys = [k for k in arrays if k[-1].isdigit() or k in ("cov_s_cov", "cov_t_cov", "mean_s_mean", "mean_t_mean")]
+        assert len(keys) == 16
+        for key in keys:
+            np.savez(tmp_path / "bad.npz", **{**arrays, key: arrays[key][..., :-1]})
+            with pytest.raises(InvalidInput) as exc:
+                load_checkpoint(tmp_path / "bad.npz")
+            assert str(exc.value).startswith(f"{tmp_path / 'bad.npz'}: "), key
 
     def test_stats_momentum_key_is_ignored(self, tmp_path):
         # version-2 files written before the key was dropped still carry it
