@@ -10,8 +10,8 @@ cov and mean. Batches the library cuts from checked arrays (a step's sampled
 rows, the halves of a tap) skip those checks through the private
 `FeatureBatch._trusted`. `batch_covariance` and `batch_mean`, the training
 step's too, raise `NumericalFailure` if the value overflows, as finite features
-can have an infinite covariance or column sum. The covariance and the moving
-averages are symmetric by construction and skip the `SymmetricMatrix` checks.
+can have an infinite covariance or column sum. The covariance (numpy's `syrk` mirrors
+`c.T @ c`) and the moving averages are symmetric by construction and skip the `SymmetricMatrix` checks.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import InvalidInput, NumericalFailure
-from .linalg import SymmetricMatrix, _data, _symmetrize
+from .linalg import SymmetricMatrix, _data
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ def batch_covariance(b: FeatureBatch) -> SymmetricMatrix:
         raise InvalidInput(f"covariance needs at least 2 rows, got {b.n}")
     with np.errstate(over="ignore", invalid="ignore"):  # checked at once
         centered = b.data - b.data.mean(axis=0)
-        cov = _symmetrize(centered.T @ centered / (b.n - 1))
+        cov = centered.T @ centered / (b.n - 1)  # exactly symmetric, see above
     if not np.isfinite(cov).all():
         raise NumericalFailure("covariance has non-finite entries: the feature values overflow it",
                                component="batch_covariance")
@@ -113,16 +113,16 @@ def batch_mean(b: FeatureBatch) -> np.ndarray:
 class SmoothedStats:
     """Moving-average covariance and mean of one domain, which may come from
     different feature taps, updated functionally. Both are None until the
-    first update, which seeds them with the batch values verbatim. cov must be
-    a `SymmetricMatrix` and mean a finite 1-D array, else InvalidInput."""
+    first update, which seeds them with the batch values verbatim. Momentum in [0, 1) (0 keeps the
+    paper's per-batch statistics), cov a `SymmetricMatrix` and mean a finite 1-D array, else InvalidInput."""
 
     momentum: float = 0.9
     cov: Optional[SymmetricMatrix] = None
     mean: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if not 0.0 < self.momentum < 1.0:
-            raise InvalidInput(f"momentum must be in (0, 1), got {self.momentum}")
+        if not 0.0 <= self.momentum < 1.0:  # the one range rule; RunConfig checks through it
+            raise InvalidInput(f"momentum must be in [0, 1), got {self.momentum}")
         if (self.cov is None) != (self.mean is None):
             raise InvalidInput("cov and mean must both be set or both be None")
         if self.cov is not None:

@@ -1,11 +1,11 @@
 """Training loop, checkpointing and the ablation sweep.
 
-Metrics are JSON-lines ({step, loss_cls, loss_coral, loss_logcoral,
-loss_mean, loss_total, target_acc?}); checkpoints are version-2 .npz
-containers that carry everything needed for a bit-exact resume (parameters,
-optimizer velocities, rng state, step counter, and each domain's smoothed
-statistics: the covariance at the model's covariance tap and the mean at its
-mean tap). `check_state` is the one check of a run's state, loaded or given.
+Metrics are JSON-lines ({step, loss_cls, loss_coral, loss_logcoral, loss_mean, loss_total,
+target_acc?}); checkpoints are version-2 .npz containers that carry everything needed for a
+bit-exact resume, each fact once: parameters (their w<i> arrays give the layer count), optimizer
+velocities, rng state, step counter, and each domain's smoothed statistics (the covariance at the
+model's covariance tap and the mean at its mean tap), saved once initialized.
+`check_state` is the one check of a run's state, loaded or given.
 """
 from __future__ import annotations
 
@@ -51,8 +51,7 @@ class RunConfig:
             raise InvalidInput("steps must be >= 1 and batch >= 2")
         if not 0 < self.lr < np.inf:
             raise InvalidInput(f"learning rate must be positive and finite, got {self.lr}")
-        if not 0.0 < self.momentum < 1.0:
-            raise InvalidInput(f"momentum must be in (0, 1), got {self.momentum}")
+        SmoothedStats(momentum=self.momentum)  # its range check
         if not 0.0 <= self.opt_momentum < 1.0:
             raise InvalidInput(f"optimizer momentum must be in [0, 1), got {self.opt_momentum}")
         if not 0 < self.epsilon < np.inf:
@@ -75,10 +74,9 @@ def _sample_batch(batch: FeatureBatch, size: int, rng: np.random.Generator,
     return FeatureBatch._trusted(batch.data[idx], labels=labels)
 
 
-# Keys name the tap a value comes from. Older files that also hold cov_{s,t}_mean,
+# Keys name the tap a value comes from. Older files that also hold dims, cov_{s,t}_{mean,initialized},
 # mean_{s,t}_{momentum,initialized} or the tap names in meta load too; those are not read.
 def _stats_to_npz(domain: str, s: SmoothedStats, out: dict):
-    out[f"cov_{domain}_initialized"] = np.array(s.initialized)
     out[f"cov_{domain}_momentum"] = np.array(s.momentum)
     if s.initialized:
         out[f"cov_{domain}_cov"] = s.cov.data
@@ -87,15 +85,14 @@ def _stats_to_npz(domain: str, s: SmoothedStats, out: dict):
 
 def _stats_from_npz(domain: str, z: dict) -> SmoothedStats:
     momentum = float(z[f"cov_{domain}_momentum"])
-    if bool(z[f"cov_{domain}_initialized"]):
+    if {f"cov_{domain}_cov", f"mean_{domain}_mean"} & z.keys():  # saved once initialized, both or neither
         return SmoothedStats(momentum=momentum, cov=SymmetricMatrix(z[f"cov_{domain}_cov"]),
                              mean=z[f"mean_{domain}_mean"])
     return SmoothedStats(momentum=momentum)
 
 
 def save_checkpoint(path, state: TrainState):
-    arrays = {"version": np.array(CHECKPOINT_VERSION), "dims": np.array(state.model.dims),
-              "step": np.array(state.step)}
+    arrays = {"version": np.array(CHECKPOINT_VERSION), "step": np.array(state.step)}
     for i, (w, b) in enumerate(zip(state.model.weights, state.model.biases)):
         arrays[f"w{i}"] = w
         arrays[f"b{i}"] = b
@@ -111,7 +108,8 @@ def save_checkpoint(path, state: TrainState):
 
 def load_checkpoint(path) -> TrainState:
     """The state saved at path; InvalidInput naming path unless it is a version-2 .npz checkpoint
-    with every key, whose values parse (a 2-D dims does not) and whose state passes `check_state`."""
+    with every key, whose values parse and whose state passes `check_state`. The layer count is
+    that of the w<i> arrays, so a gap in their numbering is a missing key."""
     try:
         with np.load(path, allow_pickle=False) as npz:  # TypeError: a .npy file is no context manager
             arrays = dict(npz)
@@ -134,7 +132,7 @@ def _state_from_npz(z: dict) -> TrainState:
     if version != CHECKPOINT_VERSION:
         raise InvalidInput(f"checkpoint version {version} is not supported, only version "
                            f"{CHECKPOINT_VERSION} (version 1 holds a mean-tap covariance that 2 drops)")
-    layers = range(len([int(d) for d in z["dims"]]) - 1)  # the layer count; the weights give the widths
+    layers = range(sum(k[:1] == "w" and k[1:].isdecimal() for k in z))  # the weights give the widths
     meta = json.loads(str(z["meta_json"]))
     rng = np.random.default_rng()
     rng.bit_generator.state = meta["rng_state"]

@@ -424,6 +424,34 @@ class TestTrainCommand:
         assert ((tmp_path / "resumed" / "checkpoint.npz").read_bytes()
                 == (tmp_path / "full" / "checkpoint.npz").read_bytes())
 
+    def test_layer_count_comes_from_the_weights(self, tmp_path):
+        # a dims key, as older files hold, is not read: rewritten to two layers,
+        # the step-0 default 16-128-64-5 model still resumes whole
+        save_checkpoint(tmp_path / "ck.npz", init_state(RunConfig(), feature_dim=16, num_classes=5))
+        with np.load(tmp_path / "ck.npz") as z:
+            arrays = {k: z[k] for k in z.files}
+        np.savez(tmp_path / "dims.npz", **{**arrays, "dims": np.array([16, 128, 64])})
+        run = ["train", "--steps", "5", "--out"]
+        assert main(run + [str(tmp_path / "plain"), "--resume", str(tmp_path / "ck.npz")]) == 0
+        assert main(run + [str(tmp_path / "dims"), "--resume", str(tmp_path / "dims.npz")]) == 0
+        with np.load(tmp_path / "dims" / "checkpoint.npz") as z:
+            assert [z[f"w{i}"].shape for i in range(3)] == [(16, 128), (128, 64), (64, 5)]
+        for name in ("metrics.jsonl", "checkpoint.npz"):
+            assert (tmp_path / "dims" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+    def test_gap_in_the_layer_keys_is_bad_input(self, tmp_path, capsys):
+        # three w<i> arrays are three layers, so w0, w1, w3 lacks w2
+        save_checkpoint(tmp_path / "ck.npz", init_state(RunConfig(), feature_dim=16, num_classes=5))
+        with np.load(tmp_path / "ck.npz") as z:
+            arrays = {k: z[k] for k in z.files}
+        for key in ("w", "b", "vw", "vb"):
+            arrays[f"{key}3"] = arrays.pop(f"{key}2")
+        np.savez(tmp_path / "gap.npz", **arrays)
+        out = tmp_path / "run"
+        assert main(["train", "--steps", "5", "--resume", str(tmp_path / "gap.npz"), "--out", str(out)]) == 2
+        assert f"{tmp_path / 'gap.npz'}: checkpoint has no 'w2'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_checkpoint_without_hidden_layer_is_bad_input(self, tmp_path, capsys):
         # consistent arrays for dims [16, 5]: such a model has no taps to align
         save_checkpoint(tmp_path / "ck.npz", init_state(RunConfig(), feature_dim=16, num_classes=5))
@@ -455,13 +483,13 @@ class TestTrainCommand:
         lambda a: a.update(w1=with_first_entry(a["w1"], np.nan)),
         lambda a: a.update(vb0=with_first_entry(a["vb0"], np.inf)),
         lambda a: a.update(mean_s_mean=with_first_entry(a["mean_s_mean"], np.nan)),
-        lambda a: a.update(dims=a["dims"][None]),
         lambda a: a.update(meta_json=np.array("{not json")),
         lambda a: a.update(meta_json=np.array(json.dumps([1e-3, 0.9]))),
         lambda a: a.update(step=np.array(-4)),
+        lambda a: a.pop("cov_s_cov"),
     ], ids=["no_version", "w1_shape", "vb0_shape", "cov_5x5", "lr_nan", "opt_momentum_1.5", "epsilon_negative",
-            "epsilon_zero", "lr_string", "w1_nan", "vb0_inf", "mean_s_mean_nan", "dims_2d", "meta_not_json",
-            "meta_list", "step_negative"])
+            "epsilon_zero", "lr_string", "w1_nan", "vb0_inf", "mean_s_mean_nan", "meta_not_json",
+            "meta_list", "step_negative", "no_cov_s_cov"])
     def test_unfit_checkpoint_is_bad_input(self, tmp_path, capsys, corrupt):
         config = RunConfig(steps=3, batch=16, samples_per_class=20)
         save_checkpoint(tmp_path / "ck.npz", train(config, default_dataset(config))[0])

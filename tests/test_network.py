@@ -17,7 +17,7 @@ from logcoral.network import (
     step_objective,
     train_step,
 )
-from logcoral.stats import FeatureBatch, batch_covariance, batch_mean, update_smoothed
+from logcoral.stats import FeatureBatch, SmoothedStats, batch_covariance, batch_mean, update_smoothed
 from logcoral.training import RunConfig, default_dataset, init_state, load_checkpoint, train
 
 
@@ -199,6 +199,29 @@ class TestStepObjective:
         for got, committed in ((stats_s, state.stats_source), (stats_t, state.stats_target)):
             assert np.array_equal(got.cov.data, committed.cov.data)
             assert np.array_equal(got.mean, committed.mean)
+
+    @pytest.mark.parametrize("step", [1, 2, 5])
+    def test_momentum_zero_is_the_fresh_statistics_objective(self, step):
+        # the paper's per-batch statistics: at momentum 0 a default run's smoothed
+        # statistics hold only the batch, so step_objective is the one at fresh statistics
+        config = RunConfig(momentum=0.0, steps=max(step - 1, 1))
+        dataset = default_dataset(config)
+        state = init_state(config, 16, 5) if step == 1 else train(config, dataset)[0]
+        assert state.step == step - 1 and state.stats_source.initialized == (step > 1)
+        fresh = dataclasses.replace(state, stats_source=SmoothedStats(momentum=0.0),
+                                    stats_target=SmoothedStats(momentum=0.0))
+        rng = np.random.default_rng(step)
+        i, j = rng.integers(0, dataset.source.n, size=64), rng.integers(0, dataset.target.n, size=64)
+        src = FeatureBatch(dataset.source.data[i], labels=dataset.source.labels[i])
+        tgt = FeatureBatch(dataset.target.data[j])
+        weights = LossWeights.from_multipliers(1, 1, 1, 1)
+        report, _, taps, stats_s, stats_t = step_objective(state, src, tgt, weights)
+        want_report, _, want_taps, want_s, want_t = step_objective(fresh, src, tgt, weights)
+        assert report == want_report and taps.keys() == want_taps.keys()
+        got = [*taps.values(), stats_s.cov.data, stats_s.mean, stats_t.cov.data, stats_t.mean]
+        want = [*want_taps.values(), want_s.cov.data, want_s.mean, want_t.cov.data, want_t.mean]
+        for a, b in zip(got, want, strict=True):
+            assert a.tobytes() == b.tobytes()
 
     def test_overflowing_weighted_total_is_a_numerical_failure(self):
         # each loss is finite (loss_cls about 2); only the total the step weights itself overflows

@@ -112,6 +112,18 @@ class TestBatchCovariance:
         assert np.all(np.isfinite(c.data))
         assert not c.data.flags.writeable
 
+    @pytest.mark.parametrize("n, d", [(2, 1), (3, 7), (10, 20), (64, 64), (64, 128), (200, 33), (2048, 256)])
+    @pytest.mark.parametrize("offset", [0.0, 1e8, -3e4])
+    def test_exactly_symmetric_as_computed(self, n, d, offset):
+        # numpy forms c.T @ c with syrk and mirrors its triangle, so batch_covariance needs no
+        # symmetrization; checked on plain rows and on the post-ReLU halves of a stacked tap
+        rng = np.random.default_rng(n * d)
+        x = rng.standard_normal((n, d)) * rng.uniform(0.1, 5.0, size=d) + offset
+        tap = np.maximum(np.concatenate([x, x[::-1] * 0.7]) @ rng.standard_normal((d, d)) + 0.1, 0.0)
+        for rows in (x, tap[:n], tap[n:]):
+            cov = batch_covariance(FeatureBatch(rows)).data
+            assert np.array_equal(cov, cov.T)
+
     def test_overflowing_product_rejected(self):
         # finite features whose outer products overflow to inf
         x = np.random.default_rng(10).standard_normal((5, 3)) * 1e200
@@ -150,10 +162,12 @@ class TestBatchMean:
 
 class TestSmoothedStats:
     def test_momentum_range_enforced(self):
+        # 0 <= momentum < 1; 0 is the paper's per-batch statistics
+        assert SmoothedStats(momentum=0.0).momentum == 0.0
         with pytest.raises(InvalidInput):
             SmoothedStats(momentum=1.0)
         with pytest.raises(InvalidInput):
-            SmoothedStats(momentum=0.0)
+            SmoothedStats(momentum=-0.1)
 
     def test_first_update_seeds_verbatim(self):
         cov = SymmetricMatrix(np.array([[2.0, 0.5], [0.5, 1.0]]))

@@ -37,6 +37,12 @@ class TestRunConfig:
         with pytest.raises(InvalidInput, match="learning rate"):
             RunConfig(lr=lr)
 
+    @pytest.mark.parametrize("momentum", [1.0, -0.1, np.nan])
+    def test_bad_statistics_momentum_rejected(self, momentum):
+        with pytest.raises(InvalidInput, match=r"momentum must be in \[0, 1\), got"):
+            RunConfig(momentum=momentum)
+        assert RunConfig(momentum=0.0).momentum == 0.0  # the paper's per-batch statistics
+
 
 class TestTrain:
     def test_records_have_all_metrics(self):
@@ -221,6 +227,28 @@ class TestCheckpoint:
         assert first + second == full_records
         assert (tmp_path / "part.jsonl").read_text() == (tmp_path / "full.jsonl").read_text()
 
+    def test_momentum_zero_run_resumes_bit_exactly(self, tmp_path):
+        full_cfg = short_config(seed=5, steps=50, momentum=0.0)
+        dataset = default_dataset(full_cfg)
+        _, full_records = train(full_cfg, dataset, checkpoint_path=tmp_path / "full.npz")
+        train(dataclasses.replace(full_cfg, steps=20), dataset, checkpoint_path=tmp_path / "ck.npz")
+        resumed = load_checkpoint(tmp_path / "ck.npz")
+        assert resumed.step == 20 and resumed.stats_source.momentum == resumed.stats_target.momentum == 0.0
+        _, second = train(full_cfg, dataset, state=resumed, checkpoint_path=tmp_path / "resumed.npz")
+        assert full_records[20:] == second
+        assert (tmp_path / "resumed.npz").read_bytes() == (tmp_path / "full.npz").read_bytes()
+
+    @pytest.mark.parametrize("steps", [0, 3], ids=["step_0", "mid_run"])
+    def test_saving_a_loaded_checkpoint_writes_its_bytes(self, tmp_path, steps):
+        # so a saved file holds no key the loader ignores
+        config = RunConfig(steps=max(steps, 1), batch=16, samples_per_class=20)
+        state = init_state(config, 16, 5) if steps == 0 else train(config, default_dataset(config))[0]
+        save_checkpoint(tmp_path / "ck.npz", state)
+        save_checkpoint(tmp_path / "again.npz", load_checkpoint(tmp_path / "ck.npz"))
+        assert (tmp_path / "again.npz").read_bytes() == (tmp_path / "ck.npz").read_bytes()
+        with np.load(tmp_path / "ck.npz") as z:
+            assert ("cov_s_cov" in z.files) == (steps > 0)
+
     def test_every_array_cut_short_is_bad_input(self, tmp_path):
         # one entry short on its last axis, each layer array and statistic fails the load, naming the file
         config = RunConfig(steps=3, batch=16, samples_per_class=20)
@@ -257,9 +285,10 @@ class TestCheckpoint:
     def test_second_statistics_keys_are_ignored(self, tmp_path):
         # version-2 files written before each domain had one statistics
         # object also carry a covariance-tap mean and mean-tap momentum and
-        # initialized keys
+        # initialized keys; those written before the arrays were the one
+        # source of the layers and statistics carry dims and cov-tap initialized keys
         extra = ("cov_s_mean", "cov_t_mean", "mean_s_initialized", "mean_t_initialized",
-                 "mean_s_momentum", "mean_t_momentum")
+                 "mean_s_momentum", "mean_t_momentum", "dims", "cov_s_initialized", "cov_t_initialized")
         full_cfg = short_config(seed=4, steps=50)
         dataset = default_dataset(full_cfg)
         _, full_records = train(full_cfg, dataset)
@@ -271,6 +300,8 @@ class TestCheckpoint:
             arrays[f"cov_{d}_mean"] = np.zeros(len(arrays[f"cov_{d}_cov"]))
             arrays[f"mean_{d}_initialized"] = np.array(True)
             arrays[f"mean_{d}_momentum"] = np.array(full_cfg.momentum)
+            arrays[f"cov_{d}_initialized"] = np.array(True)
+        arrays["dims"] = np.array([16, *full_cfg.hidden_dims, 5])
         np.savez(tmp_path / "old.npz", **arrays)
 
         resumed = load_checkpoint(tmp_path / "old.npz")
