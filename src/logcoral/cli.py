@@ -221,7 +221,8 @@ def _add_common(p):
     p.add_argument("--batch", type=int)
     p.add_argument("--lr", type=float)
     p.add_argument("--epsilon", type=float)
-    p.add_argument("--momentum", type=float)
+    p.add_argument("--momentum", type=float, help="moving-average momentum of both domains' statistics, "
+                   "in [0, 1); 0 is the paper's per-batch statistics")
     p.add_argument("--out", help="output directory")
 
 

@@ -108,11 +108,12 @@ def backward(model: MlpModel, cache: ForwardCache, tap_grads: dict):
 @dataclass
 class TrainState:
     """Everything a training run carries between steps. Each domain's stats
-    hold the smoothed covariance and mean at the model's taps."""
+    hold the smoothed covariance and mean at the model's taps, both moving at `momentum`."""
 
     model: MlpModel
     lr: float
     opt_momentum: float
+    momentum: float  # the statistics' moving-average momentum, in [0, 1)
     velocity_w: list
     velocity_b: list
     stats_source: SmoothedStats
@@ -137,8 +138,8 @@ def step_objective(state: TrainState, source: FeatureBatch, target: FeatureBatch
                    weights: L.LossWeights) -> tuple:
     """The joint objective of one step, pure in state: the weighted classification, CORAL,
     LogCORAL and mean losses from one forward over the stacked source and target rows, at
-    moving-average statistics whose gradients flow only through the batch's `batch_share`,
-    and at the constant shift state.epsilon. Uninitialized statistics give the objective at
+    moving-average statistics at state.momentum whose gradients flow only through the batch's
+    `batch_share`, and at the constant shift state.epsilon. Uninitialized statistics give the objective at
     fresh batch statistics. Returns (report, cache, tap_grads, stats_source, stats_target):
     report holds all five losses whatever their weights; tap_grads the upstream gradients by
     layer index, the covariance ones chained to the tap rows by `chain_to_features`.
@@ -159,9 +160,9 @@ def step_objective(state: TrainState, source: FeatureBatch, target: FeatureBatch
     tap_s, tap_t = _split_tap(cache, cov_layer, n)
     batch_cov_s, batch_cov_t = batch_covariance(tap_s), batch_covariance(tap_t)
     mtap_s, mtap_t = _split_tap(cache, mean_layer, n)
-    stats_s = update_smoothed(state.stats_source, batch_cov_s, batch_mean(mtap_s))
-    stats_t = update_smoothed(state.stats_target, batch_cov_t, batch_mean(mtap_t))
-    share_s, share_t = state.stats_source.batch_share, state.stats_target.batch_share
+    stats_s = update_smoothed(state.stats_source, batch_cov_s, batch_mean(mtap_s), state.momentum)
+    stats_t = update_smoothed(state.stats_target, batch_cov_t, batch_mean(mtap_t), state.momentum)
+    share_s, share_t = (s.batch_share(state.momentum) for s in (state.stats_source, state.stats_target))
     cov_s, cov_t = stats_s.cov, stats_t.cov
 
     logits_s, _ = _split_tap(cache, state.model.num_layers - 1, n)

@@ -1,17 +1,16 @@
 """Batch statistics over feature matrices: sample covariance, column mean,
 and the moving-average state carried across training iterations. Training
 keeps one `SmoothedStats` per domain, holding the covariance at one feature
-tap and the mean at another.
+tap and the mean at another, both averaged at the run's one momentum.
 
-Validation happens at the edges. `FeatureBatch(...)` checks what a caller
-hands in: a non-empty finite 2-D array, and labels that are whole,
-nonnegative numbers below 2**63, one per row; `SmoothedStats(...)` checks its
-cov and mean. Batches the library cuts from checked arrays (a step's sampled
-rows, the halves of a tap) skip those checks through the private
-`FeatureBatch._trusted`. `batch_covariance` and `batch_mean`, the training
-step's too, raise `NumericalFailure` if the value overflows, as finite features
-can have an infinite covariance or column sum. The covariance (numpy's `syrk` mirrors
-`c.T @ c`) and the moving averages are symmetric by construction and skip the `SymmetricMatrix` checks.
+Validation happens at the edges. `FeatureBatch(...)` checks what a caller hands in: a non-empty
+finite 2-D array, and labels that are whole, nonnegative numbers below 2**63, one per row;
+`SmoothedStats(...)` checks its cov and mean. Batches the library cuts from checked arrays (a step's
+sampled rows, the halves of a tap) skip those checks through the private `FeatureBatch._trusted`.
+`batch_covariance` and `batch_mean`, the training step's too, raise `NumericalFailure` if the value
+overflows, as finite features can have an infinite covariance or column sum. The covariance (numpy's
+`syrk` mirrors `c.T @ c`) and the moving averages are symmetric by construction and skip the
+`SymmetricMatrix` checks.
 """
 from __future__ import annotations
 
@@ -109,20 +108,23 @@ def batch_mean(b: FeatureBatch) -> np.ndarray:
     return mean
 
 
+def check_momentum(momentum: float) -> None:
+    """InvalidInput unless 0 <= momentum < 1 (0 keeps the paper's per-batch statistics): the one range rule."""
+    if not 0.0 <= momentum < 1.0:
+        raise InvalidInput(f"momentum must be in [0, 1), got {momentum}")
+
+
 @dataclass(frozen=True)
 class SmoothedStats:
     """Moving-average covariance and mean of one domain, which may come from
-    different feature taps, updated functionally. Both are None until the
-    first update, which seeds them with the batch values verbatim. Momentum in [0, 1) (0 keeps the
-    paper's per-batch statistics), cov a `SymmetricMatrix` and mean a finite 1-D array, else InvalidInput."""
+    different feature taps, updated functionally at the run's momentum, which each
+    update is given. Both are None until the first update, which seeds them with the
+    batch values verbatim. Cov a `SymmetricMatrix` and mean a finite 1-D array, else InvalidInput."""
 
-    momentum: float = 0.9
     cov: Optional[SymmetricMatrix] = None
     mean: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if not 0.0 <= self.momentum < 1.0:  # the one range rule; RunConfig checks through it
-            raise InvalidInput(f"momentum must be in [0, 1), got {self.momentum}")
         if (self.cov is None) != (self.mean is None):
             raise InvalidInput("cov and mean must both be set or both be None")
         if self.cov is not None:
@@ -135,20 +137,20 @@ class SmoothedStats:
     def initialized(self) -> bool:
         return self.mean is not None
 
-    @property
-    def batch_share(self) -> float:
+    def batch_share(self, momentum: float) -> float:
         """The next batch's weight in `update_smoothed`: 1 - momentum, or 1.0 before the first update."""
-        return 1.0 - self.momentum if self.initialized else 1.0
+        check_momentum(momentum)
+        return 1.0 - momentum if self.initialized else 1.0
 
 
-def update_smoothed(s: SmoothedStats, cov: SymmetricMatrix, mean: np.ndarray) -> SmoothedStats:
-    """One moving-average step of cov and mean, momentum * old + s.batch_share * batch,
-    through the `SmoothedStats` constructor. A plain-array cov or a NaN mean is InvalidInput."""
+def update_smoothed(s: SmoothedStats, cov: SymmetricMatrix, mean: np.ndarray, momentum: float) -> SmoothedStats:
+    """One moving-average step of cov and mean, momentum * old + s.batch_share(momentum) * batch, through
+    the `SmoothedStats` constructor. A momentum outside [0, 1), a plain-array cov or a NaN mean is InvalidInput."""
+    share = s.batch_share(momentum)  # checks momentum
     if not s.initialized:
-        return SmoothedStats(momentum=s.momentum, cov=cov, mean=mean)
+        return SmoothedStats(cov=cov, mean=mean)
     mean = np.asarray(mean, dtype=float)
     if _data(cov).shape != s.cov.data.shape or mean.shape != s.mean.shape:
         raise InvalidInput(f"batch (cov {cov.dim}, mean {mean.shape}) does not match state ({s.cov.dim}, {s.mean.shape})")
-    m, share = s.momentum, s.batch_share
-    return SmoothedStats(momentum=m, cov=SymmetricMatrix._trusted(m * s.cov.data + share * cov.data),
-                         mean=m * s.mean + share * mean)
+    return SmoothedStats(cov=SymmetricMatrix._trusted(momentum * s.cov.data + share * cov.data),
+                         mean=momentum * s.mean + share * mean)

@@ -3,9 +3,9 @@
 Metrics are JSON-lines ({step, loss_cls, loss_coral, loss_logcoral, loss_mean, loss_total,
 target_acc?}); checkpoints are version-2 .npz containers that carry everything needed for a
 bit-exact resume, each fact once: parameters (their w<i> arrays give the layer count), optimizer
-velocities, rng state, step counter, and each domain's smoothed statistics (the covariance at the
-model's covariance tap and the mean at its mean tap), saved once initialized.
-`check_state` is the one check of a run's state, loaded or given.
+velocities, rng state, step counter, each domain's smoothed statistics (the covariance at the
+model's covariance tap and the mean at its mean tap) once initialized, and in meta_json the run's
+lr, opt_momentum, statistics momentum and epsilon. `check_state` is the one check of a run's state.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from .exceptions import InvalidInput, LogCoralError, NumericalFailure
 from .linalg import SymmetricMatrix
 from .losses import LossWeights
 from .network import MlpModel, TrainState, evaluate, train_step
-from .stats import FeatureBatch, SmoothedStats
+from .stats import FeatureBatch, SmoothedStats, check_momentum
 
 CHECKPOINT_VERSION = 2
 
@@ -36,7 +36,7 @@ class RunConfig:
     lr: float = 1e-3
     weights: LossWeights = field(default_factory=LossWeights)
     epsilon: float = 1e-2         # the run's one positive Log-CORAL shift; damps low-rank noise
-    momentum: float = 0.9         # moving-average momentum of the statistics
+    momentum: float = 0.9         # moving-average momentum of both domains' statistics
     opt_momentum: float = 0.9
     hidden_dims: tuple = (128, 64)
     eval_every: int = 100
@@ -51,7 +51,7 @@ class RunConfig:
             raise InvalidInput("steps must be >= 1 and batch >= 2")
         if not 0 < self.lr < np.inf:
             raise InvalidInput(f"learning rate must be positive and finite, got {self.lr}")
-        SmoothedStats(momentum=self.momentum)  # its range check
+        check_momentum(self.momentum)
         if not 0.0 <= self.opt_momentum < 1.0:
             raise InvalidInput(f"optimizer momentum must be in [0, 1), got {self.opt_momentum}")
         if not 0 < self.epsilon < np.inf:
@@ -74,21 +74,12 @@ def _sample_batch(batch: FeatureBatch, size: int, rng: np.random.Generator,
     return FeatureBatch._trusted(batch.data[idx], labels=labels)
 
 
-# Keys name the tap a value comes from. Older files that also hold dims, cov_{s,t}_{mean,initialized},
-# mean_{s,t}_{momentum,initialized} or the tap names in meta load too; those are not read.
-def _stats_to_npz(domain: str, s: SmoothedStats, out: dict):
-    out[f"cov_{domain}_momentum"] = np.array(s.momentum)
-    if s.initialized:
-        out[f"cov_{domain}_cov"] = s.cov.data
-        out[f"mean_{domain}_mean"] = s.mean
-
-
+# Keys name the tap a value comes from. Older files that also hold dims, cov_{s,t}_{mean,initialized,momentum},
+# mean_{s,t}_{momentum,initialized} or tap names in meta load too; only cov_{s,t}_momentum is read, if meta has none.
 def _stats_from_npz(domain: str, z: dict) -> SmoothedStats:
-    momentum = float(z[f"cov_{domain}_momentum"])
     if {f"cov_{domain}_cov", f"mean_{domain}_mean"} & z.keys():  # saved once initialized, both or neither
-        return SmoothedStats(momentum=momentum, cov=SymmetricMatrix(z[f"cov_{domain}_cov"]),
-                             mean=z[f"mean_{domain}_mean"])
-    return SmoothedStats(momentum=momentum)
+        return SmoothedStats(cov=SymmetricMatrix(z[f"cov_{domain}_cov"]), mean=z[f"mean_{domain}_mean"])
+    return SmoothedStats()
 
 
 def save_checkpoint(path, state: TrainState):
@@ -98,10 +89,11 @@ def save_checkpoint(path, state: TrainState):
         arrays[f"b{i}"] = b
         arrays[f"vw{i}"] = state.velocity_w[i]
         arrays[f"vb{i}"] = state.velocity_b[i]
-    _stats_to_npz("s", state.stats_source, arrays)
-    _stats_to_npz("t", state.stats_target, arrays)
-    meta = {"lr": state.lr, "opt_momentum": state.opt_momentum, "epsilon": state.epsilon,
-            "rng_state": state.rng.bit_generator.state}
+    for domain, s in (("s", state.stats_source), ("t", state.stats_target)):
+        if s.initialized:
+            arrays[f"cov_{domain}_cov"], arrays[f"mean_{domain}_mean"] = s.cov.data, s.mean
+    meta = {"lr": state.lr, "opt_momentum": state.opt_momentum, "momentum": state.momentum,
+            "epsilon": state.epsilon, "rng_state": state.rng.bit_generator.state}
     arrays["meta_json"] = np.array(json.dumps(meta))
     np.savez(path, **arrays)
 
@@ -109,7 +101,8 @@ def save_checkpoint(path, state: TrainState):
 def load_checkpoint(path) -> TrainState:
     """The state saved at path; InvalidInput naming path unless it is a version-2 .npz checkpoint
     with every key, whose values parse and whose state passes `check_state`. The layer count is
-    that of the w<i> arrays, so a gap in their numbering is a missing key."""
+    that of the w<i> arrays, so a gap in their numbering is a missing key. An older file with no
+    momentum in meta_json takes it from cov_s_momentum and cov_t_momentum, which must be equal."""
     try:
         with np.load(path, allow_pickle=False) as npz:  # TypeError: a .npy file is no context manager
             arrays = dict(npz)
@@ -134,11 +127,15 @@ def _state_from_npz(z: dict) -> TrainState:
                            f"{CHECKPOINT_VERSION} (version 1 holds a mean-tap covariance that 2 drops)")
     layers = range(sum(k[:1] == "w" and k[1:].isdecimal() for k in z))  # the weights give the widths
     meta = json.loads(str(z["meta_json"]))
+    if "momentum" not in meta:  # older files hold one per domain; a run has one, so the two must agree
+        meta["momentum"], other = float(z["cov_s_momentum"]), float(z["cov_t_momentum"])
+        if other != meta["momentum"]:
+            raise InvalidInput(f"cov_s_momentum {meta['momentum']} and cov_t_momentum {other} differ")
     rng = np.random.default_rng()
     rng.bit_generator.state = meta["rng_state"]
     return TrainState(
         model=MlpModel(weights=[z[f"w{i}"] for i in layers], biases=[z[f"b{i}"] for i in layers]),
-        lr=meta["lr"], opt_momentum=meta["opt_momentum"],
+        lr=meta["lr"], opt_momentum=meta["opt_momentum"], momentum=meta["momentum"],
         velocity_w=[z[f"vw{i}"] for i in layers], velocity_b=[z[f"vb{i}"] for i in layers],
         stats_source=_stats_from_npz("s", z), stats_target=_stats_from_npz("t", z),
         step=int(z["step"]), rng=rng, epsilon=meta["epsilon"],
@@ -154,11 +151,10 @@ def init_state(config: RunConfig, feature_dim: int, num_classes: int) -> TrainSt
     model = MlpModel.init([feature_dim, *config.hidden_dims, num_classes], rng)
     model.taps  # raises here, not as a failed first step
     return TrainState(
-        model=model, lr=config.lr, opt_momentum=config.opt_momentum,
+        model=model, lr=config.lr, opt_momentum=config.opt_momentum, momentum=config.momentum,
         velocity_w=[np.zeros_like(w) for w in model.weights],
         velocity_b=[np.zeros_like(b) for b in model.biases],
-        stats_source=SmoothedStats(momentum=config.momentum),
-        stats_target=SmoothedStats(momentum=config.momentum),
+        stats_source=SmoothedStats(), stats_target=SmoothedStats(),
         step=0, rng=rng, epsilon=config.epsilon,
     )
 
@@ -181,7 +177,7 @@ def source_classes(dataset: D.DatasetPair) -> int:
 def check_state(state: TrainState) -> None:
     """Raise InvalidInput unless state is one consistent run: chained layers with taps (2-D weights, each
     bias and the next weight as wide as its weight's output), one velocity per weight and bias, of its shape,
-    tap-wide statistics, finite arrays, step >= 0, and the lr, opt_momentum and epsilon RunConfig allows."""
+    tap-wide statistics, finite arrays, step >= 0, and the lr, momenta and epsilon RunConfig allows."""
     model = state.model
     w, b = [np.shape(a) for a in model.weights], [np.shape(a) for a in model.biases]
     if {len(s) for s in w} != {2} or w + b != [*zip(model.dims, model.dims[1:]), *zip(model.dims[1:])]:
@@ -199,7 +195,7 @@ def check_state(state: TrainState) -> None:
         raise InvalidInput(f"non-finite entries in {', '.join(bad)}")
     if state.step < 0:
         raise InvalidInput(f"step must be nonnegative, got {state.step}")
-    RunConfig(lr=state.lr, opt_momentum=state.opt_momentum, epsilon=state.epsilon)  # their range checks
+    RunConfig(lr=state.lr, opt_momentum=state.opt_momentum, momentum=state.momentum, epsilon=state.epsilon)
 
 
 def train(config: RunConfig, dataset: D.DatasetPair, state: TrainState = None,
@@ -209,10 +205,10 @@ def train(config: RunConfig, dataset: D.DatasetPair, state: TrainState = None,
     given) must pass `check_state` and fit the dataset before the parent directories of
     metrics_path and checkpoint_path are made. A step that raises leaves the last
     completed state, in the checkpoint too, and re-raises with its class and step set."""
-    if state is None:
-        state = init_state(config, dataset.source.d, source_classes(dataset))
+    num_classes = source_classes(dataset)
+    state = init_state(config, dataset.source.d, num_classes) if state is None else state
     check_state(state)
-    num_classes, dims = source_classes(dataset), state.model.dims
+    dims = state.model.dims
     if dims[0] != dataset.source.d or dims[-1] < num_classes:
         raise InvalidInput(f"model dims {dims} do not fit {dataset.source.d} features and {num_classes} classes")
     for path in filter(None, (metrics_path, checkpoint_path)):

@@ -169,12 +169,12 @@ def test_criterion_8_moving_average_contract():
     a = rng.standard_normal((5, 5))
     target_cov = SymmetricMatrix(sym_part(a @ a.T))
     target_mean = rng.standard_normal(5)
-    s = update_smoothed(SmoothedStats(), SymmetricMatrix(np.eye(5)), np.zeros(5))
+    s = update_smoothed(SmoothedStats(), SymmetricMatrix(np.eye(5)), np.zeros(5), 0.9)
     gap_cov = np.linalg.norm(s.cov.data - target_cov.data)
     gap_mean = np.linalg.norm(s.mean - target_mean)
     worst = 0.0
     for _ in range(50):
-        s = update_smoothed(s, target_cov, target_mean)
+        s = update_smoothed(s, target_cov, target_mean, 0.9)
         new_cov = np.linalg.norm(s.cov.data - target_cov.data)
         new_mean = np.linalg.norm(s.mean - target_mean)
         worst = max(worst, abs(new_cov / gap_cov - 0.9), abs(new_mean / gap_mean - 0.9))

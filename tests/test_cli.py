@@ -424,6 +424,23 @@ class TestTrainCommand:
         assert ((tmp_path / "resumed" / "checkpoint.npz").read_bytes()
                 == (tmp_path / "full" / "checkpoint.npz").read_bytes())
 
+    def test_two_statistics_momenta_are_bad_input(self, tmp_path, capsys):
+        # a file written before the momentum moved to meta_json holds one per domain;
+        # one run has one momentum, so two that differ fail the load
+        save_checkpoint(tmp_path / "ck.npz", init_state(RunConfig(), feature_dim=16, num_classes=5))
+        with np.load(tmp_path / "ck.npz") as z:
+            arrays = {k: z[k] for k in z.files}
+        meta = json.loads(str(arrays["meta_json"]))
+        meta.pop("momentum", None)
+        arrays.update(meta_json=np.array(json.dumps(meta)), cov_s_momentum=np.array(0.9),
+                      cov_t_momentum=np.array(0.5))
+        np.savez(tmp_path / "two.npz", **arrays)
+        out = tmp_path / "run"
+        assert main(["train", "--steps", "5", "--resume", str(tmp_path / "two.npz"), "--out", str(out)]) == 2
+        assert (f"{tmp_path / 'two.npz'}: cov_s_momentum 0.9 and cov_t_momentum 0.5 differ"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_layer_count_comes_from_the_weights(self, tmp_path):
         # a dims key, as older files hold, is not read: rewritten to two layers,
         # the step-0 default 16-128-64-5 model still resumes whole
@@ -479,7 +496,7 @@ class TestTrainCommand:
         *(lambda a, key=key, value=value: a.update(meta_json=np.array(json.dumps(
             {**json.loads(str(a["meta_json"])), key: value})))
           for key, value in (("lr", float("nan")), ("opt_momentum", 1.5), ("epsilon", -1.0), ("epsilon", 0.0),
-                             ("lr", "0.001"))),
+                             ("lr", "0.001"), ("momentum", 1.0), ("momentum", float("nan")), ("momentum", "0.9"))),
         lambda a: a.update(w1=with_first_entry(a["w1"], np.nan)),
         lambda a: a.update(vb0=with_first_entry(a["vb0"], np.inf)),
         lambda a: a.update(mean_s_mean=with_first_entry(a["mean_s_mean"], np.nan)),
@@ -488,8 +505,8 @@ class TestTrainCommand:
         lambda a: a.update(step=np.array(-4)),
         lambda a: a.pop("cov_s_cov"),
     ], ids=["no_version", "w1_shape", "vb0_shape", "cov_5x5", "lr_nan", "opt_momentum_1.5", "epsilon_negative",
-            "epsilon_zero", "lr_string", "w1_nan", "vb0_inf", "mean_s_mean_nan", "meta_not_json",
-            "meta_list", "step_negative", "no_cov_s_cov"])
+            "epsilon_zero", "lr_string", "momentum_1", "momentum_nan", "momentum_string", "w1_nan", "vb0_inf",
+            "mean_s_mean_nan", "meta_not_json", "meta_list", "step_negative", "no_cov_s_cov"])
     def test_unfit_checkpoint_is_bad_input(self, tmp_path, capsys, corrupt):
         config = RunConfig(steps=3, batch=16, samples_per_class=20)
         save_checkpoint(tmp_path / "ck.npz", train(config, default_dataset(config))[0])
@@ -671,6 +688,15 @@ class TestAblateCommand:
         assert main(["ablate", "--seeds", seeds]) == 2
         captured = capsys.readouterr()
         assert "seed" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_momentum_flag_says_which_momentum(command, capsys):
+    # not the optimizer's: the statistics' moving average
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert ("moving-average momentum of both domains' statistics, in [0, 1); 0 is the paper's per-batch "
+            "statistics") in " ".join(capsys.readouterr().out.split())
 
 
 class TestOutputContract:

@@ -208,8 +208,7 @@ class TestStepObjective:
         dataset = default_dataset(config)
         state = init_state(config, 16, 5) if step == 1 else train(config, dataset)[0]
         assert state.step == step - 1 and state.stats_source.initialized == (step > 1)
-        fresh = dataclasses.replace(state, stats_source=SmoothedStats(momentum=0.0),
-                                    stats_target=SmoothedStats(momentum=0.0))
+        fresh = dataclasses.replace(state, stats_source=SmoothedStats(), stats_target=SmoothedStats())
         rng = np.random.default_rng(step)
         i, j = rng.integers(0, dataset.source.n, size=64), rng.integers(0, dataset.target.n, size=64)
         src = FeatureBatch(dataset.source.data[i], labels=dataset.source.labels[i])
@@ -313,7 +312,7 @@ def two_pass_step(state, src, tgt, weights):
     cov_layer, mean_layer = model.taps
     taps = [FeatureBatch(c.post[cov_layer]) for c in caches]
     mean_taps = [FeatureBatch(c.post[mean_layer]) for c in caches]
-    stats = [update_smoothed(o, batch_covariance(t), batch_mean(m))
+    stats = [update_smoothed(o, batch_covariance(t), batch_mean(m), state.momentum)
              for o, t, m in zip(olds, taps, mean_taps)]
 
     cls = L.softmax_cross_entropy(caches[0].post[-1], src.labels)
@@ -328,7 +327,7 @@ def two_pass_step(state, src, tgt, weights):
     gb = [np.zeros_like(b) for b in model.biases]
     for k in range(2):
         cov_grad = weights.coral * coral_grads[k] + weights.logcoral * logcoral_grads[k]
-        share = 1.0 - olds[k].momentum
+        share = 1.0 - state.momentum
         n = mean_taps[k].n
         tap_grads = {
             cov_layer: L.chain_to_features(cov_grad, taps[k], scale=share),

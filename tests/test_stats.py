@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from logcoral.stats import (
     SmoothedStats,
     batch_covariance,
     batch_mean,
+    check_momentum,
     update_smoothed,
 )
 
@@ -163,24 +166,33 @@ class TestBatchMean:
 class TestSmoothedStats:
     def test_momentum_range_enforced(self):
         # 0 <= momentum < 1; 0 is the paper's per-batch statistics
-        assert SmoothedStats(momentum=0.0).momentum == 0.0
-        with pytest.raises(InvalidInput):
-            SmoothedStats(momentum=1.0)
-        with pytest.raises(InvalidInput):
-            SmoothedStats(momentum=-0.1)
+        s = update_smoothed(SmoothedStats(), SymmetricMatrix(np.eye(2)), np.zeros(2), 0.9)
+        for stats in (SmoothedStats(), s):
+            for momentum in (0.0, 0.37):
+                check_momentum(momentum)
+                assert stats.batch_share(momentum) == (1.0 - momentum if stats.initialized else 1.0)
+                update_smoothed(stats, SymmetricMatrix(np.eye(2)), np.zeros(2), momentum)
+            for momentum in (1.0, -0.1):
+                for call in (lambda: check_momentum(momentum), lambda: stats.batch_share(momentum),
+                             lambda: update_smoothed(stats, SymmetricMatrix(np.eye(2)), np.zeros(2), momentum)):
+                    with pytest.raises(InvalidInput, match=r"momentum must be in \[0, 1\), got"):
+                        call()
+
+    def test_no_momentum_field(self):
+        # the momentum is the run's, passed to each update, not held per domain
+        assert [f.name for f in dataclasses.fields(SmoothedStats)] == ["cov", "mean"]
 
     def test_first_update_seeds_verbatim(self):
         cov = SymmetricMatrix(np.array([[2.0, 0.5], [0.5, 1.0]]))
         mean = np.array([1.0, -1.0])
-        s = update_smoothed(SmoothedStats(), cov, mean)
+        s = update_smoothed(SmoothedStats(), cov, mean, 0.9)
         assert s.initialized
         assert np.array_equal(s.cov.data, cov.data)
         assert np.array_equal(s.mean, mean)
 
     def test_blend_coefficients(self):
-        s = update_smoothed(SmoothedStats(momentum=0.9),
-                            SymmetricMatrix([[1.0]]), np.array([0.0]))
-        s = update_smoothed(s, SymmetricMatrix([[2.0]]), np.array([1.0]))
+        s = update_smoothed(SmoothedStats(), SymmetricMatrix([[1.0]]), np.array([0.0]), 0.9)
+        s = update_smoothed(s, SymmetricMatrix([[2.0]]), np.array([1.0]), 0.9)
         assert s.cov.data[0, 0] == pytest.approx(1.1)   # 0.9*1 + 0.1*2
         assert s.mean[0] == pytest.approx(0.1)
 
@@ -189,10 +201,10 @@ class TestSmoothedStats:
         a = rng.standard_normal((4, 4))
         target_cov = SymmetricMatrix(a @ a.T)
         target_mean = rng.standard_normal(4)
-        s = update_smoothed(SmoothedStats(), SymmetricMatrix(np.eye(4)), np.zeros(4))
+        s = update_smoothed(SmoothedStats(), SymmetricMatrix(np.eye(4)), np.zeros(4), 0.9)
         gap0 = np.linalg.norm(s.cov.data - target_cov.data)
         for k in range(1, 30):
-            s = update_smoothed(s, target_cov, target_mean)
+            s = update_smoothed(s, target_cov, target_mean, 0.9)
             gap = np.linalg.norm(s.cov.data - target_cov.data)
             assert gap <= 0.9 ** k * gap0 * (1 + 1e-9)
 
@@ -201,26 +213,26 @@ class TestSmoothedStats:
         s = SmoothedStats()
         for _ in range(5):
             a = rng.standard_normal((5, 5))
-            s = update_smoothed(s, SymmetricMatrix(a + a.T), rng.standard_normal(5))
+            s = update_smoothed(s, SymmetricMatrix(a + a.T), rng.standard_normal(5), 0.9)
             assert np.array_equal(s.cov.data, s.cov.data.T)
 
     def test_dimension_mismatch_rejected(self):
-        s = update_smoothed(SmoothedStats(), SymmetricMatrix(np.eye(3)), np.zeros(3))
+        s = update_smoothed(SmoothedStats(), SymmetricMatrix(np.eye(3)), np.zeros(3), 0.9)
         with pytest.raises(InvalidInput):
-            update_smoothed(s, SymmetricMatrix(np.eye(2)), np.zeros(2))
+            update_smoothed(s, SymmetricMatrix(np.eye(2)), np.zeros(2), 0.9)
 
     @pytest.mark.parametrize("momentum", [0.9, 0.37])
     def test_batch_share_is_the_update_weight(self, momentum):
         rng = np.random.default_rng(3)
-        s = SmoothedStats(momentum=momentum)
-        assert s.batch_share == 1.0
-        s = update_smoothed(s, SymmetricMatrix(np.eye(3)), rng.standard_normal(3))
-        assert s.batch_share == 1.0 - momentum
+        s = SmoothedStats()
+        assert s.batch_share(momentum) == 1.0
+        s = update_smoothed(s, SymmetricMatrix(np.eye(3)), rng.standard_normal(3), momentum)
+        assert s.batch_share(momentum) == 1.0 - momentum
         a = rng.standard_normal((3, 3))
         cov, mean = SymmetricMatrix(a + a.T), rng.standard_normal(3)
-        new = update_smoothed(s, cov, mean)
-        assert np.array_equal(new.cov.data, momentum * s.cov.data + s.batch_share * cov.data)
-        assert np.array_equal(new.mean, momentum * s.mean + s.batch_share * mean)
+        new = update_smoothed(s, cov, mean, momentum)
+        assert np.array_equal(new.cov.data, momentum * s.cov.data + s.batch_share(momentum) * cov.data)
+        assert np.array_equal(new.mean, momentum * s.mean + s.batch_share(momentum) * mean)
 
     @pytest.mark.parametrize("mean", [[np.nan, 0.0], [np.inf, 0.0], [[0.0, 0.0]]],
                              ids=["nan", "inf", "2-D"])
@@ -228,18 +240,18 @@ class TestSmoothedStats:
         with pytest.raises(InvalidInput, match="mean must be a finite 1-D array"):
             SmoothedStats(cov=SymmetricMatrix(np.eye(2)), mean=np.array(mean))
         with pytest.raises(InvalidInput, match="mean must be a finite 1-D array"):
-            update_smoothed(SmoothedStats(), SymmetricMatrix(np.eye(2)), mean)
+            update_smoothed(SmoothedStats(), SymmetricMatrix(np.eye(2)), mean, 0.9)
         if np.ndim(mean) == 1:  # through the moving average too
-            s = update_smoothed(SmoothedStats(), SymmetricMatrix(np.eye(2)), np.zeros(2))
+            s = update_smoothed(SmoothedStats(), SymmetricMatrix(np.eye(2)), np.zeros(2), 0.9)
             with pytest.raises(InvalidInput, match="mean must be a finite 1-D array"):
-                update_smoothed(s, SymmetricMatrix(np.eye(2)), mean)
+                update_smoothed(s, SymmetricMatrix(np.eye(2)), mean, 0.9)
 
     def test_cov_must_be_a_symmetric_matrix(self):
         with pytest.raises(InvalidInput, match="expected a SymmetricMatrix, got ndarray"):
             SmoothedStats(cov=np.eye(2), mean=np.zeros(2))
-        s = update_smoothed(SmoothedStats(), SymmetricMatrix(np.eye(2)), np.zeros(2))
+        s = update_smoothed(SmoothedStats(), SymmetricMatrix(np.eye(2)), np.zeros(2), 0.9)
         with pytest.raises(InvalidInput, match="expected a SymmetricMatrix, got ndarray"):
-            update_smoothed(s, np.eye(2), np.zeros(2))
+            update_smoothed(s, np.eye(2), np.zeros(2), 0.9)
 
     def test_cov_and_mean_set_together(self):
         with pytest.raises(InvalidInput):
@@ -250,8 +262,8 @@ class TestSmoothedStats:
 
     def test_cov_and_mean_may_differ_in_dimension(self):
         # training smooths the covariance and the mean at different taps
-        s = update_smoothed(SmoothedStats(), SymmetricMatrix(np.eye(2)), np.zeros(3))
-        s = update_smoothed(s, SymmetricMatrix(np.eye(2) * 2.0), np.ones(3))
+        s = update_smoothed(SmoothedStats(), SymmetricMatrix(np.eye(2)), np.zeros(3), 0.9)
+        s = update_smoothed(s, SymmetricMatrix(np.eye(2) * 2.0), np.ones(3), 0.9)
         assert s.cov.dim == 2 and len(s.mean) == 3
         with pytest.raises(InvalidInput):
-            update_smoothed(s, SymmetricMatrix(np.eye(2)), np.zeros(2))
+            update_smoothed(s, SymmetricMatrix(np.eye(2)), np.zeros(2), 0.9)

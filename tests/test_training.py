@@ -110,7 +110,7 @@ class TestFailureClass:
         # check_state compares them with the taps' widths before the first step
         cfg = short_config()
         state = init_state(cfg, feature_dim=16, num_classes=5)
-        state.stats_source = SmoothedStats(momentum=0.9, cov=SymmetricMatrix(np.eye(3)), mean=np.zeros(3))
+        state.stats_source = SmoothedStats(cov=SymmetricMatrix(np.eye(3)), mean=np.zeros(3))
         with pytest.raises(InvalidInput, match=r"source statistics \(cov \(3, 3\), mean \(3,\)\) "
                                                r"do not fit the taps' widths, 64 and 128") as exc:
             train(cfg, default_dataset(cfg), state=state)
@@ -145,7 +145,7 @@ class TestFailureClass:
         # a state built by hand, not by init_state or load_checkpoint
         cfg = short_config()
         model = MlpModel.init([16, 5], np.random.default_rng(0))
-        state = TrainState(model=model, lr=cfg.lr, opt_momentum=cfg.opt_momentum,
+        state = TrainState(model=model, lr=cfg.lr, opt_momentum=cfg.opt_momentum, momentum=cfg.momentum,
                            velocity_w=[np.zeros_like(w) for w in model.weights],
                            velocity_b=[np.zeros_like(b) for b in model.biases],
                            stats_source=SmoothedStats(), stats_target=SmoothedStats(),
@@ -184,7 +184,10 @@ class TestFailureClass:
         (lambda s: {"model": dataclasses.replace(s.model, weights=[s.model.weights[0], np.full((128, 64), np.nan),
                                                                     s.model.weights[2]])},
          "non-finite entries in w1$"),
-    ], ids=["velocity_w0_3x3", "velocity_b_short", "velocity_w_extra", "lr_negative", "opt_momentum_2", "w1_nan"])
+        (lambda s: {"momentum": 1.0}, r"^momentum must be in \[0, 1\), got 1.0"),
+        (lambda s: {"momentum": np.nan}, r"^momentum must be in \[0, 1\), got nan"),
+    ], ids=["velocity_w0_3x3", "velocity_b_short", "velocity_w_extra", "lr_negative", "opt_momentum_2", "w1_nan",
+            "momentum_1", "momentum_nan"])
     def test_inconsistent_state_is_bad_input(self, tmp_path, change, message):
         # a hand-built state: check_state names what is wrong before any step or directory
         cfg = RunConfig(steps=3, batch=16, samples_per_class=20)
@@ -233,7 +236,7 @@ class TestCheckpoint:
         _, full_records = train(full_cfg, dataset, checkpoint_path=tmp_path / "full.npz")
         train(dataclasses.replace(full_cfg, steps=20), dataset, checkpoint_path=tmp_path / "ck.npz")
         resumed = load_checkpoint(tmp_path / "ck.npz")
-        assert resumed.step == 20 and resumed.stats_source.momentum == resumed.stats_target.momentum == 0.0
+        assert resumed.step == 20 and resumed.momentum == 0.0
         _, second = train(full_cfg, dataset, state=resumed, checkpoint_path=tmp_path / "resumed.npz")
         assert full_records[20:] == second
         assert (tmp_path / "resumed.npz").read_bytes() == (tmp_path / "full.npz").read_bytes()
@@ -262,6 +265,39 @@ class TestCheckpoint:
             with pytest.raises(InvalidInput) as exc:
                 load_checkpoint(tmp_path / "bad.npz")
             assert str(exc.value).startswith(f"{tmp_path / 'bad.npz'}: "), key
+
+    def test_momentum_is_saved_once_in_meta(self, tmp_path):
+        # beside lr, opt_momentum and epsilon; no per-domain key
+        config = RunConfig(steps=3, batch=16, samples_per_class=20, momentum=0.37)
+        train(config, default_dataset(config), checkpoint_path=tmp_path / "ck.npz")
+        with np.load(tmp_path / "ck.npz") as z:
+            meta = json.loads(str(z["meta_json"]))
+            assert not [k for k in z.files if "momentum" in k]
+        assert {k: meta[k] for k in ("lr", "opt_momentum", "momentum", "epsilon")} == {
+            "lr": config.lr, "opt_momentum": config.opt_momentum, "momentum": 0.37, "epsilon": config.epsilon}
+        assert load_checkpoint(tmp_path / "ck.npz").momentum == 0.37
+
+    @pytest.mark.parametrize("momentum", [0.9, 0.0])
+    def test_file_with_a_momentum_per_domain_resumes_bit_exactly(self, tmp_path, momentum):
+        # files written before the momentum moved to meta_json hold it as two equal
+        # cov_{s,t}_momentum keys; they resume as an uninterrupted run continues
+        full_cfg = short_config(seed=6, steps=50, momentum=momentum)
+        dataset = default_dataset(full_cfg)
+        _, full_records = train(full_cfg, dataset, checkpoint_path=tmp_path / "full.npz")
+        train(dataclasses.replace(full_cfg, steps=20), dataset, checkpoint_path=tmp_path / "ck.npz")
+        with np.load(tmp_path / "ck.npz") as z:
+            arrays = {k: z[k] for k in z.files}
+        meta = json.loads(str(arrays["meta_json"]))
+        del meta["momentum"]
+        arrays.update(meta_json=np.array(json.dumps(meta)), cov_s_momentum=np.array(float(momentum)),
+                      cov_t_momentum=np.array(float(momentum)))
+        np.savez(tmp_path / "old.npz", **arrays)
+
+        resumed = load_checkpoint(tmp_path / "old.npz")
+        assert (resumed.step, resumed.momentum) == (20, momentum)
+        _, second = train(full_cfg, dataset, state=resumed, checkpoint_path=tmp_path / "resumed.npz")
+        assert full_records[20:] == second
+        assert (tmp_path / "resumed.npz").read_bytes() == (tmp_path / "full.npz").read_bytes()
 
     def test_stats_momentum_key_is_ignored(self, tmp_path):
         # version-2 files written before the key was dropped still carry it
