@@ -20,6 +20,7 @@ from .exceptions import LogCoralError, NumericalFailure, ParseError, InvalidInpu
 from .gradcheck import THRESHOLDS, run_gradcheck
 from .linalg import default_epsilon
 from .losses import LossWeights, coral_loss, log_euclidean, mean_loss
+from .network import evaluate
 from .stats import batch_covariance, batch_mean
 from .training import RunConfig
 
@@ -53,7 +54,7 @@ def read_config_file(path) -> dict:
     """Flat key=value file, '#' comments."""
     out = {}
     try:
-        f = open(path, "r", encoding="utf-8")
+        f = open(path, "r", encoding="utf-8-sig")  # a leading byte-order mark is no part of the first key
     except OSError as exc:
         raise ParseError(f"cannot open config: {exc.strerror or exc}", path=path)
     with f:
@@ -121,7 +122,7 @@ def cmd_losses(args) -> int:
 def cmd_gradcheck(args) -> int:
     result = run_gradcheck(dims=args.dims, seeds=range(args.seed, args.seed + args.trials))
     report = {name: {"max_rel_error": err, "threshold": THRESHOLDS[name],
-                     "status": "pass" if err <= THRESHOLDS[name] else "FAIL"}
+                     "status": "FAIL" if name in result.failed else "pass"}
               for name, err in result.errors.items()}
     if args.format == "json":
         print(json.dumps(report, indent=2))
@@ -134,9 +135,7 @@ def cmd_gradcheck(args) -> int:
         os.makedirs(out_dir, exist_ok=True)
         dump = os.path.join(out_dir, "gradcheck_failure.npz")
         arrays = {f"{name}_{key}": np.asarray(value)
-                  for name, case in result.worst_case.items()
-                  if result.errors[name] > THRESHOLDS[name]
-                  for key, value in case.items()}
+                  for name in result.failed for key, value in result.worst_case[name].items()}
         np.savez(dump, **arrays)
         print(f"worst-case inputs written to {dump}", file=sys.stderr)
         return 1
@@ -174,7 +173,6 @@ def cmd_train(args) -> int:
         print(f"numerical failure at step {exc.step}: {exc}; last good state saved to {checkpoint_path}",
               file=sys.stderr)
         return 1
-    from .network import evaluate
     final_acc = evaluate(state.model, dataset.target)
     summary = {"steps": state.step, "final_target_acc": final_acc,
                "metrics": metrics_path, "checkpoint": checkpoint_path}

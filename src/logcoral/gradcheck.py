@@ -76,8 +76,9 @@ def _worst_rel_error(bundle, inputs, values, rng) -> float:
 @dataclass
 class GradCheckResult:
     errors: dict          # loss name -> worst relative error seen
-    passed: bool
+    failed: list          # names of the losses whose error is not within THRESHOLDS, in its order
     worst_case: dict      # loss name -> {seed, dim, inputs...} of the worst draw
+    passed = property(lambda self: not self.failed)
 
 
 def run_gradcheck(dims=(2, 5, 16), seeds=range(100)) -> GradCheckResult:
@@ -127,5 +128,5 @@ def run_gradcheck(dims=(2, 5, 16), seeds=range(100)) -> GradCheckResult:
             check("cross_entropy", L.softmax_cross_entropy(logits, labels),
                   lambda ys: [L._cross_entropy(ys[0], labels)[0]], logits=logits, labels=labels)
 
-    passed = all(errors[k] <= THRESHOLDS[k] for k in THRESHOLDS)
-    return GradCheckResult(errors=errors, passed=passed, worst_case=worst_case)
+    failed = [k for k in THRESHOLDS if not errors[k] <= THRESHOLDS[k]]
+    return GradCheckResult(errors=errors, failed=failed, worst_case=worst_case)

@@ -13,6 +13,8 @@ from .exceptions import InvalidInput, NumericalFailure
 from . import losses as L
 from .stats import FeatureBatch, SmoothedStats, batch_covariance, batch_mean, update_smoothed
 
+OPT_MOMENTUM = 0.9  # the SGD momentum of every run, as Deep CORAL trains
+
 
 @dataclass
 class MlpModel:
@@ -107,12 +109,11 @@ def backward(model: MlpModel, cache: ForwardCache, tap_grads: dict):
 
 @dataclass
 class TrainState:
-    """Everything a training run carries between steps. Each domain's stats
-    hold the smoothed covariance and mean at the model's taps, both moving at `momentum`."""
+    """Everything a training run carries between steps; the SGD momentum is `OPT_MOMENTUM` in every run.
+    Each domain's stats hold the smoothed covariance and mean at the model's taps, both moving at `momentum`."""
 
     model: MlpModel
     lr: float
-    opt_momentum: float
     momentum: float  # the statistics' moving-average momentum, in [0, 1)
     velocity_w: list
     velocity_b: list
@@ -204,15 +205,15 @@ def step_objective(state: TrainState, source: FeatureBatch, target: FeatureBatch
 
 def train_step(state: TrainState, source: FeatureBatch, target: FeatureBatch,
                weights: L.LossWeights) -> tuple:
-    """One SGD-with-momentum step on `step_objective`, with one backward over
+    """One SGD step at momentum `OPT_MOMENTUM` on `step_objective`, with one backward over
     the stacked rows. Returns (state, report); a step that raises commits
     nothing. The backward and the update run with numpy's overflow warnings off:
     a non-finite gradient or velocity makes the new parameters fail `check_finite`."""
     report, cache, taps, stats_s, stats_t = step_objective(state, source, target, weights)
     with np.errstate(over="ignore", invalid="ignore"):  # checked by model.check_finite
         gw, gb = backward(state.model, cache, taps)
-        velocity_w = [state.opt_momentum * v - state.lr * g for v, g in zip(state.velocity_w, gw)]
-        velocity_b = [state.opt_momentum * v - state.lr * g for v, g in zip(state.velocity_b, gb)]
+        velocity_w = [OPT_MOMENTUM * v - state.lr * g for v, g in zip(state.velocity_w, gw)]
+        velocity_b = [OPT_MOMENTUM * v - state.lr * g for v, g in zip(state.velocity_b, gb)]
         model = MlpModel(weights=[w + v for w, v in zip(state.model.weights, velocity_w)],
                          biases=[b + v for b, v in zip(state.model.biases, velocity_b)])
     model.check_finite()

@@ -5,7 +5,7 @@ target_acc?}); checkpoints are version-2 .npz containers that carry everything n
 bit-exact resume, each fact once: parameters (their w<i> arrays give the layer count), optimizer
 velocities, rng state, step counter, each domain's smoothed statistics (the covariance at the
 model's covariance tap and the mean at its mean tap) once initialized, and in meta_json the run's
-lr, opt_momentum, statistics momentum and epsilon. `check_state` is the one check of a run's state.
+lr, statistics momentum and epsilon. `check_state` is the one check of a run's state.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from . import data as D
 from .exceptions import InvalidInput, LogCoralError, NumericalFailure
 from .linalg import SymmetricMatrix
 from .losses import LossWeights
-from .network import MlpModel, TrainState, evaluate, train_step
+from .network import OPT_MOMENTUM, MlpModel, TrainState, evaluate, train_step
 from .stats import FeatureBatch, SmoothedStats, check_momentum
 
 CHECKPOINT_VERSION = 2
@@ -37,7 +37,6 @@ class RunConfig:
     weights: LossWeights = field(default_factory=LossWeights)
     epsilon: float = 1e-2         # the run's one positive Log-CORAL shift; damps low-rank noise
     momentum: float = 0.9         # moving-average momentum of both domains' statistics
-    opt_momentum: float = 0.9
     hidden_dims: tuple = (128, 64)
     eval_every: int = 100
     num_classes: int = 5
@@ -52,8 +51,6 @@ class RunConfig:
         if not 0 < self.lr < np.inf:
             raise InvalidInput(f"learning rate must be positive and finite, got {self.lr}")
         check_momentum(self.momentum)
-        if not 0.0 <= self.opt_momentum < 1.0:
-            raise InvalidInput(f"optimizer momentum must be in [0, 1), got {self.opt_momentum}")
         if not 0 < self.epsilon < np.inf:
             raise InvalidInput(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.eval_every < 1:
@@ -92,8 +89,8 @@ def save_checkpoint(path, state: TrainState):
     for domain, s in (("s", state.stats_source), ("t", state.stats_target)):
         if s.initialized:
             arrays[f"cov_{domain}_cov"], arrays[f"mean_{domain}_mean"] = s.cov.data, s.mean
-    meta = {"lr": state.lr, "opt_momentum": state.opt_momentum, "momentum": state.momentum,
-            "epsilon": state.epsilon, "rng_state": state.rng.bit_generator.state}
+    meta = {"lr": state.lr, "momentum": state.momentum, "epsilon": state.epsilon,
+            "rng_state": state.rng.bit_generator.state}
     arrays["meta_json"] = np.array(json.dumps(meta))
     np.savez(path, **arrays)
 
@@ -102,7 +99,8 @@ def load_checkpoint(path) -> TrainState:
     """The state saved at path; InvalidInput naming path unless it is a version-2 .npz checkpoint
     with every key, whose values parse and whose state passes `check_state`. The layer count is
     that of the w<i> arrays, so a gap in their numbering is a missing key. An older file with no
-    momentum in meta_json takes it from cov_s_momentum and cov_t_momentum, which must be equal."""
+    momentum in meta_json takes it from cov_s_momentum and cov_t_momentum, which must be equal;
+    an opt_momentum in meta_json, as older files hold, must be OPT_MOMENTUM."""
     try:
         with np.load(path, allow_pickle=False) as npz:  # TypeError: a .npy file is no context manager
             arrays = dict(npz)
@@ -131,11 +129,13 @@ def _state_from_npz(z: dict) -> TrainState:
         meta["momentum"], other = float(z["cov_s_momentum"]), float(z["cov_t_momentum"])
         if other != meta["momentum"]:
             raise InvalidInput(f"cov_s_momentum {meta['momentum']} and cov_t_momentum {other} differ")
+    if meta.get("opt_momentum", OPT_MOMENTUM) != OPT_MOMENTUM:  # older files state the SGD momentum
+        raise InvalidInput(f"optimizer momentum {meta['opt_momentum']!r} is not {OPT_MOMENTUM}, the one supported")
     rng = np.random.default_rng()
     rng.bit_generator.state = meta["rng_state"]
     return TrainState(
         model=MlpModel(weights=[z[f"w{i}"] for i in layers], biases=[z[f"b{i}"] for i in layers]),
-        lr=meta["lr"], opt_momentum=meta["opt_momentum"], momentum=meta["momentum"],
+        lr=meta["lr"], momentum=meta["momentum"],
         velocity_w=[z[f"vw{i}"] for i in layers], velocity_b=[z[f"vb{i}"] for i in layers],
         stats_source=_stats_from_npz("s", z), stats_target=_stats_from_npz("t", z),
         step=int(z["step"]), rng=rng, epsilon=meta["epsilon"],
@@ -151,7 +151,7 @@ def init_state(config: RunConfig, feature_dim: int, num_classes: int) -> TrainSt
     model = MlpModel.init([feature_dim, *config.hidden_dims, num_classes], rng)
     model.taps  # raises here, not as a failed first step
     return TrainState(
-        model=model, lr=config.lr, opt_momentum=config.opt_momentum, momentum=config.momentum,
+        model=model, lr=config.lr, momentum=config.momentum,
         velocity_w=[np.zeros_like(w) for w in model.weights],
         velocity_b=[np.zeros_like(b) for b in model.biases],
         stats_source=SmoothedStats(), stats_target=SmoothedStats(),
@@ -177,7 +177,7 @@ def source_classes(dataset: D.DatasetPair) -> int:
 def check_state(state: TrainState) -> None:
     """Raise InvalidInput unless state is one consistent run: chained layers with taps (2-D weights, each
     bias and the next weight as wide as its weight's output), one velocity per weight and bias, of its shape,
-    tap-wide statistics, finite arrays, step >= 0, and the lr, momenta and epsilon RunConfig allows."""
+    tap-wide statistics, finite arrays, step >= 0, and the lr, momentum and epsilon RunConfig allows."""
     model = state.model
     w, b = [np.shape(a) for a in model.weights], [np.shape(a) for a in model.biases]
     if {len(s) for s in w} != {2} or w + b != [*zip(model.dims, model.dims[1:]), *zip(model.dims[1:])]:
@@ -195,7 +195,7 @@ def check_state(state: TrainState) -> None:
         raise InvalidInput(f"non-finite entries in {', '.join(bad)}")
     if state.step < 0:
         raise InvalidInput(f"step must be nonnegative, got {state.step}")
-    RunConfig(lr=state.lr, opt_momentum=state.opt_momentum, momentum=state.momentum, epsilon=state.epsilon)
+    RunConfig(lr=state.lr, momentum=state.momentum, epsilon=state.epsilon)
 
 
 def train(config: RunConfig, dataset: D.DatasetPair, state: TrainState = None,

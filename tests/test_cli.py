@@ -90,6 +90,14 @@ class TestConfigFile:
         assert f"{cfg}, line 2: expected key=value, got 'nonsense'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path, capsys):
+        # editors that save UTF-8 with a BOM put it before the first key
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfsteps=3\nbatch=16\nsamples_per_class=20\n")
+        assert read_config_file(cfg) == {"steps": "3", "batch": "16", "samples_per_class": "20"}
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run"), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["steps"] == 3
+
     def test_missing_file_names_the_file(self, tmp_path, capsys):
         cfg = tmp_path / "absent.cfg"
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
@@ -495,8 +503,9 @@ class TestTrainCommand:
         lambda a: a.update(cov_s_cov=np.eye(5)),
         *(lambda a, key=key, value=value: a.update(meta_json=np.array(json.dumps(
             {**json.loads(str(a["meta_json"])), key: value})))
-          for key, value in (("lr", float("nan")), ("opt_momentum", 1.5), ("epsilon", -1.0), ("epsilon", 0.0),
-                             ("lr", "0.001"), ("momentum", 1.0), ("momentum", float("nan")), ("momentum", "0.9"))),
+          for key, value in (("lr", float("nan")), ("opt_momentum", 1.5), ("opt_momentum", 0.5), ("epsilon", -1.0),
+                             ("epsilon", 0.0), ("lr", "0.001"), ("momentum", 1.0), ("momentum", float("nan")),
+                             ("momentum", "0.9"))),
         lambda a: a.update(w1=with_first_entry(a["w1"], np.nan)),
         lambda a: a.update(vb0=with_first_entry(a["vb0"], np.inf)),
         lambda a: a.update(mean_s_mean=with_first_entry(a["mean_s_mean"], np.nan)),
@@ -504,9 +513,9 @@ class TestTrainCommand:
         lambda a: a.update(meta_json=np.array(json.dumps([1e-3, 0.9]))),
         lambda a: a.update(step=np.array(-4)),
         lambda a: a.pop("cov_s_cov"),
-    ], ids=["no_version", "w1_shape", "vb0_shape", "cov_5x5", "lr_nan", "opt_momentum_1.5", "epsilon_negative",
-            "epsilon_zero", "lr_string", "momentum_1", "momentum_nan", "momentum_string", "w1_nan", "vb0_inf",
-            "mean_s_mean_nan", "meta_not_json", "meta_list", "step_negative", "no_cov_s_cov"])
+    ], ids=["no_version", "w1_shape", "vb0_shape", "cov_5x5", "lr_nan", "opt_momentum_1.5", "opt_momentum_0.5",
+            "epsilon_negative", "epsilon_zero", "lr_string", "momentum_1", "momentum_nan", "momentum_string", "w1_nan",
+            "vb0_inf", "mean_s_mean_nan", "meta_not_json", "meta_list", "step_negative", "no_cov_s_cov"])
     def test_unfit_checkpoint_is_bad_input(self, tmp_path, capsys, corrupt):
         config = RunConfig(steps=3, batch=16, samples_per_class=20)
         save_checkpoint(tmp_path / "ck.npz", train(config, default_dataset(config))[0])

@@ -97,7 +97,7 @@ class TestBackward:
         rng = np.random.default_rng(seed)
         dims = (4, 6, 5, 3)
         # analytic gradients via a single unsmoothed train step
-        state = small_state(seed, lr=1.0, opt_momentum=0.0, epsilon=eps)
+        state = small_state(seed, lr=1.0, epsilon=eps)
         # keep pre-activations away from the rectifier kink, where central
         # differences straddle a non-differentiable point: without this
         # shift seed 0 fails at relative error 0.89, from the kink and not
@@ -338,8 +338,8 @@ def two_pass_step(state, src, tgt, weights):
         dw, db = backward(model, caches[k], tap_grads)
         gw = [a + b for a, b in zip(gw, dw)]
         gb = [a + b for a, b in zip(gb, db)]
-    vw = [state.opt_momentum * v - state.lr * g for v, g in zip(state.velocity_w, gw)]
-    vb = [state.opt_momentum * v - state.lr * g for v, g in zip(state.velocity_b, gb)]
+    vw = [0.9 * v - state.lr * g for v, g in zip(state.velocity_w, gw)]  # the value OPT_MOMENTUM must keep
+    vb = [0.9 * v - state.lr * g for v, g in zip(state.velocity_b, gb)]
     new_w = [w + v for w, v in zip(model.weights, vw)]
     new_b = [b + v for b, v in zip(model.biases, vb)]
     return new_w, new_b, vw, vb, stats

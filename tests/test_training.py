@@ -6,7 +6,7 @@ import pytest
 
 from logcoral.exceptions import InvalidInput, NumericalFailure
 from logcoral.linalg import SymmetricMatrix
-from logcoral.network import MlpModel, TrainState
+from logcoral.network import OPT_MOMENTUM, MlpModel, TrainState
 from logcoral.stats import SmoothedStats
 from logcoral.training import (
     ABLATION_CONFIGS,
@@ -42,6 +42,13 @@ class TestRunConfig:
         with pytest.raises(InvalidInput, match=r"momentum must be in \[0, 1\), got"):
             RunConfig(momentum=momentum)
         assert RunConfig(momentum=0.0).momentum == 0.0  # the paper's per-batch statistics
+
+    def test_no_optimizer_momentum_option(self):
+        # the SGD momentum is the library's constant, not a setting of the run or its state
+        assert OPT_MOMENTUM == 0.9
+        for cls in (RunConfig, TrainState):
+            assert "opt_momentum" not in {f.name for f in dataclasses.fields(cls)}
+        assert (len(dataclasses.fields(RunConfig)), len(dataclasses.fields(TrainState))) == (12, 10)
 
 
 class TestTrain:
@@ -145,7 +152,7 @@ class TestFailureClass:
         # a state built by hand, not by init_state or load_checkpoint
         cfg = short_config()
         model = MlpModel.init([16, 5], np.random.default_rng(0))
-        state = TrainState(model=model, lr=cfg.lr, opt_momentum=cfg.opt_momentum, momentum=cfg.momentum,
+        state = TrainState(model=model, lr=cfg.lr, momentum=cfg.momentum,
                            velocity_w=[np.zeros_like(w) for w in model.weights],
                            velocity_b=[np.zeros_like(b) for b in model.biases],
                            stats_source=SmoothedStats(), stats_target=SmoothedStats(),
@@ -180,13 +187,12 @@ class TestFailureClass:
         (lambda s: {"velocity_b": s.velocity_b[:-1]}, r"velocities .*, \[\(128,\), \(64,\)\] do not match"),
         (lambda s: {"velocity_w": [*s.velocity_w, np.zeros((5, 5))]}, r"velocities .*\(5, 5\)\], "),
         (lambda s: {"lr": -1.0}, "learning rate must be positive and finite, got -1.0"),
-        (lambda s: {"opt_momentum": 2.0}, r"optimizer momentum must be in \[0, 1\), got 2.0"),
         (lambda s: {"model": dataclasses.replace(s.model, weights=[s.model.weights[0], np.full((128, 64), np.nan),
                                                                     s.model.weights[2]])},
          "non-finite entries in w1$"),
         (lambda s: {"momentum": 1.0}, r"^momentum must be in \[0, 1\), got 1.0"),
         (lambda s: {"momentum": np.nan}, r"^momentum must be in \[0, 1\), got nan"),
-    ], ids=["velocity_w0_3x3", "velocity_b_short", "velocity_w_extra", "lr_negative", "opt_momentum_2", "w1_nan",
+    ], ids=["velocity_w0_3x3", "velocity_b_short", "velocity_w_extra", "lr_negative", "w1_nan",
             "momentum_1", "momentum_nan"])
     def test_inconsistent_state_is_bad_input(self, tmp_path, change, message):
         # a hand-built state: check_state names what is wrong before any step or directory
@@ -267,14 +273,14 @@ class TestCheckpoint:
             assert str(exc.value).startswith(f"{tmp_path / 'bad.npz'}: "), key
 
     def test_momentum_is_saved_once_in_meta(self, tmp_path):
-        # beside lr, opt_momentum and epsilon; no per-domain key
+        # beside lr and epsilon; no per-domain key, and no optimizer momentum, which is OPT_MOMENTUM in every run
         config = RunConfig(steps=3, batch=16, samples_per_class=20, momentum=0.37)
         train(config, default_dataset(config), checkpoint_path=tmp_path / "ck.npz")
         with np.load(tmp_path / "ck.npz") as z:
             meta = json.loads(str(z["meta_json"]))
             assert not [k for k in z.files if "momentum" in k]
-        assert {k: meta[k] for k in ("lr", "opt_momentum", "momentum", "epsilon")} == {
-            "lr": config.lr, "opt_momentum": config.opt_momentum, "momentum": 0.37, "epsilon": config.epsilon}
+        del meta["rng_state"]
+        assert meta == {"lr": config.lr, "momentum": 0.37, "epsilon": config.epsilon}
         assert load_checkpoint(tmp_path / "ck.npz").momentum == 0.37
 
     @pytest.mark.parametrize("momentum", [0.9, 0.0])
@@ -297,6 +303,25 @@ class TestCheckpoint:
         assert (resumed.step, resumed.momentum) == (20, momentum)
         _, second = train(full_cfg, dataset, state=resumed, checkpoint_path=tmp_path / "resumed.npz")
         assert full_records[20:] == second
+        assert (tmp_path / "resumed.npz").read_bytes() == (tmp_path / "full.npz").read_bytes()
+
+    def test_file_stating_the_optimizer_momentum_resumes_bit_exactly(self, tmp_path):
+        # files written before the optimizer momentum became a constant hold it in meta_json;
+        # at OPT_MOMENTUM they resume as an uninterrupted run continues, and the key is not written back
+        full_cfg = short_config(seed=6, steps=50)
+        dataset = default_dataset(full_cfg)
+        _, full_records = train(full_cfg, dataset, checkpoint_path=tmp_path / "full.npz")
+        train(dataclasses.replace(full_cfg, steps=20), dataset, checkpoint_path=tmp_path / "ck.npz")
+        with np.load(tmp_path / "ck.npz") as z:
+            arrays = {k: z[k] for k in z.files}
+        meta = {**json.loads(str(arrays["meta_json"])), "opt_momentum": 0.9}
+        np.savez(tmp_path / "old.npz", **{**arrays, "meta_json": np.array(json.dumps(meta))})
+
+        _, second = train(full_cfg, dataset, state=load_checkpoint(tmp_path / "old.npz"),
+                          checkpoint_path=tmp_path / "resumed.npz")
+        assert full_records[20:] == second
+        with np.load(tmp_path / "resumed.npz") as z:
+            assert "opt_momentum" not in json.loads(str(z["meta_json"]))
         assert (tmp_path / "resumed.npz").read_bytes() == (tmp_path / "full.npz").read_bytes()
 
     def test_stats_momentum_key_is_ignored(self, tmp_path):
