@@ -159,6 +159,9 @@ def cmd_train(args) -> int:
     if fixed:  # a resumed run keeps the checkpoint's values of these keys
         raise InvalidInput(f"--resume keeps the checkpoint's {', '.join(fixed)}: "
                            "remove from the flags and the config file")
+    synthetic = [key for key in ("num_classes", "dim", "samples_per_class") if key in values]
+    if synthetic and (args.source_csv or args.target_csv):  # these keys shape only the synthetic data
+        raise InvalidInput(f"the CSV files give the data; remove the config keys {', '.join(synthetic)}")
     config = RunConfig(**values)
     dataset = _load_dataset(args, config)
     state = training.load_checkpoint(args.resume) if args.resume else None

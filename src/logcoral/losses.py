@@ -183,8 +183,8 @@ def _mean_value(diff: np.ndarray):
 
 def chain_to_features(loss_grad_cov: np.ndarray, batch: FeatureBatch, scale: float = 1.0) -> np.ndarray:
     """Chain a covariance gradient back to the feature matrix:
-    dL/dD = scale * (2/(n-1)) * (D - 1 mu^T) sym(dL/dC). For a smoothed covariance, scale
-    is the batch's `SmoothedStats.batch_share`. The rows are centred as `batch_covariance`
+    dL/dD = scale * (2/(n-1)) * (D - 1 mu^T) sym(dL/dC). For a smoothed covariance, scale is the
+    batch's share, 1 - momentum (1 in a run's first step). The rows are centred as `batch_covariance`
     centres them; the training step chains through this function."""
     g = sym_part(loss_grad_cov)
     if g.shape[0] != batch.d:

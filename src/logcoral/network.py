@@ -110,7 +110,7 @@ def backward(model: MlpModel, cache: ForwardCache, tap_grads: dict):
 @dataclass
 class TrainState:
     """Everything a training run carries between steps; the SGD momentum is `OPT_MOMENTUM` in every run.
-    Each domain's stats hold the smoothed covariance and mean at the model's taps, both moving at `momentum`."""
+    Each domain's stats hold the smoothed covariance and mean at the model's taps, moving at `momentum` past step 0."""
 
     model: MlpModel
     lr: float
@@ -137,18 +137,17 @@ def _split_tap(cache: ForwardCache, layer: int, n_source: int) -> tuple:
 @np.errstate(over="ignore", invalid="ignore")  # every value is checked where it is computed
 def step_objective(state: TrainState, source: FeatureBatch, target: FeatureBatch,
                    weights: L.LossWeights) -> tuple:
-    """The joint objective of one step, pure in state: the weighted classification, CORAL,
-    LogCORAL and mean losses from one forward over the stacked source and target rows, at
-    moving-average statistics at state.momentum whose gradients flow only through the batch's
-    `batch_share`, and at the constant shift state.epsilon. Uninitialized statistics give the objective at
-    fresh batch statistics. Returns (report, cache, tap_grads, stats_source, stats_target):
-    report holds all five losses whatever their weights; tap_grads the upstream gradients by
-    layer index, the covariance ones chained to the tap rows by `chain_to_features`.
-    Each value is checked where it is computed, with no numpy warning first: the taps and
-    logits here (`layer<i>`), statistics and losses by their own functions, the total here.
-    One loss's gradients are a call with one-hot weights at the same state: `backward` is linear
-    in tap_grads, so the four one-hot gradients sum to those at `from_multipliers(1, 1, 1, 1)`.
-    """
+    """The joint objective of one step, pure in state: the weighted classification, CORAL, LogCORAL and mean
+    losses from one forward over the stacked source and target rows, at moving-average statistics whose
+    gradients flow only through the batch's share, 1 - momentum, and at the constant shift state.epsilon.
+    The momentum is state.momentum, or 0 at step 0: the first step's objective is the one at fresh batch
+    statistics, whatever state's statistics hold. Returns (report, cache, tap_grads, stats_source,
+    stats_target): report holds all five losses whatever their weights; tap_grads the upstream gradients by
+    layer index, the covariance ones chained to the tap rows by `chain_to_features`. Each value is checked
+    where it is computed, with no numpy warning first: the taps and logits here (`layer<i>`), statistics and
+    losses by their own functions, the total here. One loss's gradients are a call with one-hot weights at
+    the same state: `backward` is linear in tap_grads, so the four one-hot gradients sum to those at
+    `from_multipliers(1, 1, 1, 1)`."""
     if source.labels is None:
         raise InvalidInput("source batch must be labeled")
     n = source.n
@@ -161,9 +160,10 @@ def step_objective(state: TrainState, source: FeatureBatch, target: FeatureBatch
     tap_s, tap_t = _split_tap(cache, cov_layer, n)
     batch_cov_s, batch_cov_t = batch_covariance(tap_s), batch_covariance(tap_t)
     mtap_s, mtap_t = _split_tap(cache, mean_layer, n)
-    stats_s = update_smoothed(state.stats_source, batch_cov_s, batch_mean(mtap_s), state.momentum)
-    stats_t = update_smoothed(state.stats_target, batch_cov_t, batch_mean(mtap_t), state.momentum)
-    share_s, share_t = (s.batch_share(state.momentum) for s in (state.stats_source, state.stats_target))
+    momentum = state.momentum if state.step else 0.0  # the first step takes the batch as it is
+    share = 1.0 - momentum  # the batch's weight in both domains' averages
+    stats_s = update_smoothed(state.stats_source, batch_cov_s, batch_mean(mtap_s), momentum)
+    stats_t = update_smoothed(state.stats_target, batch_cov_t, batch_mean(mtap_t), momentum)
     cov_s, cov_t = stats_s.cov, stats_t.cov
 
     logits_s, _ = _split_tap(cache, state.model.num_layers - 1, n)
@@ -194,11 +194,11 @@ def step_objective(state: TrainState, source: FeatureBatch, target: FeatureBatch
         grads = [weights.coral * coral.grad_source, weights.coral * coral.grad_target]
         if weights.logcoral > 0:
             grads = [g + weights.logcoral * lg for g, lg in zip(grads, logcoral.grads())]
-        _add(cov_layer, np.concatenate([L.chain_to_features(grads[0], tap_s, share_s),
-                                        L.chain_to_features(grads[1], tap_t, share_t)]))
+        _add(cov_layer, np.concatenate([L.chain_to_features(grads[0], tap_s, share),
+                                        L.chain_to_features(grads[1], tap_t, share)]))
     if weights.mean > 0:
-        row_s = weights.mean * share_s * mean.grad_source / mtap_s.n
-        row_t = weights.mean * share_t * mean.grad_target / mtap_t.n
+        row_s = weights.mean * share * mean.grad_source / mtap_s.n
+        row_t = weights.mean * share * mean.grad_target / mtap_t.n
         _add(mean_layer, np.repeat([row_s, row_t], [mtap_s.n, mtap_t.n], axis=0))
     return report, cache, taps, stats_s, stats_t
 

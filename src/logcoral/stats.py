@@ -1,7 +1,7 @@
 """Batch statistics over feature matrices: sample covariance, column mean,
 and the moving-average state carried across training iterations. Training
 keeps one `SmoothedStats` per domain, holding the covariance at one feature
-tap and the mean at another, both averaged at the run's one momentum.
+tap and the mean at another, both averaged at the run's one momentum, or at 0 in a run's first step.
 
 Validation happens at the edges. `FeatureBatch(...)` checks what a caller hands in: a non-empty
 finite 2-D array, and labels that are whole, nonnegative numbers below 2**63, one per row;
@@ -116,41 +116,26 @@ def check_momentum(momentum: float) -> None:
 
 @dataclass(frozen=True)
 class SmoothedStats:
-    """Moving-average covariance and mean of one domain, which may come from
-    different feature taps, updated functionally at the run's momentum, which each
-    update is given. Both are None until the first update, which seeds them with the
-    batch values verbatim. Cov a `SymmetricMatrix` and mean a finite 1-D array, else InvalidInput."""
+    """Moving-average covariance and mean of one domain, which may come from different feature taps,
+    updated functionally at the momentum each update is given; a run's first update has momentum 0, so
+    it holds the batch. Cov a `SymmetricMatrix` and mean a finite 1-D array, else InvalidInput."""
 
-    cov: Optional[SymmetricMatrix] = None
-    mean: Optional[np.ndarray] = None
+    cov: SymmetricMatrix
+    mean: np.ndarray
 
     def __post_init__(self):
-        if (self.cov is None) != (self.mean is None):
-            raise InvalidInput("cov and mean must both be set or both be None")
-        if self.cov is not None:
-            _data(self.cov)  # a SymmetricMatrix, so finite
-            object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
-            if self.mean.ndim != 1 or not np.isfinite(self.mean).all():
-                raise InvalidInput(f"mean must be a finite 1-D array, got shape {self.mean.shape}")
-
-    @property
-    def initialized(self) -> bool:
-        return self.mean is not None
-
-    def batch_share(self, momentum: float) -> float:
-        """The next batch's weight in `update_smoothed`: 1 - momentum, or 1.0 before the first update."""
-        check_momentum(momentum)
-        return 1.0 - momentum if self.initialized else 1.0
+        _data(self.cov)  # a SymmetricMatrix, so finite
+        object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
+        if self.mean.ndim != 1 or not np.isfinite(self.mean).all():
+            raise InvalidInput(f"mean must be a finite 1-D array, got shape {self.mean.shape}")
 
 
 def update_smoothed(s: SmoothedStats, cov: SymmetricMatrix, mean: np.ndarray, momentum: float) -> SmoothedStats:
-    """One moving-average step of cov and mean, momentum * old + s.batch_share(momentum) * batch, through
-    the `SmoothedStats` constructor. A momentum outside [0, 1), a plain-array cov or a NaN mean is InvalidInput."""
-    share = s.batch_share(momentum)  # checks momentum
-    if not s.initialized:
-        return SmoothedStats(cov=cov, mean=mean)
+    """One moving-average step of cov and mean, momentum * old + (1 - momentum) * batch, through the `SmoothedStats`
+    constructor; at momentum 0, the batch. A momentum outside [0, 1), a plain-array cov or a NaN mean is InvalidInput."""
+    check_momentum(momentum)
     mean = np.asarray(mean, dtype=float)
     if _data(cov).shape != s.cov.data.shape or mean.shape != s.mean.shape:
         raise InvalidInput(f"batch (cov {cov.dim}, mean {mean.shape}) does not match state ({s.cov.dim}, {s.mean.shape})")
-    return SmoothedStats(cov=SymmetricMatrix._trusted(momentum * s.cov.data + share * cov.data),
-                         mean=momentum * s.mean + share * mean)
+    return SmoothedStats(cov=SymmetricMatrix._trusted(momentum * s.cov.data + (1.0 - momentum) * cov.data),
+                         mean=momentum * s.mean + (1.0 - momentum) * mean)

@@ -3,9 +3,9 @@
 Metrics are JSON-lines ({step, loss_cls, loss_coral, loss_logcoral, loss_mean, loss_total,
 target_acc?}); checkpoints are version-2 .npz containers that carry everything needed for a
 bit-exact resume, each fact once: parameters (their w<i> arrays give the layer count), optimizer
-velocities, rng state, step counter, each domain's smoothed statistics (the covariance at the
-model's covariance tap and the mean at its mean tap) once initialized, and in meta_json the run's
-lr, statistics momentum and epsilon. `check_state` is the one check of a run's state.
+velocities, rng state, step counter, each domain's smoothed statistics (the covariance at the model's
+covariance tap and the mean at its mean tap; zeros at step 0, which the first step overwrites), and
+in meta_json the run's lr, statistics momentum and epsilon. `check_state` is the one check of a run's state.
 """
 from __future__ import annotations
 
@@ -71,12 +71,19 @@ def _sample_batch(batch: FeatureBatch, size: int, rng: np.random.Generator,
     return FeatureBatch._trusted(batch.data[idx], labels=labels)
 
 
+def _zero_stats(model: MlpModel) -> SmoothedStats:
+    """A step-0 state's statistics: zeros of the taps' widths, which the first step, at momentum 0, overwrites."""
+    cov_dim, mean_dim = (model.dims[i + 1] for i in model.taps)
+    return SmoothedStats(cov=SymmetricMatrix._trusted(np.zeros((cov_dim, cov_dim))), mean=np.zeros(mean_dim))
+
+
 # Keys name the tap a value comes from. Older files that also hold dims, cov_{s,t}_{mean,initialized,momentum},
 # mean_{s,t}_{momentum,initialized} or tap names in meta load too; only cov_{s,t}_momentum is read, if meta has none.
-def _stats_from_npz(domain: str, z: dict) -> SmoothedStats:
-    if {f"cov_{domain}_cov", f"mean_{domain}_mean"} & z.keys():  # saved once initialized, both or neither
-        return SmoothedStats(cov=SymmetricMatrix(z[f"cov_{domain}_cov"]), mean=z[f"mean_{domain}_mean"])
-    return SmoothedStats()
+# Step-0 files written before every file held the statistics hold none: they load with zeros.
+def _stats_from_npz(domain: str, z: dict, model: MlpModel) -> SmoothedStats:
+    if int(z["step"]) == 0 and not {f"cov_{domain}_cov", f"mean_{domain}_mean"} & z.keys():
+        return _zero_stats(model)
+    return SmoothedStats(cov=SymmetricMatrix(z[f"cov_{domain}_cov"]), mean=z[f"mean_{domain}_mean"])
 
 
 def save_checkpoint(path, state: TrainState):
@@ -87,8 +94,7 @@ def save_checkpoint(path, state: TrainState):
         arrays[f"vw{i}"] = state.velocity_w[i]
         arrays[f"vb{i}"] = state.velocity_b[i]
     for domain, s in (("s", state.stats_source), ("t", state.stats_target)):
-        if s.initialized:
-            arrays[f"cov_{domain}_cov"], arrays[f"mean_{domain}_mean"] = s.cov.data, s.mean
+        arrays[f"cov_{domain}_cov"], arrays[f"mean_{domain}_mean"] = s.cov.data, s.mean
     meta = {"lr": state.lr, "momentum": state.momentum, "epsilon": state.epsilon,
             "rng_state": state.rng.bit_generator.state}
     arrays["meta_json"] = np.array(json.dumps(meta))
@@ -114,7 +120,7 @@ def load_checkpoint(path) -> TrainState:
         raise InvalidInput(f"{path}: checkpoint has no {exc.args[0]!r}") from exc
     except InvalidInput as exc:
         raise InvalidInput(f"{path}: {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, IndexError) as exc:
         raise InvalidInput(f"{path}: malformed checkpoint ({exc})") from exc
 
 
@@ -133,28 +139,27 @@ def _state_from_npz(z: dict) -> TrainState:
         raise InvalidInput(f"optimizer momentum {meta['opt_momentum']!r} is not {OPT_MOMENTUM}, the one supported")
     rng = np.random.default_rng()
     rng.bit_generator.state = meta["rng_state"]
+    model = MlpModel(weights=[z[f"w{i}"] for i in layers], biases=[z[f"b{i}"] for i in layers])
     return TrainState(
-        model=MlpModel(weights=[z[f"w{i}"] for i in layers], biases=[z[f"b{i}"] for i in layers]),
-        lr=meta["lr"], momentum=meta["momentum"],
+        model=model, lr=meta["lr"], momentum=meta["momentum"],
         velocity_w=[z[f"vw{i}"] for i in layers], velocity_b=[z[f"vb{i}"] for i in layers],
-        stats_source=_stats_from_npz("s", z), stats_target=_stats_from_npz("t", z),
+        stats_source=_stats_from_npz("s", z, model), stats_target=_stats_from_npz("t", z, model),
         step=int(z["step"]), rng=rng, epsilon=meta["epsilon"],
     )
 
 
 def init_state(config: RunConfig, feature_dim: int, num_classes: int) -> TrainState:
-    """Fresh state for a run. The batch sampler continues the rng stream that
-    initialised the weights. The alignment losses read the model's taps
+    """Fresh state for a run, with `_zero_stats`. The batch sampler continues the rng
+    stream that initialised the weights. The alignment losses read the model's taps
     (`MlpModel.taps`), so config.hidden_dims must name at least one hidden
-    layer; InvalidInput otherwise."""
+    layer; InvalidInput otherwise, here and not as a failed first step."""
     rng = np.random.default_rng(config.seed)
     model = MlpModel.init([feature_dim, *config.hidden_dims, num_classes], rng)
-    model.taps  # raises here, not as a failed first step
     return TrainState(
         model=model, lr=config.lr, momentum=config.momentum,
         velocity_w=[np.zeros_like(w) for w in model.weights],
         velocity_b=[np.zeros_like(b) for b in model.biases],
-        stats_source=SmoothedStats(), stats_target=SmoothedStats(),
+        stats_source=_zero_stats(model), stats_target=_zero_stats(model),
         step=0, rng=rng, epsilon=config.epsilon,
     )
 
@@ -182,14 +187,14 @@ def check_state(state: TrainState) -> None:
     w, b = [np.shape(a) for a in model.weights], [np.shape(a) for a in model.biases]
     if {len(s) for s in w} != {2} or w + b != [*zip(model.dims, model.dims[1:]), *zip(model.dims[1:])]:
         raise InvalidInput(f"model layers do not chain: weights {w}, biases {b}")
-    cov_dim, mean_dim = (model.dims[i + 1] for i in model.taps)  # taps raises without a hidden layer
+    zero = _zero_stats(model)  # the taps' widths; taps raises without a hidden layer
     vw, vb = [np.shape(a) for a in state.velocity_w], [np.shape(a) for a in state.velocity_b]
     if (vw, vb) != (w, b):
         raise InvalidInput(f"velocities {vw}, {vb} do not match the weights {w} and biases {b}")
     for name, s in (("source", state.stats_source), ("target", state.stats_target)):
-        if s.initialized and (s.cov.data.shape, s.mean.shape) != ((cov_dim, cov_dim), (mean_dim,)):
+        if (s.cov.data.shape, s.mean.shape) != (zero.cov.data.shape, zero.mean.shape):
             raise InvalidInput(f"{name} statistics (cov {s.cov.data.shape}, mean {s.mean.shape}) do not fit "
-                               f"the taps' widths, {cov_dim} and {mean_dim}")
+                               f"the taps' widths, {zero.cov.dim} and {zero.mean.size}")
     arrays = {"w": model.weights, "b": model.biases, "vw": state.velocity_w, "vb": state.velocity_b}
     if bad := [f"{k}{i}" for k, group in arrays.items() for i, a in enumerate(group) if not np.isfinite(a).all()]:
         raise InvalidInput(f"non-finite entries in {', '.join(bad)}")
@@ -200,11 +205,11 @@ def check_state(state: TrainState) -> None:
 
 def train(config: RunConfig, dataset: D.DatasetPair, state: TrainState = None,
           metrics_path=None, checkpoint_path=None):
-    """Run (or continue) a training run. Returns (state, records) where records is
-    the list of per-step metric dicts logged by this call. The state (fresh if none is
-    given) must pass `check_state` and fit the dataset before the parent directories of
-    metrics_path and checkpoint_path are made. A step that raises leaves the last
-    completed state, in the checkpoint too, and re-raises with its class and step set."""
+    """Run (or continue) a training run. Returns (state, records) where records is the list of per-step metric
+    dicts logged by this call. The state (fresh if none is given) must pass `check_state` and fit the dataset
+    before the parent directories of metrics_path and checkpoint_path are made. A run from step 0 writes a new
+    metrics file; a resumed run appends to it. A step that raises leaves the last completed state, in the
+    checkpoint too, and re-raises with its class and step set."""
     num_classes = source_classes(dataset)
     state = init_state(config, dataset.source.d, num_classes) if state is None else state
     check_state(state)
@@ -215,7 +220,7 @@ def train(config: RunConfig, dataset: D.DatasetPair, state: TrainState = None,
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
 
     records = []
-    with open(metrics_path, "a", encoding="utf-8") if metrics_path else contextlib.nullcontext() as sink:
+    with open(metrics_path, "a" if state.step else "w", encoding="utf-8") if metrics_path else contextlib.nullcontext() as sink:
         while state.step < config.steps:
             rng_state = state.rng.bit_generator.state
             src = _sample_batch(dataset.source, config.batch, state.rng, with_labels=True)

@@ -169,7 +169,7 @@ def test_criterion_8_moving_average_contract():
     a = rng.standard_normal((5, 5))
     target_cov = SymmetricMatrix(sym_part(a @ a.T))
     target_mean = rng.standard_normal(5)
-    s = update_smoothed(SmoothedStats(), SymmetricMatrix(np.eye(5)), np.zeros(5), 0.9)
+    s = SmoothedStats(cov=SymmetricMatrix(np.eye(5)), mean=np.zeros(5))
     gap_cov = np.linalg.norm(s.cov.data - target_cov.data)
     gap_mean = np.linalg.norm(s.mean - target_mean)
     worst = 0.0

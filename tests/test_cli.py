@@ -528,6 +528,19 @@ class TestTrainCommand:
         assert str(tmp_path / "bad.npz") in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("domain", ["s", "t"])
+    def test_statistics_missing_past_step_0_are_bad_input(self, tmp_path, capsys, domain):
+        # only a step-0 file may lack the statistics, which its first step overwrites
+        config = RunConfig(steps=3, batch=16, samples_per_class=20)
+        train(config, default_dataset(config), checkpoint_path=tmp_path / "ck.npz")
+        with np.load(tmp_path / "ck.npz") as z:
+            arrays = {k: z[k] for k in z.files if k not in (f"cov_{domain}_cov", f"mean_{domain}_mean")}
+        np.savez(tmp_path / "bad.npz", **arrays)
+        out = tmp_path / "run"
+        assert main(["train", "--steps", "5", "--resume", str(tmp_path / "bad.npz"), "--out", str(out)]) == 2
+        assert f"{tmp_path / 'bad.npz'}: checkpoint has no 'cov_{domain}_cov'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_resume_from_a_file_that_is_no_checkpoint(self, tmp_path, capsys):
         metrics = tmp_path / "metrics.jsonl"
         metrics.write_text('{"step": 1, "loss_cls": 1.6}\n')
@@ -618,6 +631,38 @@ class TestTrainCommand:
                    "--source-csv", str(fs), "--target-csv", str(ft),
                    "--out", str(tmp_path / "run")])
         assert rc == 0
+
+    @pytest.mark.parametrize("keys", [["num_classes=9", "dim=32", "samples_per_class=3"], ["samples_per_class=3"]])
+    def test_csv_input_rejects_the_synthetic_data_keys(self, tmp_path, capsys, keys):
+        # num_classes, dim and samples_per_class shape only the synthetic dataset, which CSVs replace
+        pair = generate(make_benchmark_spec(num_classes=5, dim=16, samples_per_class=30, seed=3))
+        fs, ft = tmp_path / "s.csv", tmp_path / "t.csv"
+        save_csv(fs, pair.source)
+        save_csv(ft, pair.target)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("steps=5\nbatch=16\n" + "".join(f"{key}\n" for key in keys))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--source-csv", str(fs), "--target-csv", str(ft),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        names = [key.split("=")[0] for key in keys]
+        assert f"remove the config keys {', '.join(names)}" in err
+        assert not out.exists()
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0  # they shape the synthetic data
+
+    def test_run_from_step_0_replaces_the_metrics_file(self, tmp_path):
+        # a fresh run into an --out that holds an earlier run's log writes a new log;
+        # a resumed run appends (criterion 7)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("samples_per_class=20\nbatch=16\n")
+        run = ["train", "--config", str(cfg), "--out"]
+        for steps in ("20", "20"):
+            assert main(run + [str(tmp_path / "o"), "--steps", steps]) == 0
+        assert len((tmp_path / "o" / "metrics.jsonl").read_text().splitlines()) == 20
+        assert main(run + [str(tmp_path / "o"), "--seed", "3", "--steps", "10"]) == 0
+        assert main(run + [str(tmp_path / "fresh"), "--seed", "3", "--steps", "10"]) == 0
+        for name in ("metrics.jsonl", "checkpoint.npz"):
+            assert (tmp_path / "o" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
 
 
 class TestAblateCommand:

@@ -68,9 +68,11 @@ class TestHandBuiltModel:
                          biases=[np.zeros(b) for b in widths[1:]])
         assert model.dims == list(widths) and model.taps == (1, 0)
         cfg = RunConfig(steps=3, batch=16, samples_per_class=20)
+        zero = SmoothedStats(cov=SymmetricMatrix(np.zeros((24, 24))), mean=np.zeros(40))  # the taps' widths
         state = dataclasses.replace(init_state(cfg, 16, 5), model=model,
                                     velocity_w=[np.zeros_like(w) for w in model.weights],
-                                    velocity_b=[np.zeros_like(b) for b in model.biases])
+                                    velocity_b=[np.zeros_like(b) for b in model.biases],
+                                    stats_source=zero, stats_target=zero)
         state, _ = train(cfg, default_dataset(cfg), state=state, checkpoint_path=tmp_path / "ck.npz")
         loaded = load_checkpoint(tmp_path / "ck.npz")
         assert loaded.model.dims == state.model.dims == list(widths) and loaded.step == 3
@@ -118,7 +120,7 @@ class TestBackward:
 
         h = 1e-6
         def objective(m):
-            # the pre-step statistics are uninitialized: the objective at fresh batch statistics
+            # the pre-step state is at step 0: the objective at fresh batch statistics
             report = step_objective(dataclasses.replace(pre, model=m), src, tgt, weights)[0]
             return report["loss_total"]
 
@@ -207,8 +209,8 @@ class TestStepObjective:
         config = RunConfig(momentum=0.0, steps=max(step - 1, 1))
         dataset = default_dataset(config)
         state = init_state(config, 16, 5) if step == 1 else train(config, dataset)[0]
-        assert state.step == step - 1 and state.stats_source.initialized == (step > 1)
-        fresh = dataclasses.replace(state, stats_source=SmoothedStats(), stats_target=SmoothedStats())
+        assert state.step == step - 1
+        fresh = dataclasses.replace(state, step=0)  # the first step's momentum is 0
         rng = np.random.default_rng(step)
         i, j = rng.integers(0, dataset.source.n, size=64), rng.integers(0, dataset.target.n, size=64)
         src = FeatureBatch(dataset.source.data[i], labels=dataset.source.labels[i])
@@ -221,6 +223,26 @@ class TestStepObjective:
         want = [*want_taps.values(), want_s.cov.data, want_s.mean, want_t.cov.data, want_t.mean]
         for a, b in zip(got, want, strict=True):
             assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_first_step_ignores_the_statistics_it_starts_from(self, scale):
+        # a step-0 state's statistics are overwritten by its momentum-0 first step: any finite
+        # values give the objective, tap gradients and new statistics of init_state's zeros, bit for bit
+        rng = np.random.default_rng(16)
+        state = small_state(8)
+        a, b = rng.standard_normal((2, 5, 5)) * scale
+        held = dataclasses.replace(state, stats_source=SmoothedStats(SymmetricMatrix(a + a.T), rng.standard_normal(6)),
+                                   stats_target=SmoothedStats(SymmetricMatrix(b @ b.T), rng.standard_normal(6) * scale))
+        src = labeled_batch(rng, 20, 4, 3)
+        tgt = FeatureBatch(rng.standard_normal((24, 4)) * 1.3 + 0.2)
+        weights = LossWeights.from_multipliers(1, 1, 1, 1)
+        report, _, taps, stats_s, stats_t = step_objective(held, src, tgt, weights)
+        want_report, _, want_taps, want_s, want_t = step_objective(state, src, tgt, weights)
+        assert report == want_report and taps.keys() == want_taps.keys()
+        got = [*taps.values(), stats_s.cov.data, stats_s.mean, stats_t.cov.data, stats_t.mean]
+        want = [*want_taps.values(), want_s.cov.data, want_s.mean, want_t.cov.data, want_t.mean]
+        for x, y in zip(got, want, strict=True):
+            assert x.tobytes() == y.tobytes()
 
     def test_overflowing_weighted_total_is_a_numerical_failure(self):
         # each loss is finite (loss_cls about 2); only the total the step weights itself overflows

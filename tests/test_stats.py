@@ -163,35 +163,41 @@ class TestBatchMean:
         assert exc.value.component == "batch_mean"
 
 
+def eye_stats(d, mean_dim=None):
+    """Statistics holding the identity covariance and a zero mean, of mean_dim entries (default d)."""
+    return SmoothedStats(cov=SymmetricMatrix(np.eye(d)), mean=np.zeros(mean_dim or d))
+
+
 class TestSmoothedStats:
     def test_momentum_range_enforced(self):
         # 0 <= momentum < 1; 0 is the paper's per-batch statistics
-        s = update_smoothed(SmoothedStats(), SymmetricMatrix(np.eye(2)), np.zeros(2), 0.9)
-        for stats in (SmoothedStats(), s):
-            for momentum in (0.0, 0.37):
-                check_momentum(momentum)
-                assert stats.batch_share(momentum) == (1.0 - momentum if stats.initialized else 1.0)
-                update_smoothed(stats, SymmetricMatrix(np.eye(2)), np.zeros(2), momentum)
-            for momentum in (1.0, -0.1):
-                for call in (lambda: check_momentum(momentum), lambda: stats.batch_share(momentum),
-                             lambda: update_smoothed(stats, SymmetricMatrix(np.eye(2)), np.zeros(2), momentum)):
-                    with pytest.raises(InvalidInput, match=r"momentum must be in \[0, 1\), got"):
-                        call()
+        stats = eye_stats(2)
+        for momentum in (0.0, 0.37):
+            check_momentum(momentum)
+            update_smoothed(stats, SymmetricMatrix(np.eye(2)), np.zeros(2), momentum)
+        for momentum in (1.0, -0.1):
+            for call in (lambda: check_momentum(momentum),
+                         lambda: update_smoothed(stats, SymmetricMatrix(np.eye(2)), np.zeros(2), momentum)):
+                with pytest.raises(InvalidInput, match=r"momentum must be in \[0, 1\), got"):
+                    call()
 
     def test_no_momentum_field(self):
         # the momentum is the run's, passed to each update, not held per domain
         assert [f.name for f in dataclasses.fields(SmoothedStats)] == ["cov", "mean"]
 
-    def test_first_update_seeds_verbatim(self):
+    def test_momentum_zero_update_returns_the_batch(self):
+        # a run's first update, whatever the statistics held before
+        rng = np.random.default_rng(2)
+        a = rng.standard_normal((2, 2)) * 1e3
+        old = SmoothedStats(cov=SymmetricMatrix(a + a.T), mean=rng.standard_normal(2) * 1e3)
         cov = SymmetricMatrix(np.array([[2.0, 0.5], [0.5, 1.0]]))
         mean = np.array([1.0, -1.0])
-        s = update_smoothed(SmoothedStats(), cov, mean, 0.9)
-        assert s.initialized
-        assert np.array_equal(s.cov.data, cov.data)
-        assert np.array_equal(s.mean, mean)
+        s = update_smoothed(old, cov, mean, 0.0)
+        assert s.cov.data.tobytes() == cov.data.tobytes()
+        assert s.mean.tobytes() == mean.tobytes()
 
     def test_blend_coefficients(self):
-        s = update_smoothed(SmoothedStats(), SymmetricMatrix([[1.0]]), np.array([0.0]), 0.9)
+        s = SmoothedStats(cov=SymmetricMatrix([[1.0]]), mean=np.array([0.0]))
         s = update_smoothed(s, SymmetricMatrix([[2.0]]), np.array([1.0]), 0.9)
         assert s.cov.data[0, 0] == pytest.approx(1.1)   # 0.9*1 + 0.1*2
         assert s.mean[0] == pytest.approx(0.1)
@@ -201,7 +207,7 @@ class TestSmoothedStats:
         a = rng.standard_normal((4, 4))
         target_cov = SymmetricMatrix(a @ a.T)
         target_mean = rng.standard_normal(4)
-        s = update_smoothed(SmoothedStats(), SymmetricMatrix(np.eye(4)), np.zeros(4), 0.9)
+        s = eye_stats(4)
         gap0 = np.linalg.norm(s.cov.data - target_cov.data)
         for k in range(1, 30):
             s = update_smoothed(s, target_cov, target_mean, 0.9)
@@ -210,59 +216,43 @@ class TestSmoothedStats:
 
     def test_symmetry_preserved(self):
         rng = np.random.default_rng(1)
-        s = SmoothedStats()
+        s = SmoothedStats(cov=SymmetricMatrix(np.zeros((5, 5))), mean=np.zeros(5))
         for _ in range(5):
             a = rng.standard_normal((5, 5))
             s = update_smoothed(s, SymmetricMatrix(a + a.T), rng.standard_normal(5), 0.9)
             assert np.array_equal(s.cov.data, s.cov.data.T)
 
     def test_dimension_mismatch_rejected(self):
-        s = update_smoothed(SmoothedStats(), SymmetricMatrix(np.eye(3)), np.zeros(3), 0.9)
+        s = eye_stats(3)
         with pytest.raises(InvalidInput):
             update_smoothed(s, SymmetricMatrix(np.eye(2)), np.zeros(2), 0.9)
-
-    @pytest.mark.parametrize("momentum", [0.9, 0.37])
-    def test_batch_share_is_the_update_weight(self, momentum):
-        rng = np.random.default_rng(3)
-        s = SmoothedStats()
-        assert s.batch_share(momentum) == 1.0
-        s = update_smoothed(s, SymmetricMatrix(np.eye(3)), rng.standard_normal(3), momentum)
-        assert s.batch_share(momentum) == 1.0 - momentum
-        a = rng.standard_normal((3, 3))
-        cov, mean = SymmetricMatrix(a + a.T), rng.standard_normal(3)
-        new = update_smoothed(s, cov, mean, momentum)
-        assert np.array_equal(new.cov.data, momentum * s.cov.data + s.batch_share(momentum) * cov.data)
-        assert np.array_equal(new.mean, momentum * s.mean + s.batch_share(momentum) * mean)
 
     @pytest.mark.parametrize("mean", [[np.nan, 0.0], [np.inf, 0.0], [[0.0, 0.0]]],
                              ids=["nan", "inf", "2-D"])
     def test_mean_must_be_finite_and_1d(self, mean):
         with pytest.raises(InvalidInput, match="mean must be a finite 1-D array"):
             SmoothedStats(cov=SymmetricMatrix(np.eye(2)), mean=np.array(mean))
-        with pytest.raises(InvalidInput, match="mean must be a finite 1-D array"):
-            update_smoothed(SmoothedStats(), SymmetricMatrix(np.eye(2)), mean, 0.9)
-        if np.ndim(mean) == 1:  # through the moving average too
-            s = update_smoothed(SmoothedStats(), SymmetricMatrix(np.eye(2)), np.zeros(2), 0.9)
-            with pytest.raises(InvalidInput, match="mean must be a finite 1-D array"):
-                update_smoothed(s, SymmetricMatrix(np.eye(2)), mean, 0.9)
+        if np.ndim(mean) == 1:  # through the moving average too, at the first step's momentum and later ones
+            for momentum in (0.0, 0.9):
+                with pytest.raises(InvalidInput, match="mean must be a finite 1-D array"):
+                    update_smoothed(eye_stats(2), SymmetricMatrix(np.eye(2)), mean, momentum)
 
     def test_cov_must_be_a_symmetric_matrix(self):
         with pytest.raises(InvalidInput, match="expected a SymmetricMatrix, got ndarray"):
             SmoothedStats(cov=np.eye(2), mean=np.zeros(2))
-        s = update_smoothed(SmoothedStats(), SymmetricMatrix(np.eye(2)), np.zeros(2), 0.9)
         with pytest.raises(InvalidInput, match="expected a SymmetricMatrix, got ndarray"):
-            update_smoothed(s, np.eye(2), np.zeros(2), 0.9)
+            update_smoothed(eye_stats(2), np.eye(2), np.zeros(2), 0.9)
 
     def test_cov_and_mean_set_together(self):
-        with pytest.raises(InvalidInput):
-            SmoothedStats(mean=np.zeros(2))
-        with pytest.raises(InvalidInput):
-            SmoothedStats(cov=SymmetricMatrix(np.eye(2)))
-        assert not SmoothedStats().initialized
+        # both are required: statistics always hold their averages, zeros before a run's first step
+        for kwargs in ({}, {"mean": np.zeros(2)}, {"cov": SymmetricMatrix(np.eye(2))}):
+            with pytest.raises(TypeError):
+                SmoothedStats(**kwargs)
+        assert not hasattr(SmoothedStats, "initialized") and not hasattr(SmoothedStats, "batch_share")
 
     def test_cov_and_mean_may_differ_in_dimension(self):
         # training smooths the covariance and the mean at different taps
-        s = update_smoothed(SmoothedStats(), SymmetricMatrix(np.eye(2)), np.zeros(3), 0.9)
+        s = eye_stats(2, mean_dim=3)
         s = update_smoothed(s, SymmetricMatrix(np.eye(2) * 2.0), np.ones(3), 0.9)
         assert s.cov.dim == 2 and len(s.mean) == 3
         with pytest.raises(InvalidInput):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -152,10 +153,11 @@ class TestFailureClass:
         # a state built by hand, not by init_state or load_checkpoint
         cfg = short_config()
         model = MlpModel.init([16, 5], np.random.default_rng(0))
+        stats = SmoothedStats(cov=SymmetricMatrix(np.zeros((5, 5))), mean=np.zeros(5))
         state = TrainState(model=model, lr=cfg.lr, momentum=cfg.momentum,
                            velocity_w=[np.zeros_like(w) for w in model.weights],
                            velocity_b=[np.zeros_like(b) for b in model.biases],
-                           stats_source=SmoothedStats(), stats_target=SmoothedStats(),
+                           stats_source=stats, stats_target=stats,
                            step=0, rng=np.random.default_rng(0), epsilon=cfg.epsilon)
         with pytest.raises(InvalidInput, match="no hidden layer") as exc:
             train(cfg, default_dataset(cfg), state=state, checkpoint_path=tmp_path / "ck.npz")
@@ -192,8 +194,10 @@ class TestFailureClass:
          "non-finite entries in w1$"),
         (lambda s: {"momentum": 1.0}, r"^momentum must be in \[0, 1\), got 1.0"),
         (lambda s: {"momentum": np.nan}, r"^momentum must be in \[0, 1\), got nan"),
+        (lambda s: {"stats_target": SmoothedStats(cov=s.stats_target.cov, mean=s.stats_target.mean[:-1])},
+         r"^target statistics \(cov \(64, 64\), mean \(127,\)\) do not fit the taps' widths, 64 and 128$"),
     ], ids=["velocity_w0_3x3", "velocity_b_short", "velocity_w_extra", "lr_negative", "w1_nan",
-            "momentum_1", "momentum_nan"])
+            "momentum_1", "momentum_nan", "step_0_stats_target_mean_127"])
     def test_inconsistent_state_is_bad_input(self, tmp_path, change, message):
         # a hand-built state: check_state names what is wrong before any step or directory
         cfg = RunConfig(steps=3, batch=16, samples_per_class=20)
@@ -256,7 +260,48 @@ class TestCheckpoint:
         save_checkpoint(tmp_path / "again.npz", load_checkpoint(tmp_path / "ck.npz"))
         assert (tmp_path / "again.npz").read_bytes() == (tmp_path / "ck.npz").read_bytes()
         with np.load(tmp_path / "ck.npz") as z:
-            assert ("cov_s_cov" in z.files) == (steps > 0)
+            assert {"cov_s_cov", "mean_s_mean", "cov_t_cov", "mean_t_mean"} <= set(z.files)
+
+    def test_step_0_statistics_are_zeros_of_the_taps_widths(self, tmp_path):
+        # the first step's momentum is 0, so it overwrites them; a step-0 file holds them too
+        state = init_state(RunConfig(hidden_dims=(40, 24)), feature_dim=16, num_classes=5)
+        save_checkpoint(tmp_path / "ck.npz", state)
+        with np.load(tmp_path / "ck.npz") as z:
+            for domain, s in (("s", state.stats_source), ("t", state.stats_target)):
+                for key, got, want in ((f"cov_{domain}_cov", s.cov.data, np.zeros((24, 24))),
+                                       (f"mean_{domain}_mean", s.mean, np.zeros(40))):
+                    assert got.dtype == z[key].dtype == float
+                    assert got.tobytes() == z[key].tobytes() == want.tobytes(), key
+
+    def test_step_0_file_without_statistics_resumes_as_a_fresh_run(self, tmp_path):
+        # files written before the statistics were always held have none at step 0;
+        # they load with zero statistics and train as a run from init_state does
+        config = short_config(seed=1, steps=30)
+        dataset = default_dataset(config)
+        train(config, dataset, metrics_path=tmp_path / "fresh.jsonl", checkpoint_path=tmp_path / "fresh.npz")
+        save_checkpoint(tmp_path / "ck.npz", init_state(config, feature_dim=16, num_classes=5))
+        with np.load(tmp_path / "ck.npz") as z:
+            arrays = {k: z[k] for k in z.files}
+        for key in ("cov_s_cov", "mean_s_mean", "cov_t_cov", "mean_t_mean"):
+            del arrays[key]
+        np.savez(tmp_path / "old.npz", **arrays)
+
+        state = load_checkpoint(tmp_path / "old.npz")
+        for s in (state.stats_source, state.stats_target):
+            assert not s.cov.data.any() and not s.mean.any()
+        train(config, dataset, state=state, metrics_path=tmp_path / "resumed.jsonl",
+              checkpoint_path=tmp_path / "resumed.npz")
+        assert (tmp_path / "resumed.jsonl").read_bytes() == (tmp_path / "fresh.jsonl").read_bytes()
+        assert (tmp_path / "resumed.npz").read_bytes() == (tmp_path / "fresh.npz").read_bytes()
+
+    def test_step_0_file_without_statistics_and_a_flat_weight_is_bad_input(self, tmp_path):
+        # its zero statistics take the taps' widths from the weights, which must be 2-D to give them
+        save_checkpoint(tmp_path / "ck.npz", init_state(RunConfig(), feature_dim=16, num_classes=5))
+        with np.load(tmp_path / "ck.npz") as z:
+            arrays = {k: z[k] for k in z.files if "_s_" not in k and "_t_" not in k}
+        np.savez(tmp_path / "bad.npz", **{**arrays, "w1": arrays["w1"].ravel()})
+        with pytest.raises(InvalidInput, match=f"^{re.escape(str(tmp_path / 'bad.npz'))}: malformed checkpoint"):
+            load_checkpoint(tmp_path / "bad.npz")
 
     def test_every_array_cut_short_is_bad_input(self, tmp_path):
         # one entry short on its last axis, each layer array and statistic fails the load, naming the file
