@@ -1,7 +1,7 @@
 """Training loop, checkpointing and the ablation sweep.
 
 Metrics are JSON-lines ({step, loss_cls, loss_coral, loss_logcoral, loss_mean, loss_total,
-target_acc?}); checkpoints are version-2 .npz containers that carry everything needed for a
+target_acc?}); checkpoints are version-3 .npz containers that carry everything needed for a
 bit-exact resume, each fact once: parameters (their w<i> arrays give the layer count), optimizer
 velocities, rng state, step counter, each domain's smoothed statistics (the covariance at the model's
 covariance tap and the mean at its mean tap; zeros at step 0, which the first step overwrites), and
@@ -22,10 +22,10 @@ from . import data as D
 from .exceptions import InvalidInput, LogCoralError, NumericalFailure
 from .linalg import SymmetricMatrix
 from .losses import LossWeights
-from .network import OPT_MOMENTUM, MlpModel, TrainState, evaluate, train_step
+from .network import MlpModel, TrainState, evaluate, train_step
 from .stats import FeatureBatch, SmoothedStats, check_momentum
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass
@@ -77,16 +77,14 @@ def _zero_stats(model: MlpModel) -> SmoothedStats:
     return SmoothedStats(cov=SymmetricMatrix._trusted(np.zeros((cov_dim, cov_dim))), mean=np.zeros(mean_dim))
 
 
-# Keys name the tap a value comes from. Older files that also hold dims, cov_{s,t}_{mean,initialized,momentum},
-# mean_{s,t}_{momentum,initialized} or tap names in meta load too; only cov_{s,t}_momentum is read, if meta has none.
-# Step-0 files written before every file held the statistics hold none: they load with zeros.
-def _stats_from_npz(domain: str, z: dict, model: MlpModel) -> SmoothedStats:
-    if int(z["step"]) == 0 and not {f"cov_{domain}_cov", f"mean_{domain}_mean"} & z.keys():
-        return _zero_stats(model)
+# Keys name the tap a value comes from.
+def _stats_from_npz(domain: str, z: dict) -> SmoothedStats:
     return SmoothedStats(cov=SymmetricMatrix(z[f"cov_{domain}_cov"]), mean=z[f"mean_{domain}_mean"])
 
 
 def save_checkpoint(path, state: TrainState):
+    """Write state to path, under that exact name. The file is written beside it, as path + ".tmp", and then
+    renamed onto path, so a save that fails leaves whatever path held before."""
     arrays = {"version": np.array(CHECKPOINT_VERSION), "step": np.array(state.step)}
     for i, (w, b) in enumerate(zip(state.model.weights, state.model.biases)):
         arrays[f"w{i}"] = w
@@ -98,18 +96,26 @@ def save_checkpoint(path, state: TrainState):
     meta = {"lr": state.lr, "momentum": state.momentum, "epsilon": state.epsilon,
             "rng_state": state.rng.bit_generator.state}
     arrays["meta_json"] = np.array(json.dumps(meta))
-    np.savez(path, **arrays)
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as f:  # a file object, so np.savez adds no .npz suffix
+            np.savez(f, **arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> TrainState:
-    """The state saved at path; InvalidInput naming path unless it is a version-2 .npz checkpoint
+    """The state saved at path; InvalidInput naming path unless it is a version-3 .npz checkpoint
     with every key, whose values parse and whose state passes `check_state`. The layer count is
-    that of the w<i> arrays, so a gap in their numbering is a missing key. An older file with no
-    momentum in meta_json takes it from cov_s_momentum and cov_t_momentum, which must be equal;
-    an opt_momentum in meta_json, as older files hold, must be OPT_MOMENTUM."""
+    that of the w<i> arrays, so a gap in their numbering is a missing key."""
     try:
         with np.load(path, allow_pickle=False) as npz:  # TypeError: a .npy file is no context manager
             arrays = dict(npz)
+    except OSError as exc:
+        raise InvalidInput(f"{path}: cannot open: {exc.strerror or exc}") from exc
     except (TypeError, ValueError, EOFError, zipfile.BadZipFile) as exc:
         raise InvalidInput(f"{path}: not an .npz checkpoint ({exc})") from exc
     try:
@@ -120,30 +126,23 @@ def load_checkpoint(path) -> TrainState:
         raise InvalidInput(f"{path}: checkpoint has no {exc.args[0]!r}") from exc
     except InvalidInput as exc:
         raise InvalidInput(f"{path}: {exc}") from exc
-    except (TypeError, ValueError, IndexError) as exc:
+    except (TypeError, ValueError) as exc:
         raise InvalidInput(f"{path}: malformed checkpoint ({exc})") from exc
 
 
 def _state_from_npz(z: dict) -> TrainState:
     version = int(z["version"])
     if version != CHECKPOINT_VERSION:
-        raise InvalidInput(f"checkpoint version {version} is not supported, only version "
-                           f"{CHECKPOINT_VERSION} (version 1 holds a mean-tap covariance that 2 drops)")
+        raise InvalidInput(f"checkpoint version {version} is not supported, only version {CHECKPOINT_VERSION}")
     layers = range(sum(k[:1] == "w" and k[1:].isdecimal() for k in z))  # the weights give the widths
     meta = json.loads(str(z["meta_json"]))
-    if "momentum" not in meta:  # older files hold one per domain; a run has one, so the two must agree
-        meta["momentum"], other = float(z["cov_s_momentum"]), float(z["cov_t_momentum"])
-        if other != meta["momentum"]:
-            raise InvalidInput(f"cov_s_momentum {meta['momentum']} and cov_t_momentum {other} differ")
-    if meta.get("opt_momentum", OPT_MOMENTUM) != OPT_MOMENTUM:  # older files state the SGD momentum
-        raise InvalidInput(f"optimizer momentum {meta['opt_momentum']!r} is not {OPT_MOMENTUM}, the one supported")
     rng = np.random.default_rng()
     rng.bit_generator.state = meta["rng_state"]
     model = MlpModel(weights=[z[f"w{i}"] for i in layers], biases=[z[f"b{i}"] for i in layers])
     return TrainState(
         model=model, lr=meta["lr"], momentum=meta["momentum"],
         velocity_w=[z[f"vw{i}"] for i in layers], velocity_b=[z[f"vb{i}"] for i in layers],
-        stats_source=_stats_from_npz("s", z, model), stats_target=_stats_from_npz("t", z, model),
+        stats_source=_stats_from_npz("s", z), stats_target=_stats_from_npz("t", z),
         step=int(z["step"]), rng=rng, epsilon=meta["epsilon"],
     )
 

@@ -398,22 +398,24 @@ class TestTrainCommand:
         # a version-1 file also held a covariance at the mean tap
         config = RunConfig(steps=3, batch=16, samples_per_class=20)
         state, _ = train(config, default_dataset(config))
-        save_checkpoint(tmp_path / "v2.npz", state)
-        with np.load(tmp_path / "v2.npz") as z:
+        save_checkpoint(tmp_path / "ck.npz", state)
+        with np.load(tmp_path / "ck.npz") as z:
             arrays = {k: z[k] for k in z.files}
         arrays["version"] = np.array(1)
         arrays["mean_s_cov"] = arrays["mean_t_cov"] = np.eye(128)
         np.savez(tmp_path / "v1.npz", **arrays)
-        with pytest.raises(InvalidInput, match="version 1 .*version 2 .*mean-tap covariance"):
+        message = f"{tmp_path / 'v1.npz'}: checkpoint version 1 is not supported, only version 3"
+        with pytest.raises(InvalidInput) as exc:
             load_checkpoint(tmp_path / "v1.npz")
+        assert str(exc.value) == message
         assert main(["train", "--steps", "5", "--resume", str(tmp_path / "v1.npz"),
                      "--out", str(tmp_path / "run")]) == 2
-        assert "version 1" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_checkpoint_naming_its_taps_resumes_bit_exactly(self, tmp_path):
-        # files written before the taps followed from the dims also hold the tap
-        # names in meta; they resume as an uninterrupted run continues
+        # tap names in meta, as version-2 files held, are keys the loader ignores:
+        # such a file resumes as an uninterrupted run continues
         cfg = tmp_path / "run.cfg"
         cfg.write_text("samples_per_class=20\nbatch=16\n")
         run = ["train", "--config", str(cfg), "--out"]
@@ -433,24 +435,24 @@ class TestTrainCommand:
                 == (tmp_path / "full" / "checkpoint.npz").read_bytes())
 
     def test_two_statistics_momenta_are_bad_input(self, tmp_path, capsys):
-        # a file written before the momentum moved to meta_json holds one per domain;
-        # one run has one momentum, so two that differ fail the load
+        # a version-2 file written before the momentum moved to meta_json holds one per domain;
+        # only version 3 loads, so such a file exits 2 whatever its momenta
         save_checkpoint(tmp_path / "ck.npz", init_state(RunConfig(), feature_dim=16, num_classes=5))
         with np.load(tmp_path / "ck.npz") as z:
             arrays = {k: z[k] for k in z.files}
         meta = json.loads(str(arrays["meta_json"]))
         meta.pop("momentum", None)
-        arrays.update(meta_json=np.array(json.dumps(meta)), cov_s_momentum=np.array(0.9),
+        arrays.update(version=np.array(2), meta_json=np.array(json.dumps(meta)), cov_s_momentum=np.array(0.9),
                       cov_t_momentum=np.array(0.5))
         np.savez(tmp_path / "two.npz", **arrays)
         out = tmp_path / "run"
         assert main(["train", "--steps", "5", "--resume", str(tmp_path / "two.npz"), "--out", str(out)]) == 2
-        assert (f"{tmp_path / 'two.npz'}: cov_s_momentum 0.9 and cov_t_momentum 0.5 differ"
+        assert (f"{tmp_path / 'two.npz'}: checkpoint version 2 is not supported, only version 3"
                 in capsys.readouterr().err)
         assert not out.exists()
 
     def test_layer_count_comes_from_the_weights(self, tmp_path):
-        # a dims key, as older files hold, is not read: rewritten to two layers,
+        # a dims key, as version-2 files held, is not read: rewritten to two layers,
         # the step-0 default 16-128-64-5 model still resumes whole
         save_checkpoint(tmp_path / "ck.npz", init_state(RunConfig(), feature_dim=16, num_classes=5))
         with np.load(tmp_path / "ck.npz") as z:
@@ -498,14 +500,15 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("corrupt", [
         lambda a: a.pop("version"),
+        lambda a: a.update(version=np.array(2)),
         lambda a: a.update(w1=np.zeros((128, 63))),
+        lambda a: a.update(w1=a["w1"].ravel()),
         lambda a: a.update(vb0=np.zeros(127)),
         lambda a: a.update(cov_s_cov=np.eye(5)),
         *(lambda a, key=key, value=value: a.update(meta_json=np.array(json.dumps(
             {**json.loads(str(a["meta_json"])), key: value})))
-          for key, value in (("lr", float("nan")), ("opt_momentum", 1.5), ("opt_momentum", 0.5), ("epsilon", -1.0),
-                             ("epsilon", 0.0), ("lr", "0.001"), ("momentum", 1.0), ("momentum", float("nan")),
-                             ("momentum", "0.9"))),
+          for key, value in (("lr", float("nan")), ("epsilon", -1.0), ("epsilon", 0.0), ("lr", "0.001"),
+                             ("momentum", 1.0), ("momentum", float("nan")), ("momentum", "0.9"))),
         lambda a: a.update(w1=with_first_entry(a["w1"], np.nan)),
         lambda a: a.update(vb0=with_first_entry(a["vb0"], np.inf)),
         lambda a: a.update(mean_s_mean=with_first_entry(a["mean_s_mean"], np.nan)),
@@ -513,9 +516,9 @@ class TestTrainCommand:
         lambda a: a.update(meta_json=np.array(json.dumps([1e-3, 0.9]))),
         lambda a: a.update(step=np.array(-4)),
         lambda a: a.pop("cov_s_cov"),
-    ], ids=["no_version", "w1_shape", "vb0_shape", "cov_5x5", "lr_nan", "opt_momentum_1.5", "opt_momentum_0.5",
-            "epsilon_negative", "epsilon_zero", "lr_string", "momentum_1", "momentum_nan", "momentum_string", "w1_nan",
-            "vb0_inf", "mean_s_mean_nan", "meta_not_json", "meta_list", "step_negative", "no_cov_s_cov"])
+    ], ids=["no_version", "version_2", "w1_shape", "w1_flat", "vb0_shape", "cov_5x5", "lr_nan", "epsilon_negative",
+            "epsilon_zero", "lr_string", "momentum_1", "momentum_nan", "momentum_string", "w1_nan", "vb0_inf",
+            "mean_s_mean_nan", "meta_not_json", "meta_list", "step_negative", "no_cov_s_cov"])
     def test_unfit_checkpoint_is_bad_input(self, tmp_path, capsys, corrupt):
         config = RunConfig(steps=3, batch=16, samples_per_class=20)
         save_checkpoint(tmp_path / "ck.npz", train(config, default_dataset(config))[0])
@@ -530,7 +533,7 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("domain", ["s", "t"])
     def test_statistics_missing_past_step_0_are_bad_input(self, tmp_path, capsys, domain):
-        # only a step-0 file may lack the statistics, which its first step overwrites
+        # every file holds the statistics, a step-0 file too, so a missing one is a missing key
         config = RunConfig(steps=3, batch=16, samples_per_class=20)
         train(config, default_dataset(config), checkpoint_path=tmp_path / "ck.npz")
         with np.load(tmp_path / "ck.npz") as z:
@@ -547,6 +550,13 @@ class TestTrainCommand:
         out = tmp_path / "run"
         assert main(["train", "--steps", "5", "--resume", str(metrics), "--out", str(out)]) == 2
         assert f"{metrics}: not an .npz checkpoint" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_checkpoint_is_bad_input(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        absent = tmp_path / "absent.npz"
+        assert main(["train", "--steps", "5", "--resume", str(absent), "--out", str(out)]) == 2
+        assert f"{absent}: cannot open: No such file or directory" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_source_csv_makes_no_output_directory(self, tmp_path, feature_files):

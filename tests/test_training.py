@@ -1,6 +1,8 @@
+import contextlib
 import dataclasses
+import errno
 import json
-import re
+import os
 
 import numpy as np
 import pytest
@@ -273,35 +275,40 @@ class TestCheckpoint:
                     assert got.dtype == z[key].dtype == float
                     assert got.tobytes() == z[key].tobytes() == want.tobytes(), key
 
-    def test_step_0_file_without_statistics_resumes_as_a_fresh_run(self, tmp_path):
-        # files written before the statistics were always held have none at step 0;
-        # they load with zero statistics and train as a run from init_state does
-        config = short_config(seed=1, steps=30)
-        dataset = default_dataset(config)
-        train(config, dataset, metrics_path=tmp_path / "fresh.jsonl", checkpoint_path=tmp_path / "fresh.npz")
-        save_checkpoint(tmp_path / "ck.npz", init_state(config, feature_dim=16, num_classes=5))
-        with np.load(tmp_path / "ck.npz") as z:
-            arrays = {k: z[k] for k in z.files}
-        for key in ("cov_s_cov", "mean_s_mean", "cov_t_cov", "mean_t_mean"):
-            del arrays[key]
-        np.savez(tmp_path / "old.npz", **arrays)
-
-        state = load_checkpoint(tmp_path / "old.npz")
-        for s in (state.stats_source, state.stats_target):
-            assert not s.cov.data.any() and not s.mean.any()
-        train(config, dataset, state=state, metrics_path=tmp_path / "resumed.jsonl",
-              checkpoint_path=tmp_path / "resumed.npz")
-        assert (tmp_path / "resumed.jsonl").read_bytes() == (tmp_path / "fresh.jsonl").read_bytes()
-        assert (tmp_path / "resumed.npz").read_bytes() == (tmp_path / "fresh.npz").read_bytes()
-
-    def test_step_0_file_without_statistics_and_a_flat_weight_is_bad_input(self, tmp_path):
-        # its zero statistics take the taps' widths from the weights, which must be 2-D to give them
+    def test_step_0_file_without_statistics_is_bad_input(self, tmp_path):
+        # every file holds the statistics, zeros at step 0; version-2 files written before that rule held none
         save_checkpoint(tmp_path / "ck.npz", init_state(RunConfig(), feature_dim=16, num_classes=5))
         with np.load(tmp_path / "ck.npz") as z:
-            arrays = {k: z[k] for k in z.files if "_s_" not in k and "_t_" not in k}
-        np.savez(tmp_path / "bad.npz", **{**arrays, "w1": arrays["w1"].ravel()})
-        with pytest.raises(InvalidInput, match=f"^{re.escape(str(tmp_path / 'bad.npz'))}: malformed checkpoint"):
-            load_checkpoint(tmp_path / "bad.npz")
+            arrays = {k: z[k] for k in z.files if k not in ("cov_s_cov", "mean_s_mean", "cov_t_cov", "mean_t_mean")}
+        for version, message in ((3, "checkpoint has no 'cov_s_cov'"),
+                                 (2, "checkpoint version 2 is not supported, only version 3")):
+            np.savez(tmp_path / "old.npz", **{**arrays, "version": np.array(version)})
+            with pytest.raises(InvalidInput) as exc:
+                load_checkpoint(tmp_path / "old.npz")
+            assert str(exc.value) == f"{tmp_path / 'old.npz'}: {message}"
+
+    def test_failed_save_keeps_the_last_checkpoint(self, tmp_path, monkeypatch):
+        # a write that fails part way, as on a full disk, leaves the file it would have replaced, and no other
+        state = init_state(RunConfig(), feature_dim=16, num_classes=5)
+        save_checkpoint(tmp_path / "ck.npz", state)
+        good = (tmp_path / "ck.npz").read_bytes()
+
+        def full_disk(file, **arrays):
+            with open(file, "wb") if isinstance(file, (str, os.PathLike)) else contextlib.nullcontext(file) as f:
+                f.write(good[:100])
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        monkeypatch.setattr(np, "savez", full_disk)
+        with pytest.raises(OSError, match="No space left on device"):
+            save_checkpoint(tmp_path / "ck.npz", state)
+        assert os.listdir(tmp_path) == ["ck.npz"]
+        assert (tmp_path / "ck.npz").read_bytes() == good
+
+    def test_checkpoint_is_written_at_the_path_given(self, tmp_path):
+        # with no .npz suffix added to it
+        config = RunConfig(steps=3, batch=16, samples_per_class=20)
+        train(config, default_dataset(config), checkpoint_path=tmp_path / "ck")
+        assert os.listdir(tmp_path) == ["ck"]
+        assert load_checkpoint(tmp_path / "ck").step == 3
 
     def test_every_array_cut_short_is_bad_input(self, tmp_path):
         # one entry short on its last axis, each layer array and statistic fails the load, naming the file
@@ -318,31 +325,43 @@ class TestCheckpoint:
             assert str(exc.value).startswith(f"{tmp_path / 'bad.npz'}: "), key
 
     def test_momentum_is_saved_once_in_meta(self, tmp_path):
-        # beside lr and epsilon; no per-domain key, and no optimizer momentum, which is OPT_MOMENTUM in every run
+        # beside lr and epsilon; no per-domain key, and no optimizer momentum, which is OPT_MOMENTUM in every run.
+        # The keys are version 3's, so a change of layout has to change the version too
         config = RunConfig(steps=3, batch=16, samples_per_class=20, momentum=0.37)
         train(config, default_dataset(config), checkpoint_path=tmp_path / "ck.npz")
         with np.load(tmp_path / "ck.npz") as z:
             meta = json.loads(str(z["meta_json"]))
-            assert not [k for k in z.files if "momentum" in k]
+            assert int(z["version"]) == 3
+            assert set(z.files) == {"version", "step", *(f"{k}{i}" for k in ("w", "b", "vw", "vb") for i in range(3)),
+                                    "cov_s_cov", "cov_t_cov", "mean_s_mean", "mean_t_mean", "meta_json"}
         del meta["rng_state"]
         assert meta == {"lr": config.lr, "momentum": 0.37, "epsilon": config.epsilon}
         assert load_checkpoint(tmp_path / "ck.npz").momentum == 0.37
 
+    def test_file_with_a_momentum_per_domain_is_bad_input(self, tmp_path):
+        # the momentum is read from meta_json only: cov_{s,t}_momentum keys, as version-2 files held, do not stand in
+        save_checkpoint(tmp_path / "ck.npz", init_state(RunConfig(), feature_dim=16, num_classes=5))
+        with np.load(tmp_path / "ck.npz") as z:
+            arrays = {k: z[k] for k in z.files}
+        meta = json.loads(str(arrays["meta_json"]))
+        del meta["momentum"]
+        arrays.update(meta_json=np.array(json.dumps(meta)), cov_s_momentum=np.array(0.9), cov_t_momentum=np.array(0.9))
+        np.savez(tmp_path / "old.npz", **arrays)
+        with pytest.raises(InvalidInput) as exc:
+            load_checkpoint(tmp_path / "old.npz")
+        assert str(exc.value) == f"{tmp_path / 'old.npz'}: checkpoint has no 'momentum'"
+
     @pytest.mark.parametrize("momentum", [0.9, 0.0])
     def test_file_with_a_momentum_per_domain_resumes_bit_exactly(self, tmp_path, momentum):
-        # files written before the momentum moved to meta_json hold it as two equal
-        # cov_{s,t}_momentum keys; they resume as an uninterrupted run continues
+        # beside the meta_json momentum, cov_{s,t}_momentum keys are ones the loader ignores, even at
+        # another value: such a file resumes as an uninterrupted run continues, and the keys are not written back
         full_cfg = short_config(seed=6, steps=50, momentum=momentum)
         dataset = default_dataset(full_cfg)
         _, full_records = train(full_cfg, dataset, checkpoint_path=tmp_path / "full.npz")
         train(dataclasses.replace(full_cfg, steps=20), dataset, checkpoint_path=tmp_path / "ck.npz")
         with np.load(tmp_path / "ck.npz") as z:
             arrays = {k: z[k] for k in z.files}
-        meta = json.loads(str(arrays["meta_json"]))
-        del meta["momentum"]
-        arrays.update(meta_json=np.array(json.dumps(meta)), cov_s_momentum=np.array(float(momentum)),
-                      cov_t_momentum=np.array(float(momentum)))
-        np.savez(tmp_path / "old.npz", **arrays)
+        np.savez(tmp_path / "old.npz", **arrays, cov_s_momentum=np.array(0.5), cov_t_momentum=np.array(0.5))
 
         resumed = load_checkpoint(tmp_path / "old.npz")
         assert (resumed.step, resumed.momentum) == (20, momentum)
@@ -351,8 +370,8 @@ class TestCheckpoint:
         assert (tmp_path / "resumed.npz").read_bytes() == (tmp_path / "full.npz").read_bytes()
 
     def test_file_stating_the_optimizer_momentum_resumes_bit_exactly(self, tmp_path):
-        # files written before the optimizer momentum became a constant hold it in meta_json;
-        # at OPT_MOMENTUM they resume as an uninterrupted run continues, and the key is not written back
+        # an opt_momentum in meta_json, as version-2 files held, is a key the loader ignores:
+        # such a file resumes as an uninterrupted run continues, and the key is not written back
         full_cfg = short_config(seed=6, steps=50)
         dataset = default_dataset(full_cfg)
         _, full_records = train(full_cfg, dataset, checkpoint_path=tmp_path / "full.npz")
@@ -370,7 +389,7 @@ class TestCheckpoint:
         assert (tmp_path / "resumed.npz").read_bytes() == (tmp_path / "full.npz").read_bytes()
 
     def test_stats_momentum_key_is_ignored(self, tmp_path):
-        # version-2 files written before the key was dropped still carry it
+        # a key the loader ignores, as some version-2 files held
         full_cfg = short_config(seed=2, steps=50)
         dataset = default_dataset(full_cfg)
         _, full_records = train(full_cfg, dataset)
@@ -389,10 +408,8 @@ class TestCheckpoint:
         assert full_records[20:] == second
 
     def test_second_statistics_keys_are_ignored(self, tmp_path):
-        # version-2 files written before each domain had one statistics
-        # object also carry a covariance-tap mean and mean-tap momentum and
-        # initialized keys; those written before the arrays were the one
-        # source of the layers and statistics carry dims and cov-tap initialized keys
+        # keys the loader ignores, as some version-2 files held: a covariance-tap
+        # mean, mean-tap momentum and initialized keys, dims and cov-tap initialized keys
         extra = ("cov_s_mean", "cov_t_mean", "mean_s_initialized", "mean_t_initialized",
                  "mean_s_momentum", "mean_t_momentum", "dims", "cov_s_initialized", "cov_t_initialized")
         full_cfg = short_config(seed=4, steps=50)
