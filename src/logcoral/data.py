@@ -59,8 +59,8 @@ class ShiftSpec:
 
 @dataclass(frozen=True)
 class DatasetPair:
-    """Labeled source batch plus a target batch whose labels exist only for
-    evaluation, never for training."""
+    """Labeled source batch plus a target batch whose labels exist only for evaluation, never for training.
+    InvalidInput if the feature dims differ, a batch is unlabeled, or the source labels give more classes than rows."""
 
     source: FeatureBatch
     target: FeatureBatch
@@ -70,6 +70,14 @@ class DatasetPair:
             raise InvalidInput("source and target feature dims differ")
         if self.source.labels is None or self.target.labels is None:
             raise InvalidInput("both batches must carry labels (target labels are held out)")
+        if (k := self.num_classes) > self.source.n:  # one stray label would size the output layer
+            raise InvalidInput(f"source label {k - 1} gives {k} classes, "
+                               f"more than the {self.source.n} source rows")
+
+    @property
+    def num_classes(self) -> int:
+        """The class count of the source labels, the largest label + 1: the classifier's output width."""
+        return int(self.source.labels.max()) + 1
 
 
 def random_rotation(dim: int, rng: np.random.Generator, strength: float = 1.0) -> np.ndarray:

@@ -68,9 +68,11 @@ class FeatureBatch:
 
 
 def _class_labels(lab: np.ndarray) -> np.ndarray:
-    """lab as an int array. Raises InvalidInput unless every entry is a
-    nonnegative whole number below 2**63, which int64 holds: the one label
-    rule of `FeatureBatch` and `softmax_cross_entropy`."""
+    """lab as an int array. Raises InvalidInput unless its dtype is bool, int or float and every
+    entry is a nonnegative whole number below 2**63, which int64 holds: the one label rule of
+    `FeatureBatch` and `softmax_cross_entropy`."""
+    if lab.dtype.kind not in "biuf":
+        raise InvalidInput(f"labels must be real numbers, got dtype {lab.dtype}")
     if lab.dtype.kind in "iu":  # whole already; only the sign, or an unsigned int64 overflow, can fail
         class_indices = lab >= 0 if lab.dtype.kind == "i" else lab < 2 ** 63
     else:

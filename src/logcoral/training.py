@@ -15,6 +15,7 @@ import json
 import os
 import zipfile
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -44,6 +45,10 @@ class RunConfig:
     samples_per_class: int = 200
 
     def __post_init__(self):
+        whole = {k: [getattr(self, k)] for k in ("seed", "steps", "batch", "eval_every", "num_classes", "dim",
+                                                   "samples_per_class")} | {"hidden_dims": self.hidden_dims}
+        if bad := [k for k, values in whole.items() if not all(isinstance(v, Integral) for v in values)]:
+            raise InvalidInput(f"{', '.join(bad)} must be whole numbers")
         if self.seed < 0:  # numpy's generators take nonnegative seeds only
             raise InvalidInput(f"seed must be nonnegative, got {self.seed}")
         if self.steps < 1 or self.batch < 2:
@@ -66,7 +71,7 @@ def default_dataset(config: RunConfig) -> D.DatasetPair:
 def _sample_batch(batch: FeatureBatch, size: int, rng: np.random.Generator,
                   with_labels: bool) -> FeatureBatch:
     idx = rng.integers(0, batch.n, size=size)
-    labels = batch.labels[idx] if (with_labels and batch.labels is not None) else None
+    labels = batch.labels[idx] if with_labels else None
     # rows of a checked batch keep its invariant
     return FeatureBatch._trusted(batch.data[idx], labels=labels)
 
@@ -163,21 +168,6 @@ def init_state(config: RunConfig, feature_dim: int, num_classes: int) -> TrainSt
     )
 
 
-def source_classes(dataset: D.DatasetPair) -> int:
-    """The class count of the source labels, the largest label + 1. Raises
-    InvalidInput if the source is unlabeled, or if that count exceeds the
-    number of source rows: such a label would size the output layer from one
-    stray value."""
-    labels = dataset.source.labels
-    if labels is None:
-        raise InvalidInput("source domain must be labeled")
-    num_classes = int(labels.max()) + 1
-    if num_classes > dataset.source.n:
-        raise InvalidInput(f"source label {num_classes - 1} gives {num_classes} classes, "
-                           f"more than the {dataset.source.n} source rows")
-    return num_classes
-
-
 def check_state(state: TrainState) -> None:
     """Raise InvalidInput unless state is one consistent run: chained layers with taps (2-D weights, each
     bias and the next weight as wide as its weight's output), one velocity per weight and bias, of its shape,
@@ -209,7 +199,7 @@ def train(config: RunConfig, dataset: D.DatasetPair, state: TrainState = None,
     before the parent directories of metrics_path and checkpoint_path are made. A run from step 0 writes a new
     metrics file; a resumed run appends to it. A step that raises leaves the last completed state, in the
     checkpoint too, and re-raises with its class and step set."""
-    num_classes = source_classes(dataset)
+    num_classes = dataset.num_classes
     state = init_state(config, dataset.source.d, num_classes) if state is None else state
     check_state(state)
     dims = state.model.dims

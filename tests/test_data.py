@@ -267,6 +267,13 @@ class TestDatasetPair:
         with pytest.raises(InvalidInput):
             DatasetPair(source=FeatureBatch(x, labels=[0, 0, 1, 1]), target=FeatureBatch(x))
 
+    def test_num_classes_comes_from_the_source_labels(self):
+        x = np.zeros((4, 2))
+        pair = DatasetPair(source=FeatureBatch(x, labels=[0, 3, 1, 1]), target=FeatureBatch(x, labels=[5, 0, 0, 0]))
+        assert pair.num_classes == 4
+        with pytest.raises(InvalidInput, match="^source label 4 gives 5 classes, more than the 4 source rows$"):
+            DatasetPair(source=FeatureBatch(x, labels=[0, 4, 1, 1]), target=pair.target)
+
     def test_requires_matching_dims(self):
         with pytest.raises(InvalidInput):
             DatasetPair(source=FeatureBatch(np.zeros((2, 2)), labels=[0, 1]),

@@ -63,6 +63,12 @@ class TestFeatureBatch:
         b = FeatureBatch(np.zeros((2, 1)), labels=np.array([top, 0], dtype=dtype))
         assert b.labels.dtype == np.int64 and b.labels.tolist() == [top, 0]
 
+    @pytest.mark.parametrize("labels", [["a", "b"], [None, None], [1j, 2j]])
+    def test_rejects_labels_that_are_not_real_numbers(self, labels):
+        with pytest.raises(InvalidInput, match="labels must be real numbers, got dtype"):
+            FeatureBatch(np.zeros((2, 2)), labels=labels)
+        assert FeatureBatch(np.zeros((2, 2)), labels=[True, False]).labels.tolist() == [1, 0]
+
     def test_whole_float_labels_become_integers(self):
         b = FeatureBatch(np.zeros((2, 2)), labels=[2.0, 0.0])
         assert b.labels.dtype.kind == "i" and b.labels.tolist() == [2, 0]

@@ -46,6 +46,16 @@ class TestRunConfig:
             RunConfig(momentum=momentum)
         assert RunConfig(momentum=0.0).momentum == 0.0  # the paper's per-batch statistics
 
+    @pytest.mark.parametrize("field", ["seed", "steps", "batch", "eval_every", "num_classes", "dim",
+                                       "samples_per_class", "hidden_dims"])
+    def test_counts_that_are_not_whole_numbers_make_no_directory(self, tmp_path, field):
+        dataset, out = default_dataset(short_config()), tmp_path / "new"
+        value = (8.5,) if field == "hidden_dims" else 16.5
+        with pytest.raises(InvalidInput, match=f"^{field} must be whole numbers$"):
+            train(short_config(**{field: value}), dataset, metrics_path=out / "metrics.jsonl")
+        assert not out.exists()
+        assert RunConfig(steps=np.int64(3), hidden_dims=(np.int32(8),)).steps == 3  # numpy integers pass
+
     def test_no_optimizer_momentum_option(self):
         # the SGD momentum is the library's constant, not a setting of the run or its state
         assert OPT_MOMENTUM == 0.9
@@ -98,9 +108,8 @@ class TestTrain:
         pair = default_dataset(cfg)
         labels = pair.source.labels.copy()
         labels[3] = 2 ** 50
-        unfit = dataclasses.replace(pair, source=dataclasses.replace(pair.source, labels=labels))
-        with pytest.raises(InvalidInput, match="source label"):
-            train(cfg, unfit, **paths)
+        with pytest.raises(InvalidInput, match="source label"):  # DatasetPair rejects it when it is built
+            train(cfg, dataclasses.replace(pair, source=dataclasses.replace(pair.source, labels=labels)), **paths)
         assert not out.exists()
 
     def test_more_classes_than_source_rows_rejected(self):
