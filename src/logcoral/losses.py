@@ -205,11 +205,11 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> LossBundle:
     n, k = logits.shape
     if labels.shape != (n,):
         raise InvalidInput(f"labels must have length {n}, got shape {labels.shape}")
-    if labels.max() >= k:  # before the int cast, which a huge float label would overflow
+    labels = _class_labels(labels)
+    if labels.max() >= k:
         raise InvalidInput(f"labels must lie in [0, {k}), got maximum {labels.max()}")
     if not np.isfinite(logits).all():
         raise InvalidInput("logits have non-finite entries")
-    labels = _class_labels(labels)
     with np.errstate(over="ignore", invalid="ignore"):  # checked at once
         value, shifted, log_z = _cross_entropy(logits, labels)
     if not np.isfinite(value):

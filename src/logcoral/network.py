@@ -18,7 +18,7 @@ OPT_MOMENTUM = 0.9  # the SGD momentum of every run, as Deep CORAL trains
 
 @dataclass
 class MlpModel:
-    """Dense layers with a rectifier between them. Layer i's output is post[i]
+    """Dense layers with a rectifier between them. Layer i's output is acts[i + 1]
     of a forward pass: rectified for hidden layers, the logits for the last.
     The alignment losses read the hidden layers at `taps`; `dims` comes from the weights."""
 
@@ -59,34 +59,26 @@ class MlpModel:
                 raise NumericalFailure(f"non-finite parameters in layer {i}", component=f"layer{i}")
 
 
-@dataclass
-class ForwardCache:
-    """The inputs and each layer's output, kept for the backward pass."""
-
-    inputs: np.ndarray
-    post: list  # post[i] is the output of layer i (activation applied except last)
-
-
-def forward(model: MlpModel, x: np.ndarray) -> ForwardCache:
+def forward(model: MlpModel, x: np.ndarray) -> list:
+    """The activations acts, kept for the backward pass: acts[0] is the input and acts[i + 1] the output
+    of layer i, rectified except for the last."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != model.dims[0]:
         raise InvalidInput(f"input has shape {x.shape}, model expects (*, {model.dims[0]})")
-    post = []
-    a = x
+    acts = [x]
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w + b
-        a = z if i == model.num_layers - 1 else np.maximum(z, 0.0)
-        post.append(a)
-    return ForwardCache(inputs=x, post=post)
+        z = acts[-1] @ w + b
+        acts.append(z if i == model.num_layers - 1 else np.maximum(z, 0.0))
+    return acts
 
 
-def backward(model: MlpModel, cache: ForwardCache, tap_grads: dict):
+def backward(model: MlpModel, acts: list, tap_grads: dict):
     """Accumulate parameter gradients from upstream gradients injected at layer
-    outputs: tap_grads maps layer index i to the gradient w.r.t. cache.post[i],
+    outputs: tap_grads maps layer index i to the gradient w.r.t. acts[i + 1],
     the logits at num_layers - 1. Returns (weight_grads, bias_grads)."""
     n_layers = model.num_layers
     for i, g in tap_grads.items():
-        if not 0 <= i < n_layers or g.shape != cache.post[i].shape:
+        if not 0 <= i < n_layers or g.shape != acts[i + 1].shape:
             raise InvalidInput(f"gradient of shape {g.shape} fits no output of layer {i}")
     gw, gb = [None] * n_layers, [None] * n_layers
     delta = None  # gradient w.r.t. the current layer's output; None while zero
@@ -98,9 +90,8 @@ def backward(model: MlpModel, cache: ForwardCache, tap_grads: dict):
             gw[i], gb[i] = np.zeros_like(model.weights[i]), np.zeros_like(model.biases[i])
             continue
         if i < n_layers - 1:
-            delta = delta * (cache.post[i] > 0.0)  # the rectifier passes where its output is positive
-        a_in = cache.inputs if i == 0 else cache.post[i - 1]
-        gw[i] = a_in.T @ delta
+            delta = delta * (acts[i + 1] > 0.0)  # the rectifier passes where its output is positive
+        gw[i] = acts[i].T @ delta
         gb[i] = delta.sum(axis=0)
         if i > 0:
             delta = delta @ model.weights[i].T
@@ -124,11 +115,11 @@ class TrainState:
     epsilon: float  # each step's Log-CORAL shift; train requires it positive, step_objective takes 0 (no shift)
 
 
-def _split_tap(cache: ForwardCache, layer: int, n_source: int) -> tuple:
+def _split_tap(acts: list, layer: int, n_source: int) -> tuple:
     """The source and target rows of one layer's output, as feature batches.
     The stacked output is checked for finiteness once; both halves are
     nonempty because the batches they came from are."""
-    h = cache.post[layer]
+    h = acts[layer + 1]
     if not np.isfinite(h).all():
         raise NumericalFailure(f"layer {layer} has non-finite activations", component=f"layer{layer}")
     return FeatureBatch._trusted(h[:n_source]), FeatureBatch._trusted(h[n_source:])
@@ -141,13 +132,13 @@ def step_objective(state: TrainState, source: FeatureBatch, target: FeatureBatch
     losses from one forward over the stacked source and target rows, at moving-average statistics whose
     gradients flow only through the batch's share, 1 - momentum, and at the constant shift state.epsilon.
     The momentum is state.momentum, or 0 at step 0: the first step's objective is the one at fresh batch
-    statistics, whatever state's statistics hold. Returns (report, cache, tap_grads, stats_source,
-    stats_target): report holds all five losses whatever their weights; tap_grads the upstream gradients by
-    layer index, the covariance ones chained to the tap rows by `chain_to_features`. Each value is checked
-    where it is computed, with no numpy warning first: the taps and logits here (`layer<i>`), statistics and
-    losses by their own functions, the total here. One loss's gradients are a call with one-hot weights at
-    the same state: `backward` is linear in tap_grads, so the four one-hot gradients sum to those at
-    `from_multipliers(1, 1, 1, 1)`."""
+    statistics, whatever state's statistics hold. Returns (report, acts, tap_grads, stats_source, stats_target):
+    report holds all five losses whatever their weights; acts the activations of `forward` on the stacked rows;
+    tap_grads the upstream gradients by layer index, the covariance ones chained to the tap rows by
+    `chain_to_features`. Each value is checked where it is computed, with no numpy warning first: the taps
+    and logits here (`layer<i>`), statistics and losses by their own functions, the total here. One loss's
+    gradients are a call with one-hot weights at the same state: `backward` is linear in tap_grads, so the
+    four one-hot gradients sum to those at `from_multipliers(1, 1, 1, 1)`."""
     if source.labels is None:
         raise InvalidInput("source batch must be labeled")
     n = source.n
@@ -155,18 +146,18 @@ def step_objective(state: TrainState, source: FeatureBatch, target: FeatureBatch
     if source.d != target.d:
         raise InvalidInput(f"source and target feature dims differ: {source.d} vs {target.d}")
     # one forward over the source rows stacked on the target rows: no layer couples rows
-    cache = forward(state.model, np.concatenate([source.data, target.data]))
+    acts = forward(state.model, np.concatenate([source.data, target.data]))
 
-    tap_s, tap_t = _split_tap(cache, cov_layer, n)
+    tap_s, tap_t = _split_tap(acts, cov_layer, n)
     batch_cov_s, batch_cov_t = batch_covariance(tap_s), batch_covariance(tap_t)
-    mtap_s, mtap_t = _split_tap(cache, mean_layer, n)
+    mtap_s, mtap_t = _split_tap(acts, mean_layer, n)
     momentum = state.momentum if state.step else 0.0  # the first step takes the batch as it is
     share = 1.0 - momentum  # the batch's weight in both domains' averages
     stats_s = update_smoothed(state.stats_source, batch_cov_s, batch_mean(mtap_s), momentum)
     stats_t = update_smoothed(state.stats_target, batch_cov_t, batch_mean(mtap_t), momentum)
     cov_s, cov_t = stats_s.cov, stats_t.cov
 
-    logits_s, _ = _split_tap(cache, state.model.num_layers - 1, n)
+    logits_s, _ = _split_tap(acts, state.model.num_layers - 1, n)
     cls = L.softmax_cross_entropy(logits_s.data, source.labels)
     coral = L.coral_loss(cov_s, cov_t)
     logcoral = L.log_euclidean(cov_s, cov_t, state.epsilon)
@@ -186,7 +177,7 @@ def step_objective(state: TrainState, source: FeatureBatch, target: FeatureBatch
 
     if weights.classification > 0:
         # the classification loss reads source rows only
-        logits_grad = np.zeros_like(cache.post[-1])
+        logits_grad = np.zeros_like(acts[-1])
         logits_grad[:n] = weights.classification * cls.grad_source
         _add(state.model.num_layers - 1, logits_grad)
     if weights.coral > 0 or weights.logcoral > 0:
@@ -200,7 +191,7 @@ def step_objective(state: TrainState, source: FeatureBatch, target: FeatureBatch
         row_s = weights.mean * share * mean.grad_source / mtap_s.n
         row_t = weights.mean * share * mean.grad_target / mtap_t.n
         _add(mean_layer, np.repeat([row_s, row_t], [mtap_s.n, mtap_t.n], axis=0))
-    return report, cache, taps, stats_s, stats_t
+    return report, acts, taps, stats_s, stats_t
 
 
 def train_step(state: TrainState, source: FeatureBatch, target: FeatureBatch,
@@ -209,9 +200,9 @@ def train_step(state: TrainState, source: FeatureBatch, target: FeatureBatch,
     the stacked rows. Returns (state, report); a step that raises commits
     nothing. The backward and the update run with numpy's overflow warnings off:
     a non-finite gradient or velocity makes the new parameters fail `check_finite`."""
-    report, cache, taps, stats_s, stats_t = step_objective(state, source, target, weights)
+    report, acts, taps, stats_s, stats_t = step_objective(state, source, target, weights)
     with np.errstate(over="ignore", invalid="ignore"):  # checked by model.check_finite
-        gw, gb = backward(state.model, cache, taps)
+        gw, gb = backward(state.model, acts, taps)
         velocity_w = [OPT_MOMENTUM * v - state.lr * g for v, g in zip(state.velocity_w, gw)]
         velocity_b = [OPT_MOMENTUM * v - state.lr * g for v, g in zip(state.velocity_b, gb)]
         model = MlpModel(weights=[w + v for w, v in zip(state.model.weights, velocity_w)],
@@ -229,6 +220,4 @@ def evaluate(model: MlpModel, data: FeatureBatch) -> float:
     """Fraction of argmax-correct predictions."""
     if data.labels is None:
         raise InvalidInput("evaluation batch must be labeled")
-    cache = forward(model, data.data)
-    pred = np.argmax(cache.post[-1], axis=1)
-    return float(np.mean(pred == data.labels))
+    return float(np.mean(np.argmax(forward(model, data.data)[-1], axis=1) == data.labels))

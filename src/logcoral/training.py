@@ -15,7 +15,7 @@ import json
 import os
 import zipfile
 from dataclasses import dataclass, field
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -49,6 +49,10 @@ class RunConfig:
                                                    "samples_per_class")} | {"hidden_dims": self.hidden_dims}
         if bad := [k for k, values in whole.items() if not all(isinstance(v, Integral) for v in values)]:
             raise InvalidInput(f"{', '.join(bad)} must be whole numbers")
+        if bad := [k for k in ("lr", "epsilon", "momentum") if not isinstance(getattr(self, k), Real)]:
+            raise InvalidInput(f"{', '.join(bad)} must be real numbers")
+        if not isinstance(self.weights, LossWeights):
+            raise InvalidInput(f"weights must be a LossWeights, got {type(self.weights).__name__}")
         if self.seed < 0:  # numpy's generators take nonnegative seeds only
             raise InvalidInput(f"seed must be nonnegative, got {self.seed}")
         if self.steps < 1 or self.batch < 2:

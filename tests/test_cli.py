@@ -56,6 +56,10 @@ class TestParseWeights:
         with pytest.raises(InvalidInput):
             parse_weights("cls=x")
 
+    def test_entry_without_equals_sign(self):
+        with pytest.raises(InvalidInput, match="^bad weight entry 'mean', expected key=value$"):
+            parse_weights("cls=1, mean")
+
 
 class TestConfigFile:
     def test_key_values_and_comments(self, tmp_path):
@@ -604,6 +608,13 @@ class TestTrainCommand:
         assert main(["train", "--steps", "5", "--batch", "16", "--source-csv", str(fs),
                      "--target-csv", str(ft), "--out", str(out)]) == 2
         assert "nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("given", ["--source-csv", "--target-csv"])
+    def test_one_feature_file_without_the_other_is_bad_input(self, feature_files, tmp_path, capsys, given):
+        out = tmp_path / "run"
+        assert main(["train", given, str(feature_files[0]), "--out", str(out)]) == 2
+        assert "provide both --source-csv and --target-csv, or neither" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("label", [40, 2 ** 50])

@@ -90,6 +90,15 @@ class TestSymEig:
             sym_eig(SymmetricMatrix._trusted(np.array([[np.inf, 0.0], [0.0, 1.0]])))
         assert exc.value.component == "sym_eig"
 
+    def test_failed_eigh_is_a_numerical_failure(self, monkeypatch):
+        def no_convergence(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        with pytest.raises(NumericalFailure, match="eigendecomposition failed to converge: Eigenvalues") as exc:
+            sym_eig(SymmetricMatrix(np.eye(2)))
+        assert exc.value.component == "sym_eig"
+
 
 @pytest.mark.parametrize("call", [sym_eig, spd_eig, lambda a: regularize_psd(a, 0.1), default_epsilon,
                                   matrix_log],

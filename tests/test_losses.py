@@ -251,6 +251,11 @@ class TestLogCoralLoss:
         assert np.linalg.norm(a.grad_source - b.grad_target) <= 1e-12 * scale
         assert np.linalg.norm(a.grad_target - b.grad_source) <= 1e-12 * scale
 
+    def test_covariance_widths_must_match(self):
+        rng = np.random.default_rng(6)
+        with pytest.raises(InvalidInput, match="^dimension mismatch: 3 vs 4$"):
+            log_euclidean(rand_spd(rng, 3), rand_spd(rng, 4), 0.1)
+
     @pytest.mark.parametrize("eps", [0.0, 0.1])
     def test_identical_inputs_decomposed_once_exact_zero(self, eps):
         c = rand_spd(np.random.default_rng(5), 6)
@@ -456,6 +461,16 @@ class TestSoftmaxCrossEntropy:
     def test_label_out_of_range(self):
         with pytest.raises(InvalidInput):
             softmax_cross_entropy(np.zeros((2, 3)), np.array([0, 3]))
+
+    def test_labels_of_the_wrong_length(self):
+        with pytest.raises(InvalidInput, match=r"^labels must have length 2, got shape \(3,\)$"):
+            softmax_cross_entropy(np.zeros((2, 3)), np.array([0, 1, 2]))
+
+    @pytest.mark.parametrize("labels", [["a", "b"], [None, None], [1j, 2j]])
+    def test_labels_that_are_not_real_numbers_rejected(self, labels):
+        # the label rule runs before the range check, which would compare them with the class count
+        with pytest.raises(InvalidInput, match="^labels must be real numbers, got dtype"):
+            softmax_cross_entropy(np.zeros((2, 3)), labels)
 
     @pytest.mark.parametrize("labels", [[-1, 2], [-0.5, 2.0], [0.0, 1e30]])
     def test_negative_or_huge_label_rejected(self, labels):

@@ -43,13 +43,13 @@ class TestForward:
             model.weights[i] = np.zeros_like(model.weights[i])
             model.biases[i] = np.zeros_like(model.biases[i])
         cache = forward(model, np.random.default_rng(0).standard_normal((5, 4)))
-        assert np.all(cache.post[-1] == 0.0)
+        assert np.all(cache[-1] == 0.0)
 
     def test_identity_single_layer(self):
         model = MlpModel(weights=[np.eye(3)], biases=[np.zeros(3)])
         x = np.random.default_rng(1).standard_normal((4, 3))
         cache = forward(model, x)
-        assert np.array_equal(cache.post[-1], x)
+        assert np.array_equal(cache[-1], x)
 
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidInput):
@@ -79,6 +79,12 @@ class TestHandBuiltModel:
         for a, b in zip(loaded.model.weights + loaded.model.biases,
                         state.model.weights + state.model.biases, strict=True):
             assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("dims", [[4], [4, 0, 3], [4, -2]])
+def test_init_rejects_bad_dims(dims):
+    with pytest.raises(InvalidInput, match=r"^bad layer dims \["):
+        MlpModel.init(dims, np.random.default_rng(0))
 
 
 class TestTaps:
@@ -163,6 +169,12 @@ class TestStepObjective:
         _, report = train_step(state, src, tgt, weights)
         value = step_objective(fresh, src, tgt, weights)[0]["loss_total"]
         assert value == report["loss_total"]
+
+    def test_feature_widths_must_match(self):
+        rng = np.random.default_rng(2)
+        with pytest.raises(InvalidInput, match="^source and target feature dims differ: 4 vs 3$"):
+            step_objective(small_state(), labeled_batch(rng, 8, 4, 3), FeatureBatch(rng.standard_normal((8, 3))),
+                           LossWeights())
 
     @staticmethod
     def smoothed_state(rng, weights):
@@ -357,12 +369,12 @@ def two_pass_step(state, src, tgt, weights):
     caches = [forward(model, b.data) for b in (src, tgt)]
     olds = [state.stats_source, state.stats_target]
     cov_layer, mean_layer = model.taps
-    taps = [FeatureBatch(c.post[cov_layer]) for c in caches]
-    mean_taps = [FeatureBatch(c.post[mean_layer]) for c in caches]
+    taps = [FeatureBatch(c[cov_layer + 1]) for c in caches]
+    mean_taps = [FeatureBatch(c[mean_layer + 1]) for c in caches]
     stats = [update_smoothed(o, batch_covariance(t), batch_mean(m), state.momentum)
              for o, t, m in zip(olds, taps, mean_taps)]
 
-    cls = L.softmax_cross_entropy(caches[0].post[-1], src.labels)
+    cls = L.softmax_cross_entropy(caches[0][-1], src.labels)
     coral = L.coral_loss(stats[0].cov, stats[1].cov)
     logcoral = L.logcoral_loss(stats[0].cov, stats[1].cov, epsilon=state.epsilon)
     mean = L.mean_loss(stats[0].mean, stats[1].mean)

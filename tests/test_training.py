@@ -3,6 +3,7 @@ import dataclasses
 import errno
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -55,6 +56,19 @@ class TestRunConfig:
             train(short_config(**{field: value}), dataset, metrics_path=out / "metrics.jsonl")
         assert not out.exists()
         assert RunConfig(steps=np.int64(3), hidden_dims=(np.int32(8),)).steps == 3  # numpy integers pass
+
+    @pytest.mark.parametrize("field, value", [("weights", {}), ("lr", "x"), ("epsilon", None), ("momentum", "0.5")])
+    def test_values_of_the_wrong_kind_make_no_directory(self, tmp_path, field, value):
+        dataset, out = default_dataset(short_config()), tmp_path / "new"
+        with pytest.raises(InvalidInput, match=f"^{field} must be (a LossWeights|real numbers)"):
+            train(short_config(**{field: value}), dataset, metrics_path=out / "metrics.jsonl")
+        assert not out.exists()
+        assert RunConfig(lr=np.float32(0.5), epsilon=1, momentum=np.float64(0.0)).lr == 0.5  # numpy reals pass
+
+    @pytest.mark.parametrize("field, value", [("steps", 0), ("batch", 1)])
+    def test_too_few_steps_or_rows_rejected(self, field, value):
+        with pytest.raises(InvalidInput, match=r"^steps must be >= 1 and batch >= 2$"):
+            RunConfig(**{field: value})
 
     def test_no_optimizer_momentum_option(self):
         # the SGD momentum is the library's constant, not a setting of the run or its state
@@ -134,6 +148,15 @@ class TestFailureClass:
                                                r"do not fit the taps' widths, 64 and 128") as exc:
             train(cfg, default_dataset(cfg), state=state)
         assert exc.value.step is None and state.step == 0
+
+    def test_non_finite_parameters_name_their_layer_and_step(self):
+        # at lr 1e308 the first update takes layer 0's parameters past the float range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailure, match=r"^non-finite parameters in layer 0$") as exc:
+                config = RunConfig(lr=1e308, steps=3)
+                train(config, default_dataset(config))
+        assert exc.value.component == "layer0" and exc.value.step == 1
 
     def test_overflow_names_its_layer_and_step(self):
         cfg = short_config()
