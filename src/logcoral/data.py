@@ -15,6 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import InvalidInput, ParseError
+from .linalg import _real_array
 from .stats import FeatureBatch
 
 
@@ -35,26 +36,21 @@ class ShiftSpec:
     def __post_init__(self):
         if self.num_classes < 2 or self.dim < 2:
             raise InvalidInput("need num_classes >= 2 and dim >= 2")
-        means = np.asarray(self.class_means, dtype=float)
-        cov = np.asarray(self.class_cov, dtype=float)
-        rot = np.asarray(self.rotation, dtype=float)
-        scale = np.asarray(self.scale, dtype=float)
-        trans = np.asarray(self.translation, dtype=float)
-        if means.shape != (self.num_classes, self.dim):
+        for name, ndim in (("class_means", 2), ("class_cov", 2), ("rotation", 2), ("scale", 1), ("translation", 1)):
+            object.__setattr__(self, name, _real_array(getattr(self, name), name, ndim))
+        if self.class_means.shape != (self.num_classes, self.dim):
             raise InvalidInput(f"class_means must be {self.num_classes} x {self.dim}")
-        if cov.shape != (self.dim, self.dim):
+        if self.class_cov.shape != (self.dim, self.dim):
             raise InvalidInput("class_cov shape mismatch")
+        rot = self.rotation
         if rot.shape != (self.dim, self.dim) or np.linalg.norm(rot.T @ rot - np.eye(self.dim)) > 1e-8:
             raise InvalidInput("rotation must be orthogonal within 1e-8")
-        if scale.shape != (self.dim,) or np.any(scale <= 0):
+        if self.scale.shape != (self.dim,) or np.any(self.scale <= 0):
             raise InvalidInput("scale must be a positive length-d vector")
-        if trans.shape != (self.dim,):
+        if self.translation.shape != (self.dim,):
             raise InvalidInput("translation must be a length-d vector")
         if self.samples_per_class < 1:
             raise InvalidInput("samples_per_class must be >= 1")
-        for name, val in (("class_means", means), ("class_cov", cov), ("rotation", rot),
-                          ("scale", scale), ("translation", trans)):
-            object.__setattr__(self, name, val)
 
 
 @dataclass(frozen=True)

@@ -5,14 +5,15 @@ takes its upstream in the eigenbasis.
 
 All functions are pure; SymmetricMatrix and EigenPair are immutable values.
 
-Validation happens at the edges. The public constructors check every matrix
-a caller hands in: square, finite, exactly symmetric; every function here but
-`sym_part` takes a SymmetricMatrix only. Matrices this library computes
+Validation happens at the edges. `_real_array` is the one rule for an array a caller hands in, in
+every module: rectangular, real, finite, with the given axes, none empty. The public constructor adds
+square and exactly symmetric; every function here but `sym_part` takes a SymmetricMatrix only, and
+`_is_number` is the kind rule of a scalar, such as epsilon. Matrices this library computes
 itself are symmetric by construction, so they skip those checks through the
 private `SymmetricMatrix._trusted`. A check that a computed value can still
 fail stays where it can fire and raises `NumericalFailure`: `batch_covariance`
 checks that its product did not overflow, `sym_eig` checks finiteness
-before LAPACK, and `matrix_exp` and `matrix_log` check their results. `regularize_psd` checks that the caller's epsilon is finite.
+before LAPACK, and `matrix_exp` and `matrix_log` check their results.
 
 `SymmetricMatrix._trusted` may also wrap a stack of matrices (leading axes
 before the last two): `sym_eig`, `spd_eig` and `regularize_psd` take one and
@@ -23,6 +24,7 @@ functions, and the public constructor, take one matrix only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -37,13 +39,9 @@ class SymmetricMatrix:
     data: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.data, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        a = _real_array(self.data, "matrix", 2)
+        if a.shape[0] != a.shape[1]:
             raise InvalidInput(f"expected a square matrix, got shape {a.shape}")
-        if a.shape[0] < 1:
-            raise InvalidInput("matrix dimension must be >= 1")
-        if not np.isfinite(a).all():
-            raise InvalidInput("matrix has non-finite entries")
         if not np.array_equal(a, a.T):
             raise InvalidInput("matrix is not symmetric; use SymmetricMatrix(sym_part(a))")
         object.__setattr__(self, "data", a)
@@ -87,6 +85,29 @@ def _data(m: SymmetricMatrix) -> np.ndarray:
     return m.data
 
 
+def _real_array(x, what: str, ndim: int) -> np.ndarray:
+    """x as a float ndarray: the one rule for an array a caller hands in. InvalidInput naming what, with no
+    numpy warning, unless x is a rectangular array of bool, int or float entries (not text, objects, None or
+    complex) with ndim axes, none of them empty, whose entries are finite as floats."""
+    try:
+        a = np.asarray(x)
+    except ValueError as exc:  # numpy's message for a ragged sequence
+        raise InvalidInput(f"{what} must be a rectangular array, got a ragged sequence") from exc
+    if a.dtype.kind not in "biuf":
+        raise InvalidInput(f"{what} must be real numbers, got dtype {a.dtype}")
+    if a.ndim != ndim or 0 in a.shape:
+        raise InvalidInput(f"{what} must be a non-empty {ndim}-D array, got shape {a.shape}")
+    a = a.astype(float, copy=False)
+    if not (finite := np.isfinite(a)).all():
+        raise InvalidInput(f"{what} must be finite, got {a[~finite][0]}")
+    return a
+
+
+def _is_number(v, kind=Real) -> bool:
+    """Whether v is a number of kind, numpy's included; a bool, which Python counts as an int, is none."""
+    return isinstance(v, kind) and not isinstance(v, bool)
+
+
 def sym_eig(m: SymmetricMatrix) -> EigenPair:
     """Ascending eigenvalues and orthonormal eigenvectors as LAPACK's `eigh`
     returns them, column signs included: callers read the vectors only through
@@ -110,7 +131,7 @@ def spd_eig(m: SymmetricMatrix, epsilon: float = 0.0) -> EigenPair:
     NotPositiveDefinite if its smallest eigenvalue is <= 0, for a stack the
     smallest of any item. At epsilon > 0 the eigenvalues are floored at epsilon;
     at 0 this is sym_eig's pair itself."""
-    if not 0 <= epsilon < np.inf:
+    if not (_is_number(epsilon) and 0 <= epsilon < np.inf):
         raise InvalidInput(f"epsilon must be nonnegative and finite, got {epsilon}")
     pair = sym_eig(regularize_psd(m, epsilon) if epsilon > 0 else m)
     lowest = pair.values[..., 0].min()
@@ -125,7 +146,7 @@ def spd_eig(m: SymmetricMatrix, epsilon: float = 0.0) -> EigenPair:
 
 def regularize_psd(m: SymmetricMatrix, epsilon: float) -> SymmetricMatrix:
     """Shift every eigenvalue up by exactly epsilon: m + epsilon * I."""
-    if not 0 < epsilon < np.inf:
+    if not (_is_number(epsilon) and 0 < epsilon < np.inf):
         raise InvalidInput(f"epsilon must be positive and finite, got {epsilon}")
     shifted = _data(m).copy()
     _add_to_diagonal(shifted, epsilon)
@@ -194,7 +215,7 @@ def _symmetrize(a: np.ndarray) -> np.ndarray:
 
 def sym_part(m) -> np.ndarray:
     """(m + m^T) / 2 of a square array."""
-    a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    a = _real_array(m, "matrix", 2)
+    if a.shape[0] != a.shape[1]:
         raise InvalidInput(f"expected a square matrix, got shape {a.shape}")
     return _symmetrize(a)

@@ -19,7 +19,8 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import InvalidInput, NumericalFailure
-from .linalg import EigenPair, SymmetricMatrix, _add_to_diagonal, matrix_log_backward, spd_eig, sym_part
+from .linalg import (EigenPair, SymmetricMatrix, _add_to_diagonal, _is_number, _real_array, matrix_log_backward,
+                     spd_eig, sym_part)
 from .stats import FeatureBatch, _class_labels
 
 
@@ -65,10 +66,9 @@ class LossWeights:
                    mean=mean * BASE_SCALES["mean"])
 
     def __post_init__(self):
-        vals = (self.classification, self.coral, self.logcoral, self.mean)
-        if not all(0 <= w < np.inf for w in vals):
-            raise InvalidInput(f"loss weights must be nonnegative and finite, got {vals}")
-        if all(w == 0 for w in vals):
+        if bad := [f"{k}={w}" for k, w in vars(self).items() if not (_is_number(w) and 0 <= w < np.inf)]:
+            raise InvalidInput(f"loss weights must be nonnegative and finite real numbers, got {', '.join(bad)}")
+        if not any(vars(self).values()):
             raise InvalidInput("at least one loss weight must be positive")
 
 
@@ -162,11 +162,9 @@ def logcoral_loss(cov_s: SymmetricMatrix, cov_t: SymmetricMatrix, epsilon: float
 
 def mean_loss(mean_s: np.ndarray, mean_t: np.ndarray) -> LossBundle:
     """First-order alignment: ||mu_s - mu_t||^2 / (2 d) on mean vectors; NumericalFailure if it overflows."""
-    mean_s, mean_t = np.asarray(mean_s, dtype=float), np.asarray(mean_t, dtype=float)
-    if mean_s.shape != mean_t.shape or mean_s.ndim != 1:
-        raise InvalidInput(f"mean vectors must share a 1-D shape, got {mean_s.shape} vs {mean_t.shape}")
-    if mean_s.size == 0 or not (np.isfinite(mean_s).all() and np.isfinite(mean_t).all()):
-        raise InvalidInput("mean vectors must be non-empty and finite")
+    mean_s, mean_t = _real_array(mean_s, "mean_s", 1), _real_array(mean_t, "mean_t", 1)
+    if mean_s.shape != mean_t.shape:
+        raise InvalidInput(f"mean vectors must share a shape, got {mean_s.shape} vs {mean_t.shape}")
     with np.errstate(over="ignore", invalid="ignore"):  # checked at once
         diff = mean_s - mean_t
         value = float(_mean_value(diff))
@@ -186,6 +184,8 @@ def chain_to_features(loss_grad_cov: np.ndarray, batch: FeatureBatch, scale: flo
     dL/dD = scale * (2/(n-1)) * (D - 1 mu^T) sym(dL/dC). For a smoothed covariance, scale is the
     batch's share, 1 - momentum (1 in a run's first step). The rows are centred as `batch_covariance`
     centres them; the training step chains through this function."""
+    if not isinstance(batch, FeatureBatch):
+        raise InvalidInput(f"expected a FeatureBatch, got {type(batch).__name__}")
     g = sym_part(loss_grad_cov)
     if g.shape[0] != batch.d:
         raise InvalidInput(f"covariance gradient is {g.shape[0]}-dim but features are {batch.d}-dim")
@@ -198,18 +198,14 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> LossBundle:
     """Mean negative log-likelihood of the true class under a softmax. labels are
     whole numbers in [0, k), one per row of the n x k finite logits, n >= 1;
     NumericalFailure, with no numpy warning, if the value overflows."""
-    logits = np.asarray(logits, dtype=float)
+    logits = _real_array(logits, "logits", 2)
     labels = np.asarray(labels)
-    if logits.ndim != 2 or len(logits) == 0:
-        raise InvalidInput(f"logits must be 2-D with at least one row, got shape {logits.shape}")
     n, k = logits.shape
     if labels.shape != (n,):
         raise InvalidInput(f"labels must have length {n}, got shape {labels.shape}")
     labels = _class_labels(labels)
     if labels.max() >= k:
         raise InvalidInput(f"labels must lie in [0, {k}), got maximum {labels.max()}")
-    if not np.isfinite(logits).all():
-        raise InvalidInput("logits have non-finite entries")
     with np.errstate(over="ignore", invalid="ignore"):  # checked at once
         value, shifted, log_z = _cross_entropy(logits, labels)
     if not np.isfinite(value):

@@ -11,6 +11,7 @@ import numpy as np
 
 from .exceptions import InvalidInput, NumericalFailure
 from . import losses as L
+from .linalg import _real_array
 from .stats import FeatureBatch, SmoothedStats, batch_covariance, batch_mean, update_smoothed
 
 OPT_MOMENTUM = 0.9  # the SGD momentum of every run, as Deep CORAL trains
@@ -62,8 +63,8 @@ class MlpModel:
 def forward(model: MlpModel, x: np.ndarray) -> list:
     """The activations acts, kept for the backward pass: acts[0] is the input and acts[i + 1] the output
     of layer i, rectified except for the last."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[1] != model.dims[0]:
+    x = _real_array(x, "input", 2)
+    if x.shape[1] != model.dims[0]:
         raise InvalidInput(f"input has shape {x.shape}, model expects (*, {model.dims[0]})")
     acts = [x]
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):

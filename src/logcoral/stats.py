@@ -3,10 +3,10 @@ and the moving-average state carried across training iterations. Training
 keeps one `SmoothedStats` per domain, holding the covariance at one feature
 tap and the mean at another, both averaged at the run's one momentum, or at 0 in a run's first step.
 
-Validation happens at the edges. `FeatureBatch(...)` checks what a caller hands in: a non-empty
-finite 2-D array, and labels that are whole, nonnegative numbers below 2**63, one per row;
-`SmoothedStats(...)` checks its cov and mean. Batches the library cuts from checked arrays (a step's
-sampled rows, the halves of a tap) skip those checks through the private `FeatureBatch._trusted`.
+Validation happens at the edges. `FeatureBatch(...)` checks what a caller hands in: data by the array
+rule, `linalg._real_array` (a non-empty finite 2-D real array), and labels by `_class_labels`;
+`SmoothedStats(...)` and `update_smoothed` check their cov and mean. Batches the library cuts from
+checked arrays (a step's sampled rows, the halves of a tap) skip those checks through the private `FeatureBatch._trusted`.
 `batch_covariance` and `batch_mean`, the training step's too, raise `NumericalFailure` if the value
 overflows, as finite features can have an infinite covariance or column sum. The covariance (numpy's
 `syrk` mirrors `c.T @ c`) and the moving averages are symmetric by construction and skip the
@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import InvalidInput, NumericalFailure
-from .linalg import SymmetricMatrix, _data
+from .linalg import SymmetricMatrix, _data, _real_array
 
 
 @dataclass(frozen=True)
@@ -32,13 +32,7 @@ class FeatureBatch:
     labels: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        a = np.asarray(self.data, dtype=float)
-        if a.ndim != 2:
-            raise InvalidInput(f"feature data must be 2-D, got shape {a.shape}")
-        if a.shape[0] < 1 or a.shape[1] < 1:
-            raise InvalidInput(f"feature data must be non-empty, got shape {a.shape}")
-        if not np.isfinite(a).all():
-            raise InvalidInput("feature data has non-finite entries")
+        a = _real_array(self.data, "feature data", 2)
         object.__setattr__(self, "data", a)
         if self.labels is not None:
             lab = np.asarray(self.labels)
@@ -127,16 +121,14 @@ class SmoothedStats:
 
     def __post_init__(self):
         _data(self.cov)  # a SymmetricMatrix, so finite
-        object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
-        if self.mean.ndim != 1 or not np.isfinite(self.mean).all():
-            raise InvalidInput(f"mean must be a finite 1-D array, got shape {self.mean.shape}")
+        object.__setattr__(self, "mean", _real_array(self.mean, "mean", 1))
 
 
 def update_smoothed(s: SmoothedStats, cov: SymmetricMatrix, mean: np.ndarray, momentum: float) -> SmoothedStats:
     """One moving-average step of cov and mean, momentum * old + (1 - momentum) * batch, through the `SmoothedStats`
     constructor; at momentum 0, the batch. A momentum outside [0, 1), a plain-array cov or a NaN mean is InvalidInput."""
     check_momentum(momentum)
-    mean = np.asarray(mean, dtype=float)
+    mean = _real_array(mean, "mean", 1)
     if _data(cov).shape != s.cov.data.shape or mean.shape != s.mean.shape:
         raise InvalidInput(f"batch (cov {cov.dim}, mean {mean.shape}) does not match state ({s.cov.dim}, {s.mean.shape})")
     return SmoothedStats(cov=SymmetricMatrix._trusted(momentum * s.cov.data + (1.0 - momentum) * cov.data),

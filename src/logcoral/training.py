@@ -15,13 +15,13 @@ import json
 import os
 import zipfile
 from dataclasses import dataclass, field
-from numbers import Integral, Real
+from numbers import Integral
 
 import numpy as np
 
 from . import data as D
 from .exceptions import InvalidInput, LogCoralError, NumericalFailure
-from .linalg import SymmetricMatrix
+from .linalg import SymmetricMatrix, _is_number
 from .losses import LossWeights
 from .network import MlpModel, TrainState, evaluate, train_step
 from .stats import FeatureBatch, SmoothedStats, check_momentum
@@ -47,9 +47,9 @@ class RunConfig:
     def __post_init__(self):
         whole = {k: [getattr(self, k)] for k in ("seed", "steps", "batch", "eval_every", "num_classes", "dim",
                                                    "samples_per_class")} | {"hidden_dims": self.hidden_dims}
-        if bad := [k for k, values in whole.items() if not all(isinstance(v, Integral) for v in values)]:
+        if bad := [k for k, values in whole.items() if not all(_is_number(v, Integral) for v in values)]:
             raise InvalidInput(f"{', '.join(bad)} must be whole numbers")
-        if bad := [k for k in ("lr", "epsilon", "momentum") if not isinstance(getattr(self, k), Real)]:
+        if bad := [k for k in ("lr", "epsilon", "momentum") if not _is_number(getattr(self, k))]:
             raise InvalidInput(f"{', '.join(bad)} must be real numbers")
         if not isinstance(self.weights, LossWeights):
             raise InvalidInput(f"weights must be a LossWeights, got {type(self.weights).__name__}")

@@ -35,6 +35,17 @@ class TestShiftSpec:
         with pytest.raises(InvalidInput):
             spec_with(scale=np.array([1.0, -1.0, 1.0, 1.0]))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("num_classes", 1, "^need num_classes >= 2 and dim >= 2$"),
+        ("class_means", np.zeros((2, 4)), "^class_means must be 3 x 4$"),
+        ("class_cov", np.eye(3), "^class_cov shape mismatch$"),
+        ("translation", np.zeros(3), "^translation must be a length-d vector$"),
+        ("samples_per_class", 0, "^samples_per_class must be >= 1$"),
+    ], ids=["num_classes", "class_means", "class_cov", "translation", "samples_per_class"])
+    def test_rejects_fields_of_the_wrong_size(self, field, value, message):
+        with pytest.raises(InvalidInput, match=message):
+            spec_with(**{field: value})
+
     def test_random_rotation_is_orthogonal(self):
         rng = np.random.default_rng(0)
         for strength in (0.0, 0.5, 2.0):

@@ -127,10 +127,11 @@ class TestSpdEig:
         assert pair.values[0] == eps and not pair.values.flags.writeable
         assert np.array_equal(pair.vectors, shifted.vectors)
 
-    @pytest.mark.parametrize("eps", [-1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("eps", [-1.0, np.nan, np.inf, "x", None, True])  # a bool is no real number
     def test_bad_epsilon_rejected(self, eps):
-        with pytest.raises(InvalidInput, match="epsilon"):
-            spd_eig(SymmetricMatrix(np.eye(2)), eps)
+        for call in (spd_eig, regularize_psd):
+            with pytest.raises(InvalidInput, match="epsilon"):
+                call(SymmetricMatrix(np.eye(2)), eps)
 
     @pytest.mark.parametrize("eps", [0.0, 1e-3])
     @pytest.mark.parametrize("d", [1, 2, 5, 16])

@@ -124,6 +124,12 @@ class TestLossWeights:
         with pytest.raises(InvalidInput):
             LossWeights(classification=0.0, coral=0.0, logcoral=0.0, mean=0.0)
 
+    @pytest.mark.parametrize("w", ["x", None, True])
+    def test_weights_that_are_not_real_numbers_rejected(self, w):
+        with pytest.raises(InvalidInput, match=f"got coral={w}$"):
+            LossWeights(coral=w)
+        assert LossWeights(coral=np.float64(2.0), mean=np.int64(1)).mean == 1  # numpy numbers pass
+
     def test_multipliers_scale_base(self):
         w = LossWeights.from_multipliers(classification=1.0, coral=2.0)
         assert w.coral == pytest.approx(600.0)
@@ -255,6 +261,14 @@ class TestLogCoralLoss:
         rng = np.random.default_rng(6)
         with pytest.raises(InvalidInput, match="^dimension mismatch: 3 vs 4$"):
             log_euclidean(rand_spd(rng, 3), rand_spd(rng, 4), 0.1)
+
+    @pytest.mark.parametrize("eps", ["x", None])
+    @pytest.mark.parametrize("call", [log_euclidean, logcoral_loss])
+    def test_epsilon_that_is_not_a_real_number_rejected(self, call, eps):
+        c = rand_spd(np.random.default_rng(8), 3)
+        for other in (c, rand_spd(np.random.default_rng(9), 3)):  # the equal-input path and the stacked one
+            with pytest.raises(InvalidInput, match=f"^epsilon must be nonnegative and finite, got {eps}$"):
+                call(c, other, eps)
 
     @pytest.mark.parametrize("eps", [0.0, 0.1])
     def test_identical_inputs_decomposed_once_exact_zero(self, eps):
@@ -431,6 +445,10 @@ class TestChainToFeatures:
         with pytest.raises(InvalidInput):
             chain_to_features(np.eye(3), FeatureBatch(np.zeros((4, 2))))
 
+    def test_plain_array_batch_rejected(self):
+        with pytest.raises(InvalidInput, match="^expected a FeatureBatch, got ndarray$"):
+            chain_to_features(np.eye(2), np.ones((3, 2)))
+
     def test_one_row_rejected(self):
         # a covariance of one row is undefined, so there is nothing to chain through
         with pytest.raises(InvalidInput):
@@ -491,7 +509,7 @@ class TestSoftmaxCrossEntropy:
 
     def test_nonfinite_logits_are_bad_input(self):
         # a caller's value, so not the NumericalFailure of a computed one
-        with pytest.raises(InvalidInput, match="logits have non-finite entries"):
+        with pytest.raises(InvalidInput, match="^logits must be finite, got nan$"):
             softmax_cross_entropy(np.array([[np.nan, 0.0]]), np.array([1]))
 
     def test_overflowing_value_is_a_numerical_failure(self):

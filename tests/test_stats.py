@@ -233,14 +233,17 @@ class TestSmoothedStats:
         with pytest.raises(InvalidInput):
             update_smoothed(s, SymmetricMatrix(np.eye(2)), np.zeros(2), 0.9)
 
-    @pytest.mark.parametrize("mean", [[np.nan, 0.0], [np.inf, 0.0], [[0.0, 0.0]]],
-                             ids=["nan", "inf", "2-D"])
-    def test_mean_must_be_finite_and_1d(self, mean):
-        with pytest.raises(InvalidInput, match="mean must be a finite 1-D array"):
+    @pytest.mark.parametrize("mean, message", [
+        ([np.nan, 0.0], "^mean must be finite, got nan$"),
+        ([np.inf, 0.0], "^mean must be finite, got inf$"),
+        ([[0.0, 0.0]], r"^mean must be a non-empty 1-D array, got shape \(1, 2\)$"),
+    ], ids=["nan", "inf", "2-D"])
+    def test_mean_must_be_finite_and_1d(self, mean, message):
+        with pytest.raises(InvalidInput, match=message):
             SmoothedStats(cov=SymmetricMatrix(np.eye(2)), mean=np.array(mean))
         if np.ndim(mean) == 1:  # through the moving average too, at the first step's momentum and later ones
             for momentum in (0.0, 0.9):
-                with pytest.raises(InvalidInput, match="mean must be a finite 1-D array"):
+                with pytest.raises(InvalidInput, match=message):
                     update_smoothed(eye_stats(2), SymmetricMatrix(np.eye(2)), mean, momentum)
 
     def test_cov_must_be_a_symmetric_matrix(self):

@@ -57,13 +57,20 @@ class TestRunConfig:
         assert not out.exists()
         assert RunConfig(steps=np.int64(3), hidden_dims=(np.int32(8),)).steps == 3  # numpy integers pass
 
-    @pytest.mark.parametrize("field, value", [("weights", {}), ("lr", "x"), ("epsilon", None), ("momentum", "0.5")])
+    @pytest.mark.parametrize("field, value", [("weights", {}), ("lr", "x"), ("epsilon", None), ("momentum", "0.5"),
+                                              ("lr", True), ("momentum", False)])  # a bool is no real number
     def test_values_of_the_wrong_kind_make_no_directory(self, tmp_path, field, value):
         dataset, out = default_dataset(short_config()), tmp_path / "new"
         with pytest.raises(InvalidInput, match=f"^{field} must be (a LossWeights|real numbers)"):
             train(short_config(**{field: value}), dataset, metrics_path=out / "metrics.jsonl")
         assert not out.exists()
         assert RunConfig(lr=np.float32(0.5), epsilon=1, momentum=np.float64(0.0)).lr == 0.5  # numpy reals pass
+
+    @pytest.mark.parametrize("field, value", [("steps", True), ("hidden_dims", (True,))], ids=["steps", "hidden_dims"])
+    def test_bools_are_not_whole_numbers(self, field, value):
+        # Python counts a bool as an int: RunConfig(steps=True) would train one step
+        with pytest.raises(InvalidInput, match=f"^{field} must be whole numbers$"):
+            RunConfig(**{field: value})
 
     @pytest.mark.parametrize("field, value", [("steps", 0), ("batch", 1)])
     def test_too_few_steps_or_rows_rejected(self, field, value):
