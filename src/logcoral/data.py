@@ -10,12 +10,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import islice
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
 
 from .exceptions import InvalidInput, ParseError
-from .linalg import _real_array
+from .linalg import _data, _is_number, _real_array
 from .stats import FeatureBatch
 
 
@@ -34,8 +35,7 @@ class ShiftSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_classes < 2 or self.dim < 2:
-            raise InvalidInput("need num_classes >= 2 and dim >= 2")
+        _check_counts(self.num_classes, self.dim, self.samples_per_class, self.seed)
         for name, ndim in (("class_means", 2), ("class_cov", 2), ("rotation", 2), ("scale", 1), ("translation", 1)):
             object.__setattr__(self, name, _real_array(getattr(self, name), name, ndim))
         if self.class_means.shape != (self.num_classes, self.dim):
@@ -49,8 +49,18 @@ class ShiftSpec:
             raise InvalidInput("scale must be a positive length-d vector")
         if self.translation.shape != (self.dim,):
             raise InvalidInput("translation must be a length-d vector")
-        if self.samples_per_class < 1:
-            raise InvalidInput("samples_per_class must be >= 1")
+
+
+def _check_counts(num_classes, dim, samples_per_class, seed) -> None:
+    """The one count rule of `ShiftSpec`, `RunConfig` and `make_benchmark_spec`, which draws before it builds."""
+    if bad := [k for k, v in locals().items() if not _is_number(v, Integral)]:
+        raise InvalidInput(f"{', '.join(bad)} must be whole numbers")
+    if num_classes < 2 or dim < 2:
+        raise InvalidInput("need num_classes >= 2 and dim >= 2")
+    if samples_per_class < 1:
+        raise InvalidInput("samples_per_class must be >= 1")
+    if seed < 0:  # numpy's generators take nonnegative seeds only
+        raise InvalidInput(f"seed must be nonnegative, got {seed}")
 
 
 @dataclass(frozen=True)
@@ -62,7 +72,7 @@ class DatasetPair:
     target: FeatureBatch
 
     def __post_init__(self):
-        if self.source.d != self.target.d:
+        if _data(self.source, FeatureBatch).shape[1] != _data(self.target, FeatureBatch).shape[1]:
             raise InvalidInput("source and target feature dims differ")
         if self.source.labels is None or self.target.labels is None:
             raise InvalidInput("both batches must carry labels (target labels are held out)")
@@ -97,6 +107,7 @@ def make_benchmark_spec(num_classes: int = 5, dim: int = 16, samples_per_class: 
                         class_separation: float = 3.0) -> ShiftSpec:
     """Default synthetic benchmark: k Gaussian classes in d dimensions, with
     a rotation + anisotropic scaling + translation between domains."""
+    _check_counts(num_classes, dim, samples_per_class, seed)
     rng = np.random.default_rng(seed)
     means = rng.standard_normal((num_classes, dim))
     means *= class_separation / np.maximum(np.linalg.norm(means, axis=1, keepdims=True), 1e-12)
@@ -134,13 +145,14 @@ def generate(spec: ShiftSpec) -> DatasetPair:
 
 
 def save_csv(path, batch: FeatureBatch, header: Optional[str] = None):
-    """Write a FeatureBatch as comma-separated floats, labels (if any) as a
-    trailing integer column. repr() keeps the float round-trip exact."""
+    """Write a FeatureBatch (else InvalidInput, before path is opened) as comma-separated floats, labels
+    (if any) as a trailing integer column. repr() keeps the float round-trip exact."""
+    rows = _data(batch, FeatureBatch)
     with open(path, "w", encoding="utf-8") as f:
         if header:
             f.write(f"# {header}\n")
-        for i in range(batch.n):
-            cells = [repr(float(v)) for v in batch.data[i]]
+        for i, row in enumerate(rows):
+            cells = [repr(float(v)) for v in row]
             if batch.labels is not None:
                 cells.append(str(int(batch.labels[i])))
             f.write(",".join(cells) + "\n")

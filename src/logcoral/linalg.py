@@ -7,13 +7,13 @@ All functions are pure; SymmetricMatrix and EigenPair are immutable values.
 
 Validation happens at the edges. `_real_array` is the one rule for an array a caller hands in, in
 every module: rectangular, real, finite, with the given axes, none empty. The public constructor adds
-square and exactly symmetric; every function here but `sym_part` takes a SymmetricMatrix only, and
-`_is_number` is the kind rule of a scalar, such as epsilon. Matrices this library computes
-itself are symmetric by construction, so they skip those checks through the
-private `SymmetricMatrix._trusted`. A check that a computed value can still
-fail stays where it can fire and raises `NumericalFailure`: `batch_covariance`
-checks that its product did not overflow, `sym_eig` checks finiteness
-before LAPACK, and `matrix_exp` and `matrix_log` check their results.
+square and exactly symmetric. `_data` is the one rule for an argument of a checked type, a SymmetricMatrix
+or `stats.FeatureBatch`: anything else, a plain ndarray too, is InvalidInput. Every function here but
+`sym_part` takes a SymmetricMatrix only; `_is_number` is the kind rule of a scalar, such as epsilon. Values
+this library computes itself skip the constructors' checks through the private `_trusted`. A check that a
+computed value can still fail stays where it can fire and raises `NumericalFailure`: `batch_covariance`
+checks that its product did not overflow, `sym_eig` checks finiteness before LAPACK, and `matrix_exp` and
+`matrix_log` check their results.
 
 `SymmetricMatrix._trusted` may also wrap a stack of matrices (leading axes
 before the last two): `sym_eig`, `spd_eig` and `regularize_psd` take one and
@@ -78,11 +78,11 @@ class EigenPair:
         return spectral_apply(self.vectors, self.values)
 
 
-def _data(m: SymmetricMatrix) -> np.ndarray:
-    """m's checked array; a plain ndarray is rejected, as `eigh` would read its lower triangle only."""
-    if not isinstance(m, SymmetricMatrix):
-        raise InvalidInput(f"expected a SymmetricMatrix, got {type(m).__name__}")
-    return m.data
+def _data(v, kind=SymmetricMatrix) -> np.ndarray:
+    """v's checked array; InvalidInput unless v is a kind, as `eigh` would read half of a plain ndarray."""
+    if not isinstance(v, kind):
+        raise InvalidInput(f"expected a {kind.__name__}, got {type(v).__name__}")
+    return v.data
 
 
 def _real_array(x, what: str, ndim: int) -> np.ndarray:

@@ -6,10 +6,11 @@ covariance distance, its Log-Euclidean (geodesic) counterpart, a
 `linalg`, and a first-order mean distance. Gradients use the
 symmetric-perturbation convention: for a symmetric direction V, dL = <grad, V>.
 
-The public losses take one input each. The value computations they run,
-`_coral_value`, `log_euclidean`, `_mean_value` and `_cross_entropy`, also take
-leading stack axes and then give one value per item, bit-identical to the loss
-of that item alone; the gradient checker evaluates its probes that way.
+The covariance losses take SymmetricMatrix inputs, and `chain_to_features` a SymmetricMatrix gradient and
+a FeatureBatch; a bundle's covariance gradients are exactly symmetric, so `SymmetricMatrix` takes them as
+they are. The public losses take one input each. The value computations they run, `_coral_value`,
+`log_euclidean`, `_mean_value` and `_cross_entropy`, also take leading stack axes and then give one value
+per item, bit-identical to the loss of that item alone; the gradient checker evaluates its probes that way.
 """
 from __future__ import annotations
 
@@ -19,8 +20,8 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import InvalidInput, NumericalFailure
-from .linalg import (EigenPair, SymmetricMatrix, _add_to_diagonal, _is_number, _real_array, matrix_log_backward,
-                     spd_eig, sym_part)
+from .linalg import (EigenPair, SymmetricMatrix, _add_to_diagonal, _data, _is_number, _real_array,
+                     matrix_log_backward, spd_eig)
 from .stats import FeatureBatch, _class_labels
 
 
@@ -74,11 +75,11 @@ class LossWeights:
 
 def coral_loss(cov_s: SymmetricMatrix, cov_t: SymmetricMatrix) -> LossBundle:
     """Euclidean covariance alignment: ||C_s - C_t||_F^2 / (4 d^2); NumericalFailure if it overflows."""
-    if cov_s.dim != cov_t.dim:
-        raise InvalidInput(f"dimension mismatch: {cov_s.dim} vs {cov_t.dim}")
-    d = cov_s.dim
+    s, t, d = _data(cov_s), _data(cov_t), cov_s.dim
+    if cov_t.dim != d:
+        raise InvalidInput(f"dimension mismatch: {d} vs {cov_t.dim}")
     with np.errstate(over="ignore", invalid="ignore"):  # checked at once
-        diff = cov_s.data - cov_t.data
+        diff = s - t
         value = float(_coral_value(diff))
     if not np.isfinite(value):
         raise NumericalFailure("non-finite loss: loss_coral", component="loss_coral")
@@ -139,9 +140,9 @@ def log_euclidean(cov_s: SymmetricMatrix, cov_t: SymmetricMatrix, epsilon: float
     """LogEuclidean of C_s and C_t: `LogEuclidean.from_eigenpairs` of their pairs from one
     `spd_eig` call on C_s's items, then C_t's. Either may be a `_trusted` stack; then so
     is the result. Equal inputs are decomposed once and passed as one pair."""
-    if cov_s.dim != cov_t.dim:
-        raise InvalidInput(f"dimension mismatch: {cov_s.dim} vs {cov_t.dim}")
-    s, t, d = cov_s.data, cov_t.data, cov_s.dim
+    s, t, d = _data(cov_s), _data(cov_t), cov_s.dim
+    if cov_t.dim != d:
+        raise InvalidInput(f"dimension mismatch: {d} vs {cov_t.dim}")
     if np.array_equal(s, t):
         eig = spd_eig(cov_s, epsilon)
         return LogEuclidean.from_eigenpairs(eig, eig)
@@ -179,19 +180,17 @@ def _mean_value(diff: np.ndarray):
     return np.vecdot(diff, diff) / (2.0 * diff.shape[-1])
 
 
-def chain_to_features(loss_grad_cov: np.ndarray, batch: FeatureBatch, scale: float = 1.0) -> np.ndarray:
-    """Chain a covariance gradient back to the feature matrix:
-    dL/dD = scale * (2/(n-1)) * (D - 1 mu^T) sym(dL/dC). For a smoothed covariance, scale is the
-    batch's share, 1 - momentum (1 in a run's first step). The rows are centred as `batch_covariance`
-    centres them; the training step chains through this function."""
-    if not isinstance(batch, FeatureBatch):
-        raise InvalidInput(f"expected a FeatureBatch, got {type(batch).__name__}")
-    g = sym_part(loss_grad_cov)
+def chain_to_features(loss_grad_cov: SymmetricMatrix, batch: FeatureBatch, scale: float = 1.0) -> np.ndarray:
+    """Chain a symmetric covariance gradient back to the feature matrix: dL/dD = scale * (2/(n-1)) *
+    (D - 1 mu^T) dL/dC. For a smoothed covariance, scale is the batch's share, 1 - momentum (1 in a run's
+    first step). The rows are centred as `batch_covariance` centres them; the training step chains through
+    this function, and `chain_to_features(SymmetricMatrix(bundle.grad_source), batch)` a loss bundle's."""
+    g, x = _data(loss_grad_cov), _data(batch, FeatureBatch)
     if g.shape[0] != batch.d:
         raise InvalidInput(f"covariance gradient is {g.shape[0]}-dim but features are {batch.d}-dim")
     if batch.n < 2:
         raise InvalidInput("need at least 2 rows to chain through a covariance")
-    return (2.0 * scale / (batch.n - 1)) * (batch.data - batch.data.mean(axis=0)) @ g
+    return (2.0 * scale / (batch.n - 1)) * (x - x.mean(axis=0)) @ g
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> LossBundle:

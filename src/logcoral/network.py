@@ -1,8 +1,8 @@
-"""Minimal feed-forward classifier whose last hidden layers are the alignment
-taps, hand-written backprop, SGD-with-momentum, and the joint training step
-that couples the classification loss with the covariance/mean alignment losses
-through moving-average statistics. `step_objective` is that objective, pure in
-the training state; `train_step` applies its gradients."""
+"""Minimal feed-forward classifier whose last hidden layers are the alignment taps, hand-written backprop,
+SGD-with-momentum, and the joint training step that couples the classification loss with the covariance/mean
+alignment losses through moving-average statistics. `step_objective` is that objective, pure in the training
+state; `train_step` applies its gradients. `forward` takes a FeatureBatch; the step hands it and
+`chain_to_features` values it computed through the private `_trusted`, so it re-checks none of them."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -11,7 +11,7 @@ import numpy as np
 
 from .exceptions import InvalidInput, NumericalFailure
 from . import losses as L
-from .linalg import _real_array
+from .linalg import SymmetricMatrix, _data
 from .stats import FeatureBatch, SmoothedStats, batch_covariance, batch_mean, update_smoothed
 
 OPT_MOMENTUM = 0.9  # the SGD momentum of every run, as Deep CORAL trains
@@ -60,13 +60,12 @@ class MlpModel:
                 raise NumericalFailure(f"non-finite parameters in layer {i}", component=f"layer{i}")
 
 
-def forward(model: MlpModel, x: np.ndarray) -> list:
-    """The activations acts, kept for the backward pass: acts[0] is the input and acts[i + 1] the output
-    of layer i, rectified except for the last."""
-    x = _real_array(x, "input", 2)
-    if x.shape[1] != model.dims[0]:
-        raise InvalidInput(f"input has shape {x.shape}, model expects (*, {model.dims[0]})")
-    acts = [x]
+def forward(model: MlpModel, batch: FeatureBatch) -> list:
+    """The activations acts, kept for the backward pass: acts[0] is the batch's data and acts[i + 1] the
+    output of layer i, rectified except for the last."""
+    acts = [_data(batch, FeatureBatch)]
+    if batch.d != model.dims[0]:
+        raise InvalidInput(f"input has shape {batch.data.shape}, model expects (*, {model.dims[0]})")
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
         z = acts[-1] @ w + b
         acts.append(z if i == model.num_layers - 1 else np.maximum(z, 0.0))
@@ -140,14 +139,14 @@ def step_objective(state: TrainState, source: FeatureBatch, target: FeatureBatch
     and logits here (`layer<i>`), statistics and losses by their own functions, the total here. One loss's
     gradients are a call with one-hot weights at the same state: `backward` is linear in tap_grads, so the
     four one-hot gradients sum to those at `from_multipliers(1, 1, 1, 1)`."""
+    if _data(source, FeatureBatch).shape[1] != _data(target, FeatureBatch).shape[1]:
+        raise InvalidInput(f"source and target feature dims differ: {source.d} vs {target.d}")
     if source.labels is None:
         raise InvalidInput("source batch must be labeled")
     n = source.n
     cov_layer, mean_layer = state.model.taps
-    if source.d != target.d:
-        raise InvalidInput(f"source and target feature dims differ: {source.d} vs {target.d}")
-    # one forward over the source rows stacked on the target rows: no layer couples rows
-    acts = forward(state.model, np.concatenate([source.data, target.data]))
+    # one forward over the rows of two checked batches, source stacked on target: no layer couples rows
+    acts = forward(state.model, FeatureBatch._trusted(np.concatenate([source.data, target.data])))
 
     tap_s, tap_t = _split_tap(acts, cov_layer, n)
     batch_cov_s, batch_cov_t = batch_covariance(tap_s), batch_covariance(tap_t)
@@ -182,12 +181,12 @@ def step_objective(state: TrainState, source: FeatureBatch, target: FeatureBatch
         logits_grad[:n] = weights.classification * cls.grad_source
         _add(state.model.num_layers - 1, logits_grad)
     if weights.coral > 0 or weights.logcoral > 0:
-        # sums of exactly symmetric gradients, so exactly symmetric
         grads = [weights.coral * coral.grad_source, weights.coral * coral.grad_target]
         if weights.logcoral > 0:
             grads = [g + weights.logcoral * lg for g, lg in zip(grads, logcoral.grads())]
-        _add(cov_layer, np.concatenate([L.chain_to_features(grads[0], tap_s, share),
-                                        L.chain_to_features(grads[1], tap_t, share)]))
+        # sums of exactly symmetric gradients, so exactly symmetric
+        _add(cov_layer, np.concatenate([L.chain_to_features(SymmetricMatrix._trusted(grads[0]), tap_s, share),
+                                        L.chain_to_features(SymmetricMatrix._trusted(grads[1]), tap_t, share)]))
     if weights.mean > 0:
         row_s = weights.mean * share * mean.grad_source / mtap_s.n
         row_t = weights.mean * share * mean.grad_target / mtap_t.n
@@ -218,7 +217,8 @@ def train_step(state: TrainState, source: FeatureBatch, target: FeatureBatch,
 
 
 def evaluate(model: MlpModel, data: FeatureBatch) -> float:
-    """Fraction of argmax-correct predictions."""
+    """Fraction of argmax-correct predictions; InvalidInput unless data is a labeled FeatureBatch."""
+    logits = forward(model, data)[-1]
     if data.labels is None:
         raise InvalidInput("evaluation batch must be labeled")
-    return float(np.mean(np.argmax(forward(model, data.data)[-1], axis=1) == data.labels))
+    return float(np.mean(np.argmax(logits, axis=1) == data.labels))

@@ -4,13 +4,13 @@ keeps one `SmoothedStats` per domain, holding the covariance at one feature
 tap and the mean at another, both averaged at the run's one momentum, or at 0 in a run's first step.
 
 Validation happens at the edges. `FeatureBatch(...)` checks what a caller hands in: data by the array
-rule, `linalg._real_array` (a non-empty finite 2-D real array), and labels by `_class_labels`;
-`SmoothedStats(...)` and `update_smoothed` check their cov and mean. Batches the library cuts from
-checked arrays (a step's sampled rows, the halves of a tap) skip those checks through the private `FeatureBatch._trusted`.
-`batch_covariance` and `batch_mean`, the training step's too, raise `NumericalFailure` if the value
-overflows, as finite features can have an infinite covariance or column sum. The covariance (numpy's
-`syrk` mirrors `c.T @ c`) and the moving averages are symmetric by construction and skip the
-`SymmetricMatrix` checks.
+rule, `linalg._real_array`, and labels by `_class_labels`; a function that takes a batch takes a
+FeatureBatch only (`linalg._data`). `SmoothedStats(...)` and `update_smoothed` check their cov and mean.
+Batches the library makes of checked arrays (a step's sampled rows, its stacked source and target rows,
+the halves of a tap) skip those checks through the private `FeatureBatch._trusted`. `batch_covariance` and
+`batch_mean` raise `NumericalFailure` if the value overflows, as finite features can have an infinite
+covariance or column sum. The covariance (numpy's `syrk` mirrors `c.T @ c`) and the moving averages are
+symmetric by construction and skip the `SymmetricMatrix` checks.
 """
 from __future__ import annotations
 
@@ -42,8 +42,8 @@ class FeatureBatch:
 
     @classmethod
     def _trusted(cls, data: np.ndarray, labels: Optional[np.ndarray] = None) -> "FeatureBatch":
-        """Wrap arrays the library checked itself (rows cut from checked
-        arrays, or a parsed CSV) without the constructor's checks. The caller
+        """Wrap arrays the library checked itself (rows cut from checked arrays
+        or stacked from two, or a parsed CSV) without the constructor's checks. The caller
         guarantees what those checks enforce: data is a finite 2-D float
         ndarray with at least one row and one column, and labels is None or a
         nonnegative integer ndarray with one entry per row."""
@@ -82,7 +82,7 @@ def batch_covariance(b: FeatureBatch) -> SymmetricMatrix:
     """Sample covariance with 1/(n-1) normalization, computed from centred
     rows as (D - 1 mu^T)^T (D - 1 mu^T) / (n - 1), which stays accurate at
     large mean offsets; NumericalFailure, with no numpy warning, if it overflows."""
-    if b.n < 2:
+    if _data(b, FeatureBatch).shape[0] < 2:
         raise InvalidInput(f"covariance needs at least 2 rows, got {b.n}")
     with np.errstate(over="ignore", invalid="ignore"):  # checked at once
         centered = b.data - b.data.mean(axis=0)
@@ -97,7 +97,7 @@ def batch_mean(b: FeatureBatch) -> np.ndarray:
     """Column means of the feature matrix; NumericalFailure, with no numpy warning, if a
     column's sum overflows."""
     with np.errstate(over="ignore", invalid="ignore"):  # checked at once
-        mean = b.data.mean(axis=0)
+        mean = _data(b, FeatureBatch).mean(axis=0)
     if not np.isfinite(mean).all():
         raise NumericalFailure("mean has non-finite entries: the feature values overflow it",
                                component="batch_mean")

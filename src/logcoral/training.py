@@ -45,16 +45,14 @@ class RunConfig:
     samples_per_class: int = 200
 
     def __post_init__(self):
-        whole = {k: [getattr(self, k)] for k in ("seed", "steps", "batch", "eval_every", "num_classes", "dim",
-                                                   "samples_per_class")} | {"hidden_dims": self.hidden_dims}
+        whole = {k: [getattr(self, k)] for k in ("steps", "batch", "eval_every")} | {"hidden_dims": self.hidden_dims}
         if bad := [k for k, values in whole.items() if not all(_is_number(v, Integral) for v in values)]:
             raise InvalidInput(f"{', '.join(bad)} must be whole numbers")
+        D._check_counts(self.num_classes, self.dim, self.samples_per_class, self.seed)  # the synthetic data's rule
         if bad := [k for k in ("lr", "epsilon", "momentum") if not _is_number(getattr(self, k))]:
             raise InvalidInput(f"{', '.join(bad)} must be real numbers")
         if not isinstance(self.weights, LossWeights):
             raise InvalidInput(f"weights must be a LossWeights, got {type(self.weights).__name__}")
-        if self.seed < 0:  # numpy's generators take nonnegative seeds only
-            raise InvalidInput(f"seed must be nonnegative, got {self.seed}")
         if self.steps < 1 or self.batch < 2:
             raise InvalidInput("steps must be >= 1 and batch >= 2")
         if not 0 < self.lr < np.inf:

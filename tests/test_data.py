@@ -1,4 +1,6 @@
+import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -45,6 +47,23 @@ class TestShiftSpec:
     def test_rejects_fields_of_the_wrong_size(self, field, value, message):
         with pytest.raises(InvalidInput, match=message):
             spec_with(**{field: value})
+
+    @pytest.mark.parametrize("field, values", [
+        ("num_classes", [3.0, True]),
+        ("dim", [4.0, True]),
+        ("samples_per_class", [2.5, True]),
+        ("seed", [1.5, "x", -1]),
+    ], ids=["num_classes", "dim", "samples_per_class", "seed"])
+    def test_counts_are_whole_numbers(self, field, values):
+        # make_benchmark_spec draws its arrays before it builds the ShiftSpec, so it checks the counts first too
+        spec = make_benchmark_spec(num_classes=3, dim=4, samples_per_class=5)
+        for v in values:
+            message = "^seed must be nonnegative, got -1$" if v == -1 else f"^{field} must be whole numbers$"
+            for call in (lambda: dataclasses.replace(spec, **{field: v}), lambda: make_benchmark_spec(**{field: v})):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(InvalidInput, match=message):
+                        call()
 
     def test_random_rotation_is_orthogonal(self):
         rng = np.random.default_rng(0)

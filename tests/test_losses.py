@@ -404,12 +404,12 @@ class TestChainToFeatures:
     def test_zero_grad_gives_zero(self):
         rng = np.random.default_rng(13)
         batch = FeatureBatch(rng.standard_normal((10, 4)))
-        out = chain_to_features(np.zeros((4, 4)), batch)
+        out = chain_to_features(SymmetricMatrix(np.zeros((4, 4))), batch)
         assert np.all(out == 0.0)
 
     def test_constant_batch_gives_zero(self):
         batch = FeatureBatch(np.tile([1.0, 2.0, 3.0], (5, 1)))
-        out = chain_to_features(np.eye(3), batch)
+        out = chain_to_features(SymmetricMatrix(np.eye(3)), batch)
         assert np.allclose(out, 0.0)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -427,7 +427,7 @@ class TestChainToFeatures:
 
         batch = FeatureBatch(x)
         bundle = logcoral_loss(batch_covariance(batch), ct, epsilon=eps)
-        grad = chain_to_features(bundle.grad_source, batch)
+        grad = chain_to_features(SymmetricMatrix(bundle.grad_source), batch)
         v = rng.standard_normal((n, d))
         fd = fd_directional(value, x, v)
         an = float(np.sum(grad * v))
@@ -436,23 +436,23 @@ class TestChainToFeatures:
     def test_smoothing_scale_factor(self):
         rng = np.random.default_rng(14)
         batch = FeatureBatch(rng.standard_normal((8, 3)))
-        g = sym_part(rng.standard_normal((3, 3)))
+        g = SymmetricMatrix(sym_part(rng.standard_normal((3, 3))))
         full = chain_to_features(g, batch, scale=1.0)
         tenth = chain_to_features(g, batch, scale=0.1)
         assert np.allclose(tenth, 0.1 * full)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(InvalidInput):
-            chain_to_features(np.eye(3), FeatureBatch(np.zeros((4, 2))))
+        with pytest.raises(InvalidInput, match="^covariance gradient is 3-dim but features are 2-dim$"):
+            chain_to_features(SymmetricMatrix(np.eye(3)), FeatureBatch(np.zeros((4, 2))))
 
     def test_plain_array_batch_rejected(self):
         with pytest.raises(InvalidInput, match="^expected a FeatureBatch, got ndarray$"):
-            chain_to_features(np.eye(2), np.ones((3, 2)))
+            chain_to_features(SymmetricMatrix(np.eye(2)), np.ones((3, 2)))
 
     def test_one_row_rejected(self):
         # a covariance of one row is undefined, so there is nothing to chain through
-        with pytest.raises(InvalidInput):
-            chain_to_features(np.eye(2), FeatureBatch(np.zeros((1, 2))))
+        with pytest.raises(InvalidInput, match="^need at least 2 rows to chain through a covariance$"):
+            chain_to_features(SymmetricMatrix(np.eye(2)), FeatureBatch(np.zeros((1, 2))))
 
 
 class TestSoftmaxCrossEntropy:

@@ -42,18 +42,18 @@ class TestForward:
         for i in range(model.num_layers):
             model.weights[i] = np.zeros_like(model.weights[i])
             model.biases[i] = np.zeros_like(model.biases[i])
-        cache = forward(model, np.random.default_rng(0).standard_normal((5, 4)))
+        cache = forward(model, FeatureBatch(np.random.default_rng(0).standard_normal((5, 4))))
         assert np.all(cache[-1] == 0.0)
 
     def test_identity_single_layer(self):
         model = MlpModel(weights=[np.eye(3)], biases=[np.zeros(3)])
         x = np.random.default_rng(1).standard_normal((4, 3))
-        cache = forward(model, x)
+        cache = forward(model, FeatureBatch(x))
         assert np.array_equal(cache[-1], x)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(InvalidInput):
-            forward(small_model(), np.zeros((2, 7)))
+        with pytest.raises(InvalidInput, match=r"^input has shape \(2, 7\), model expects \(\*, 4\)$"):
+            forward(small_model(), FeatureBatch(np.zeros((2, 7))))
 
 
 class TestHandBuiltModel:
@@ -147,7 +147,7 @@ class TestBackward:
 
     def test_tap_grad_shape_checked(self):
         model = small_model()
-        cache = forward(model, np.zeros((2, 4)))
+        cache = forward(model, FeatureBatch(np.zeros((2, 4))))
         with pytest.raises(InvalidInput):
             backward(model, cache, {0: np.zeros((3, 6))})
         for layer in (-1, 3):   # no such layer, though (2, 3) is the logits' shape
@@ -366,7 +366,7 @@ def two_pass_step(state, src, tgt, weights):
     statistics object per domain: the covariance from the covariance tap,
     the mean from the mean tap."""
     model = state.model
-    caches = [forward(model, b.data) for b in (src, tgt)]
+    caches = [forward(model, b) for b in (src, tgt)]
     olds = [state.stats_source, state.stats_target]
     cov_layer, mean_layer = model.taps
     taps = [FeatureBatch(c[cov_layer + 1]) for c in caches]
@@ -389,7 +389,7 @@ def two_pass_step(state, src, tgt, weights):
         share = 1.0 - state.momentum
         n = mean_taps[k].n
         tap_grads = {
-            cov_layer: L.chain_to_features(cov_grad, taps[k], scale=share),
+            cov_layer: L.chain_to_features(SymmetricMatrix(cov_grad), taps[k], scale=share),
             mean_layer: np.tile(weights.mean * share * mean_grads[k] / n, (n, 1)),
         }
         if k == 0:

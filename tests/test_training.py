@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import errno
+import hashlib
 import json
 import os
 import warnings
@@ -498,3 +499,30 @@ class TestAblate:
         assert row["accs"] == []
         assert [f["seed"] for f in row["failed"]] == [1]
         assert "not positive definite" in row["failed"][0]["error"]
+
+
+# sha256 of what a default `logcoral train --seed s` writes, (metrics.jsonl, checkpoint.npz), with
+# numpy 2.4.6 and scipy-openblas 0.3.31 at one BLAS thread; another numpy or BLAS may round differently
+DEFAULT_RUN_VERSIONS = "numpy 2.4.6, scipy-openblas 0.3.31"
+DEFAULT_RUN_DIGESTS = {
+    0: ("c69172a3aaec6fb7f69540487c03bb1445f13ba240b0dc5fcd2def1b171023cb",
+        "ae0ae6cb4949cebdd90913c55f0cc52944f90fcd87597fedb6d0eead8820a60e"),
+    1: ("117eb4e4fb07eea24fd130a17fbcdf77aea7f2fbc1d3912290d84f9b4ef27eaf",
+        "f3dc6df498fbe4a15df75e6cc2f4b5316ea7eaeea1c9bd28dce4679820bb4bd5"),
+}
+
+
+@pytest.mark.slow
+def test_default_training_is_unchanged_bit_for_bit(memo_train, tmp_path):
+    """Default training at seeds 0 and 1, read through the session's memo of default runs, writes the
+    committed bytes: its metrics lines as `train` writes them, and the final state as `save_checkpoint` does."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    versions = f"numpy {np.__version__}, {blas['name']} {blas['version']}"
+    for seed, expected in DEFAULT_RUN_DIGESTS.items():
+        config = RunConfig(seed=seed)
+        state, records = memo_train(config, default_dataset(config))
+        save_checkpoint(tmp_path / "checkpoint.npz", state)
+        digests = (hashlib.sha256("".join(json.dumps(r) + "\n" for r in records).encode()).hexdigest(),
+                   hashlib.sha256((tmp_path / "checkpoint.npz").read_bytes()).hexdigest())
+        assert digests == expected, (f"seed {seed}: (metrics, checkpoint) digests {digests} with {versions}; "
+                                     f"the committed ones are from {DEFAULT_RUN_VERSIONS}")
