@@ -16,7 +16,7 @@ import numpy as np
 
 from . import losses as L
 from .exceptions import InvalidInput
-from .linalg import SymmetricMatrix, sym_part
+from .linalg import SymmetricMatrix, spectral_apply
 
 # relative-error bars per loss; the eigendecomposition path is noisier
 THRESHOLDS = {
@@ -38,8 +38,8 @@ def spd_with_gaps(dim: int, rng: np.random.Generator) -> SymmetricMatrix:
     vals = np.sort(rng.uniform(0.5, 3.0, size=dim))
     vals += np.arange(dim) * EIGEN_SPACING
     q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-    # sym_part of a finite product: exactly symmetric and finite
-    return SymmetricMatrix._trusted(sym_part((q * vals) @ q.T))
+    # the symmetrized finite product Q diag(vals) Q^T: exactly symmetric and finite
+    return SymmetricMatrix._trusted(spectral_apply(q, vals))
 
 
 def _rel_err(fd, an):

@@ -7,13 +7,15 @@ All functions are pure; SymmetricMatrix and EigenPair are immutable values.
 
 Validation happens at the edges. `_real_array` is the one rule for an array a caller hands in, in
 every module: rectangular, real, finite, with the given axes, none empty. The public constructor adds
-square and exactly symmetric. `_data` is the one rule for an argument of a checked type, a SymmetricMatrix
-or `stats.FeatureBatch`: anything else, a plain ndarray too, is InvalidInput. Every function here but
-`sym_part` takes a SymmetricMatrix only; `_is_number` is the kind rule of a scalar, such as epsilon. Values
-this library computes itself skip the constructors' checks through the private `_trusted`. A check that a
-computed value can still fail stays where it can fire and raises `NumericalFailure`: `batch_covariance`
-checks that its product did not overflow, `sym_eig` checks finiteness before LAPACK, and `matrix_exp` and
-`matrix_log` check their results.
+square and exactly symmetric. `_checked` is the one rule for an argument of a library type, and `_data`
+reads a SymmetricMatrix's or `stats.FeatureBatch`'s array through it: anything else, a plain ndarray too,
+is InvalidInput. Every function here but `sym_part` takes a SymmetricMatrix only; `_is_number` is the kind
+rule of a scalar, such as epsilon. Values this library computes itself skip the constructors' checks through
+the private `_trusted`. A check that a computed value can still fail stays where it can fire and raises
+`NumericalFailure`: `batch_covariance` checks that its product did not overflow, `sym_eig` checks finiteness
+before LAPACK, and `matrix_exp` and `matrix_log` check their results. The step's modules call numpy's ufunc
+reductions (`np.add.reduce`, `_all_finite`, `_column_mean`), not `ndarray.mean/sum/max/all` or `np.sum`: the
+same reduction and division, so the same bits, without 0.1-3 us of argument handling a call at 64 x 64.
 
 `SymmetricMatrix._trusted` may also wrap a stack of matrices (leading axes
 before the last two): `sym_eig`, `spd_eig` and `regularize_psd` take one and
@@ -78,11 +80,26 @@ class EigenPair:
         return spectral_apply(self.vectors, self.values)
 
 
-def _data(v, kind=SymmetricMatrix) -> np.ndarray:
-    """v's checked array; InvalidInput unless v is a kind, as `eigh` would read half of a plain ndarray."""
+def _checked(v, kind):
+    """v itself; InvalidInput unless v is a kind, as `eigh` would read half of a plain ndarray."""
     if not isinstance(v, kind):
         raise InvalidInput(f"expected a {kind.__name__}, got {type(v).__name__}")
-    return v.data
+    return v
+
+
+def _data(v, kind=SymmetricMatrix) -> np.ndarray:
+    """v's checked array, by `_checked`'s type rule."""
+    return _checked(v, kind).data
+
+
+def _all_finite(x) -> bool:
+    """np.isfinite(x).all(), by the reduction that method calls."""
+    return np.logical_and.reduce(np.isfinite(x), axis=None)
+
+
+def _column_mean(x: np.ndarray) -> np.ndarray:
+    """x.mean(axis=0) of a float array, by the reduction and division that method runs."""
+    return np.add.reduce(x, axis=0) / x.shape[0]
 
 
 def _real_array(x, what: str, ndim: int) -> np.ndarray:
@@ -98,8 +115,8 @@ def _real_array(x, what: str, ndim: int) -> np.ndarray:
     if a.ndim != ndim or 0 in a.shape:
         raise InvalidInput(f"{what} must be a non-empty {ndim}-D array, got shape {a.shape}")
     a = a.astype(float, copy=False)
-    if not (finite := np.isfinite(a)).all():
-        raise InvalidInput(f"{what} must be finite, got {a[~finite][0]}")
+    if not _all_finite(a):
+        raise InvalidInput(f"{what} must be finite, got {a[~np.isfinite(a)][0]}")
     return a
 
 
@@ -115,7 +132,7 @@ def sym_eig(m: SymmetricMatrix) -> EigenPair:
     A stack gives the stacked pairs of one `eigh` call. A non-finite (so
     computed) matrix, or an `eigh` that fails, raises NumericalFailure."""
     a = _data(m)
-    if not np.isfinite(a).all():
+    if not _all_finite(a):
         raise NumericalFailure("matrix has non-finite entries", component="sym_eig")
     try:
         values, vectors = np.linalg.eigh(a)
@@ -134,7 +151,7 @@ def spd_eig(m: SymmetricMatrix, epsilon: float = 0.0) -> EigenPair:
     if not (_is_number(epsilon) and 0 <= epsilon < np.inf):
         raise InvalidInput(f"epsilon must be nonnegative and finite, got {epsilon}")
     pair = sym_eig(regularize_psd(m, epsilon) if epsilon > 0 else m)
-    lowest = pair.values[..., 0].min()
+    lowest = np.minimum.reduce(pair.values[..., 0], axis=None)
     if lowest <= 0:
         raise NotPositiveDefinite(float(lowest))
     if epsilon > 0:
@@ -186,7 +203,7 @@ def _spectral_function(pair: EigenPair, f, component: str) -> SymmetricMatrix:
     """U f(Sigma) U^T, symmetric; NumericalFailure naming component if not finite."""
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         out = spectral_apply(pair.vectors, f(pair.values))
-    if not np.isfinite(out).all():
+    if not _all_finite(out):
         raise NumericalFailure(f"{component} result has non-finite entries", component=component)
     return SymmetricMatrix._trusted(out)
 
@@ -202,15 +219,16 @@ def matrix_log_backward(vectors: np.ndarray, values: np.ndarray, upstream_eig: n
     That stays accurate inside the near-degenerate clusters that dead
     rectifier units put into tap covariances, and at any condition number.
     """
-    lo = np.minimum.outer(values, values)
-    x = np.maximum.outer(values, values) / lo - 1.0
+    lo = np.minimum(values[:, None], values)
+    x = np.maximum(values[:, None], values) / lo - 1.0
     loewner = np.divide(np.log1p(x), x, out=np.ones_like(x), where=x != 0.0) / lo
-    return _symmetrize(vectors @ (loewner * upstream_eig) @ vectors.T)
+    loewner *= upstream_eig
+    return _symmetrize(vectors @ loewner @ vectors.T)
 
 
 def _symmetrize(a: np.ndarray) -> np.ndarray:
-    """(a + a^T) / 2 of a square array, unchecked. Exact on a symmetric a."""
-    return 0.5 * (a + a.T)
+    """(a + a^T) / 2 of a square array, unchecked, in a new array. Exact on a symmetric a."""
+    return np.multiply(out := a + a.T, 0.5, out=out)
 
 
 def sym_part(m) -> np.ndarray:

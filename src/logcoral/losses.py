@@ -20,8 +20,8 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import InvalidInput, NumericalFailure
-from .linalg import (EigenPair, SymmetricMatrix, _add_to_diagonal, _data, _is_number, _real_array,
-                     matrix_log_backward, spd_eig)
+from .linalg import (EigenPair, SymmetricMatrix, _add_to_diagonal, _column_mean, _data, _is_number,
+                     _real_array, matrix_log_backward, spd_eig)
 from .stats import FeatureBatch, _class_labels
 
 
@@ -90,7 +90,7 @@ def coral_loss(cov_s: SymmetricMatrix, cov_t: SymmetricMatrix) -> LossBundle:
 def _coral_value(diff: np.ndarray):
     """||C_s - C_t||_F^2 / (4 d^2) of diff = C_s - C_t, d x d or a stack of them."""
     d = diff.shape[-1]
-    return np.sum(diff * diff, axis=(-2, -1)) / (4.0 * d * d)
+    return np.add.reduce(diff * diff, axis=(-2, -1)) / (4.0 * d * d)
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,7 @@ class LogEuclidean:
         # 0 - x, not -x: the off-diagonal zeros of equal inputs stay +0, as diag(l_s) - x gives
         diff_s = 0.0 - (m * np.log(eig_t.values)[..., None, :]) @ m.mT
         _add_to_diagonal(diff_s, np.log(eig_s.values))
-        value = np.sum(diff_s * diff_s, axis=(-2, -1)) / (4.0 * d ** 2)
+        value = np.add.reduce(diff_s * diff_s, axis=(-2, -1)) / (4.0 * d ** 2)
         return cls(value=float(value) if value.ndim == 0 else value,
                    eig_s=eig_s, eig_t=eig_t, m=m, diff_s=diff_s)
 
@@ -130,7 +130,8 @@ class LogEuclidean:
         if self.diff_s.ndim != 2:
             raise InvalidInput(f"grads() takes one pair, not a stack of shape {self.diff_s.shape}")
         l_s, l_t = np.log(self.eig_s.values), np.log(self.eig_t.values)
-        diff_t = (self.m.T * l_s) @ self.m - np.diag(l_t)
+        diff_t = (self.m.T * l_s) @ self.m
+        _add_to_diagonal(diff_t, -l_t)
         scale = 1.0 / (2.0 * len(l_s) ** 2)
         return (matrix_log_backward(self.eig_s.vectors, self.eig_s.values, scale * self.diff_s),
                 matrix_log_backward(self.eig_t.vectors, self.eig_t.values, -scale * diff_t))
@@ -190,7 +191,7 @@ def chain_to_features(loss_grad_cov: SymmetricMatrix, batch: FeatureBatch, scale
         raise InvalidInput(f"covariance gradient is {g.shape[0]}-dim but features are {batch.d}-dim")
     if batch.n < 2:
         raise InvalidInput("need at least 2 rows to chain through a covariance")
-    return (2.0 * scale / (batch.n - 1)) * (x - x.mean(axis=0)) @ g
+    return (2.0 * scale / (batch.n - 1)) * (x - _column_mean(x)) @ g
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> LossBundle:
@@ -203,8 +204,8 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> LossBundle:
     if labels.shape != (n,):
         raise InvalidInput(f"labels must have length {n}, got shape {labels.shape}")
     labels = _class_labels(labels)
-    if labels.max() >= k:
-        raise InvalidInput(f"labels must lie in [0, {k}), got maximum {labels.max()}")
+    if (top := np.maximum.reduce(labels)) >= k:
+        raise InvalidInput(f"labels must lie in [0, {k}), got maximum {top}")
     with np.errstate(over="ignore", invalid="ignore"):  # checked at once
         value, shifted, log_z = _cross_entropy(logits, labels)
     if not np.isfinite(value):
@@ -217,7 +218,7 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> LossBundle:
 def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple:
     """(value, shifted logits, log partition) of softmax_cross_entropy, unchecked, on
     n x k logits or a stack of them, all against the same n int labels."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=-1))
-    value = np.mean(log_z - shifted[..., np.arange(len(labels)), labels], axis=-1)
+    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    log_z = np.log(np.add.reduce(np.exp(shifted), axis=-1))
+    value = np.add.reduce(log_z - shifted[..., np.arange(len(labels)), labels], axis=-1) / len(labels)
     return value, shifted, log_z

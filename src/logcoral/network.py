@@ -11,7 +11,7 @@ import numpy as np
 
 from .exceptions import InvalidInput, NumericalFailure
 from . import losses as L
-from .linalg import SymmetricMatrix, _data
+from .linalg import SymmetricMatrix, _all_finite, _checked, _data
 from .stats import FeatureBatch, SmoothedStats, batch_covariance, batch_mean, update_smoothed
 
 OPT_MOMENTUM = 0.9  # the SGD momentum of every run, as Deep CORAL trains
@@ -56,7 +56,7 @@ class MlpModel:
 
     def check_finite(self):
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            if not (_all_finite(w) and _all_finite(b)):
                 raise NumericalFailure(f"non-finite parameters in layer {i}", component=f"layer{i}")
 
 
@@ -64,8 +64,8 @@ def forward(model: MlpModel, batch: FeatureBatch) -> list:
     """The activations acts, kept for the backward pass: acts[0] is the batch's data and acts[i + 1] the
     output of layer i, rectified except for the last."""
     acts = [_data(batch, FeatureBatch)]
-    if batch.d != model.dims[0]:
-        raise InvalidInput(f"input has shape {batch.data.shape}, model expects (*, {model.dims[0]})")
+    if batch.d != (width := _checked(model, MlpModel).weights[0].shape[0]):
+        raise InvalidInput(f"input has shape {batch.data.shape}, model expects (*, {width})")
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
         z = acts[-1] @ w + b
         acts.append(z if i == model.num_layers - 1 else np.maximum(z, 0.0))
@@ -76,7 +76,7 @@ def backward(model: MlpModel, acts: list, tap_grads: dict):
     """Accumulate parameter gradients from upstream gradients injected at layer
     outputs: tap_grads maps layer index i to the gradient w.r.t. acts[i + 1],
     the logits at num_layers - 1. Returns (weight_grads, bias_grads)."""
-    n_layers = model.num_layers
+    n_layers = _checked(model, MlpModel).num_layers
     for i, g in tap_grads.items():
         if not 0 <= i < n_layers or g.shape != acts[i + 1].shape:
             raise InvalidInput(f"gradient of shape {g.shape} fits no output of layer {i}")
@@ -92,7 +92,7 @@ def backward(model: MlpModel, acts: list, tap_grads: dict):
         if i < n_layers - 1:
             delta = delta * (acts[i + 1] > 0.0)  # the rectifier passes where its output is positive
         gw[i] = acts[i].T @ delta
-        gb[i] = delta.sum(axis=0)
+        gb[i] = np.add.reduce(delta, axis=0)
         if i > 0:
             delta = delta @ model.weights[i].T
     return gw, gb
@@ -120,7 +120,7 @@ def _split_tap(acts: list, layer: int, n_source: int) -> tuple:
     The stacked output is checked for finiteness once; both halves are
     nonempty because the batches they came from are."""
     h = acts[layer + 1]
-    if not np.isfinite(h).all():
+    if not _all_finite(h):
         raise NumericalFailure(f"layer {layer} has non-finite activations", component=f"layer{layer}")
     return FeatureBatch._trusted(h[:n_source]), FeatureBatch._trusted(h[n_source:])
 
@@ -144,7 +144,7 @@ def step_objective(state: TrainState, source: FeatureBatch, target: FeatureBatch
     if source.labels is None:
         raise InvalidInput("source batch must be labeled")
     n = source.n
-    cov_layer, mean_layer = state.model.taps
+    cov_layer, mean_layer = _checked(state, TrainState).model.taps
     # one forward over the rows of two checked batches, source stacked on target: no layer couples rows
     acts = forward(state.model, FeatureBatch._trusted(np.concatenate([source.data, target.data])))
 
@@ -181,9 +181,10 @@ def step_objective(state: TrainState, source: FeatureBatch, target: FeatureBatch
         logits_grad[:n] = weights.classification * cls.grad_source
         _add(state.model.num_layers - 1, logits_grad)
     if weights.coral > 0 or weights.logcoral > 0:
-        grads = [weights.coral * coral.grad_source, weights.coral * coral.grad_target]
-        if weights.logcoral > 0:
-            grads = [g + weights.logcoral * lg for g, lg in zip(grads, logcoral.grads())]
+        grads = [weights.coral * coral.grad_source, weights.coral * coral.grad_target] if weights.coral > 0 else None
+        if weights.logcoral > 0:  # CORAL at weight 0 adds no term, not 0 times its gradient
+            lgrads = [weights.logcoral * lg for lg in logcoral.grads()]
+            grads = lgrads if grads is None else [g + lg for g, lg in zip(grads, lgrads)]
         # sums of exactly symmetric gradients, so exactly symmetric
         _add(cov_layer, np.concatenate([L.chain_to_features(SymmetricMatrix._trusted(grads[0]), tap_s, share),
                                         L.chain_to_features(SymmetricMatrix._trusted(grads[1]), tap_t, share)]))

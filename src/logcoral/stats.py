@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import InvalidInput, NumericalFailure
-from .linalg import SymmetricMatrix, _data, _real_array
+from .linalg import SymmetricMatrix, _all_finite, _checked, _column_mean, _data, _real_array
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ def _class_labels(lab: np.ndarray) -> np.ndarray:
     else:
         with np.errstate(invalid="ignore"):  # inf % 1 is nan: rejected
             class_indices = (lab >= 0) & (lab % 1 == 0) & (lab < 2.0 ** 63)
-    if not class_indices.all():
+    if not np.logical_and.reduce(class_indices, axis=None):
         raise InvalidInput(f"labels must be nonnegative whole numbers below 2**63, "
                            f"got {lab[~class_indices][0]}")
     return lab.astype(int, copy=False)
@@ -85,9 +85,9 @@ def batch_covariance(b: FeatureBatch) -> SymmetricMatrix:
     if _data(b, FeatureBatch).shape[0] < 2:
         raise InvalidInput(f"covariance needs at least 2 rows, got {b.n}")
     with np.errstate(over="ignore", invalid="ignore"):  # checked at once
-        centered = b.data - b.data.mean(axis=0)
+        centered = b.data - _column_mean(b.data)
         cov = centered.T @ centered / (b.n - 1)  # exactly symmetric, see above
-    if not np.isfinite(cov).all():
+    if not _all_finite(cov):
         raise NumericalFailure("covariance has non-finite entries: the feature values overflow it",
                                component="batch_covariance")
     return SymmetricMatrix._trusted(cov)
@@ -97,8 +97,8 @@ def batch_mean(b: FeatureBatch) -> np.ndarray:
     """Column means of the feature matrix; NumericalFailure, with no numpy warning, if a
     column's sum overflows."""
     with np.errstate(over="ignore", invalid="ignore"):  # checked at once
-        mean = _data(b, FeatureBatch).mean(axis=0)
-    if not np.isfinite(mean).all():
+        mean = _column_mean(_data(b, FeatureBatch))
+    if not _all_finite(mean):
         raise NumericalFailure("mean has non-finite entries: the feature values overflow it",
                                component="batch_mean")
     return mean
@@ -129,7 +129,7 @@ def update_smoothed(s: SmoothedStats, cov: SymmetricMatrix, mean: np.ndarray, mo
     constructor; at momentum 0, the batch. A momentum outside [0, 1), a plain-array cov or a NaN mean is InvalidInput."""
     check_momentum(momentum)
     mean = _real_array(mean, "mean", 1)
-    if _data(cov).shape != s.cov.data.shape or mean.shape != s.mean.shape:
+    if _data(cov).shape != _checked(s, SmoothedStats).cov.data.shape or mean.shape != s.mean.shape:
         raise InvalidInput(f"batch (cov {cov.dim}, mean {mean.shape}) does not match state ({s.cov.dim}, {s.mean.shape})")
     return SmoothedStats(cov=SymmetricMatrix._trusted(momentum * s.cov.data + (1.0 - momentum) * cov.data),
                          mean=momentum * s.mean + (1.0 - momentum) * mean)

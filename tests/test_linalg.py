@@ -4,9 +4,12 @@ import pytest
 from logcoral.exceptions import InvalidInput, NotPositiveDefinite, NumericalFailure
 from logcoral.linalg import (
     SymmetricMatrix,
+    _all_finite,
+    _column_mean,
     default_epsilon,
     matrix_exp,
     matrix_log,
+    matrix_log_backward,
     regularize_psd,
     spd_eig,
     sym_eig,
@@ -268,3 +271,40 @@ class TestSymDiagParts:
     def test_nonsquare_rejected(self):
         with pytest.raises(InvalidInput):
             sym_part(np.zeros((2, 3)))
+
+
+class TestDirectReductions:
+    """The helpers the training step calls in place of numpy's method wrappers return the wrappers' bits."""
+
+    @pytest.mark.parametrize("x", [
+        pytest.param(np.ones((64, 64)), id="finite"),
+        pytest.param(np.array([[1.0, np.nan], [0.0, 2.0]]), id="nan"),
+        pytest.param(np.array([1.0, -np.inf, 2.0]), id="inf"),
+        pytest.param(np.array(3.0), id="0d"),
+        pytest.param(np.array(np.inf), id="0d-inf"),
+        pytest.param(np.stack([np.eye(3), np.eye(3)]), id="stacked"),
+        pytest.param(np.stack([np.eye(3), np.full((3, 3), np.nan)]), id="stacked-nan"),
+    ])
+    def test_all_finite_is_isfinite_all(self, x):
+        got, want = _all_finite(x), np.isfinite(x).all()
+        assert got == want and type(got) is type(want)
+
+    @pytest.mark.parametrize("shape", [(64, 64), (128, 128), (2048, 256)])
+    def test_column_mean_is_mean_bit_for_bit(self, shape):
+        rng = np.random.default_rng(shape[0])
+        x = rng.standard_normal(shape) + rng.uniform(-1e8, 1e8, size=shape[1])  # large offsets
+        assert _column_mean(x).tobytes() == x.mean(axis=0).tobytes()
+
+    def test_log_backward_is_the_outer_product_form_bit_for_bit(self):
+        """The Loewner matrix built by broadcasting, then applied and symmetrized in place, gives the bits
+        of the np.minimum.outer form with fresh temporaries, on a spectrum with repeated eigenvalues."""
+        rng = np.random.default_rng(4)
+        pair = sym_eig(rand_spd(rng, 16))
+        values = np.sort(np.concatenate([pair.values[:12], [1e-2] * 4]))
+        upstream = sym_part(rng.standard_normal((16, 16)))
+        lo = np.minimum.outer(values, values)
+        x = np.maximum.outer(values, values) / lo - 1.0
+        loewner = np.divide(np.log1p(x), x, out=np.ones_like(x), where=x != 0.0) / lo
+        g = pair.vectors @ (loewner * upstream) @ pair.vectors.T
+        want = 0.5 * (g + g.T)
+        assert matrix_log_backward(pair.vectors, values, upstream).tobytes() == want.tobytes()

@@ -1,7 +1,8 @@
 """The two rules for what a caller hands in. An array goes through `linalg._real_array` at every public
 entry point that takes one: text, ragged and complex data, and non-finite data where the entry point did
 not check finiteness itself, are InvalidInput naming the argument. An argument of a checked type,
-`SymmetricMatrix` or `FeatureBatch`, goes through `linalg._data`: anything else, a plain array of any
+`SymmetricMatrix` or `FeatureBatch`, goes through `linalg._data`, and a library value without one array,
+`SmoothedStats`, `MlpModel` or `TrainState`, through `linalg._checked`: anything else, a plain array of any
 content included, is InvalidInput naming the type. Neither gives a numpy warning first."""
 import dataclasses
 import warnings
@@ -14,7 +15,7 @@ from logcoral.exceptions import InvalidInput
 from logcoral.linalg import SymmetricMatrix, sym_part
 from logcoral.losses import (LossWeights, chain_to_features, coral_loss, log_euclidean, logcoral_loss, mean_loss,
                              softmax_cross_entropy)
-from logcoral.network import MlpModel, evaluate, forward, step_objective
+from logcoral.network import MlpModel, backward, evaluate, forward, step_objective, train_step
 from logcoral.stats import FeatureBatch, SmoothedStats, batch_covariance, batch_mean, update_smoothed
 from logcoral.training import RunConfig, init_state
 
@@ -76,6 +77,7 @@ def test_non_finite_data_is_invalid_input(what, call):
 BATCH = FeatureBatch(np.ones((3, 2)), labels=[0, 1, 0])
 MATRIX = SymmetricMatrix(np.eye(2))
 STATE = init_state(RunConfig(hidden_dims=(3,)), feature_dim=2, num_classes=2)
+STEPPED_STATE = init_state(RunConfig(hidden_dims=(3,)), feature_dim=2, num_classes=2)  # train_step moves it
 
 # the call with x in place of one argument of a checked type, and a valid value of that type
 TYPED_ARGUMENTS = {
@@ -92,15 +94,24 @@ TYPED_ARGUMENTS = {
     "coral_loss": (lambda x: coral_loss(x, MATRIX), MATRIX),
     "log_euclidean": (lambda x: log_euclidean(MATRIX, x, 0.0), MATRIX),
     "logcoral_loss": (lambda x: logcoral_loss(MATRIX, x), MATRIX),
+    "update_smoothed": (lambda x: update_smoothed(x, MATRIX, np.zeros(2), 0.5), _stats()),
+    "forward-model": (lambda x: forward(x, BATCH), MODEL),
+    "backward": (lambda x: backward(x, forward(MODEL, BATCH), {}), MODEL),
+    "evaluate-model": (lambda x: evaluate(x, BATCH), MODEL),
+    "step_objective-state": (lambda x: step_objective(x, BATCH, BATCH, LossWeights()), STATE),
+    "train_step": (lambda x: train_step(x, BATCH, BATCH, LossWeights()), STEPPED_STATE),
 }
+# the plain value in place of a library value that is not one array, as a caller might pass its parts
+PLAIN = {"update_smoothed": np.eye(2), "forward-model": MODEL.weights, "backward": MODEL.weights,
+         "evaluate-model": MODEL.weights, "step_objective-state": np.eye(2), "train_step": np.eye(2)}
 
 
-@pytest.mark.parametrize("entry, x", [pytest.param(entry, None, id=entry) for entry in TYPED_ARGUMENTS] + [
+@pytest.mark.parametrize("entry, x", [pytest.param(entry, PLAIN.get(entry), id=entry) for entry in TYPED_ARGUMENTS] + [
     pytest.param("forward", _bad(kind, (3, 2)), id=f"forward-{kind}") for kind in ("text", "ragged", "complex")
 ] + [pytest.param("forward", np.array([[np.nan, 0.0]]), id="forward-nan")])
 def test_a_plain_array_is_not_a_typed_argument(entry, x, tmp_path, monkeypatch):
-    """x, by default the valid value's data as a plain array, is InvalidInput naming the type the argument
-    takes; a file that save_csv wrote before is left as it was."""
+    """x, by default the valid value's data as a plain array, else its `PLAIN` value, is InvalidInput naming
+    the type the argument takes; a file that save_csv wrote before is left as it was."""
     call, valid = TYPED_ARGUMENTS[entry]
     monkeypatch.chdir(tmp_path)
     call(valid)  # the typed value passes, so the type is all that fails
