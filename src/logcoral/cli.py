@@ -53,11 +53,7 @@ def parse_weights(text: str) -> LossWeights:
 def read_config_file(path) -> dict:
     """Flat key=value file, '#' comments."""
     out = {}
-    try:
-        f = open(path, "r", encoding="utf-8-sig")  # a leading byte-order mark is no part of the first key
-    except OSError as exc:
-        raise ParseError(f"cannot open config: {exc.strerror or exc}", path=path)
-    with f:
+    with D._utf8_text(path, " config") as f:  # a leading byte-order mark is no part of the first key
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line or line.startswith("#"):

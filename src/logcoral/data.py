@@ -8,6 +8,7 @@ and second-order (rotation/scale) shift can be dialed independently.
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
 from numbers import Integral
@@ -145,9 +146,11 @@ def generate(spec: ShiftSpec) -> DatasetPair:
 
 
 def save_csv(path, batch: FeatureBatch, header: Optional[str] = None):
-    """Write a FeatureBatch (else InvalidInput, before path is opened) as comma-separated floats, labels
-    (if any) as a trailing integer column. repr() keeps the float round-trip exact."""
+    """Write a FeatureBatch as comma-separated floats, labels (if any) as a trailing integer column, below a
+    one-line header comment if given; else InvalidInput, before path is opened. repr() keeps floats exact."""
     rows = _data(batch, FeatureBatch)
+    if header and re.search("[\r\n]", str(header)):  # load_csv would read the rest as data
+        raise InvalidInput(f"header must be one line, got {header!r}")
     with open(path, "w", encoding="utf-8") as f:
         if header:
             f.write(f"# {header}\n")
@@ -165,13 +168,9 @@ def load_csv(path, has_labels: bool = False) -> FeatureBatch:
     byte-order mark is skipped; underscores in numbers (1_0) are not accepted.
     The features are a view of the one parsed table: ingest peaks at about 1.2x
     the array. Every error is a ParseError naming the file and, for a bad row,
-    its line: a ragged row, a cell that does not parse, a label that is not an
-    int64 or is negative, a non-finite value, or a label with no feature column."""
-    try:
-        f = open(path, "r", encoding="utf-8-sig")
-    except OSError as exc:
-        raise ParseError(f"cannot open: {exc.strerror or exc}", path=path)
-    with f:
+    its line: a byte not UTF-8, a ragged row, a cell that does not parse, a label
+    not an int64 or negative, a non-finite value, or a label with no feature column."""
+    with _utf8_text(path) as f:
         lineno, first = _row(f, 0) or (None, None)
         if first is None:  # checked here: numpy warns on an input with no rows
             raise ParseError("no data rows", path=path)
@@ -185,8 +184,8 @@ def load_csv(path, has_labels: bool = False) -> FeatureBatch:
         except ValueError as exc:
             text = str(exc).split("; use `usecols`")[0]  # numpy's advice, not ours
             found = re.search(r" at row (\d+)(, column \d+)?\.?$", text)
-            if found is None:
-                raise ParseError(text, path=path)
+            if found is None:  # a UnicodeDecodeError goes on to `_utf8_text`, which finds its line
+                raise exc if isinstance(exc, UnicodeDecodeError) else ParseError(text, path=path)
             # numpy counts rows from 0 in a cell's message and from 1 in a ragged row's
             row = int(found[1]) - (not text.startswith("could not convert"))
             raise ParseError(text[:found.start()] + (found[2] or ""), line=_row(f, row)[0], path=path)
@@ -208,3 +207,17 @@ def _row(f, row: int):
     f.seek(0)
     rows = ((n, line) for n, line in enumerate(f, start=1) if line.split("#", 1)[0] not in ("", "\n"))
     return next(islice(rows, row, None), None)
+
+
+@contextmanager
+def _utf8_text(path, kind=""):
+    """path as UTF-8 text past a byte-order mark; ParseError if it cannot be opened or read, or at its first bad line."""
+    try:
+        with open(path, "r", encoding="utf-8-sig") as f:
+            yield f
+    except OSError as exc:
+        raise ParseError(f"cannot open{kind}: {exc.strerror or exc}", path=path)
+    except UnicodeDecodeError:  # on this path only, the file is read again: a bad byte b decodes to U+DC00 + b
+        with open(path, "rb") as raw:
+            head = re.split("[\udc80-\udcff]", raw.read().decode("utf-8", "surrogateescape"), maxsplit=1)[0]
+        raise ParseError("text is not UTF-8", line=len(re.split("\r\n?|\n", head)), path=path) from None

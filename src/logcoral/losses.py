@@ -1,9 +1,9 @@
 """Forward and backward passes of the alignment losses.
 
 Three distances between domain statistics are implemented: the Euclidean
-covariance distance, its Log-Euclidean (geodesic) counterpart, a
-`LogEuclidean` value whose `grads()` is the Daleckii-Krein backward pass in
-`linalg`, and a first-order mean distance. Gradients use the
+covariance distance, its Log-Euclidean (geodesic) counterpart, a `LogEuclidean`
+value that only `log_euclidean` builds, whose `grads()` is the Daleckii-Krein
+backward pass in `linalg`, and a first-order mean distance. Gradients use the
 symmetric-perturbation convention: for a symmetric direction V, dL = <grad, V>.
 
 The covariance losses take SymmetricMatrix inputs, and `chain_to_features` a SymmetricMatrix gradient and
@@ -95,33 +95,16 @@ def _coral_value(diff: np.ndarray):
 
 @dataclass(frozen=True)
 class LogEuclidean:
-    """||log C_s - log C_t||_F^2 / (4 d^2) and what its gradients reuse: `spd_eig`'s
+    """`log_euclidean`'s ||log C_s - log C_t||_F^2 / (4 d^2) and what its gradients reuse: `spd_eig`'s
     ascending pairs of C_s + eps I and C_t + eps I, m = U_s^T U_t and, with l = log(sigma),
-    diff_s = U_s^T (log C_s - log C_t) U_s = diag(l_s) - M diag(l_t) M^T. `from_eigenpairs`
-    is the one constructor that computes them; `log_euclidean` calls it on two covariances.
-    Built from a stack of pairs, m and diff_s carry its leading axes, value is an array
-    of one value per item, and `grads()` raises InvalidInput."""
+    diff_s = U_s^T (log C_s - log C_t) U_s = diag(l_s) - M diag(l_t) M^T. Of a stack, m and
+    diff_s carry its leading axes, value holds one value per item, and `grads()` raises InvalidInput."""
 
     value: float | np.ndarray
     eig_s: EigenPair
     eig_t: EigenPair
     m: np.ndarray
     diff_s: np.ndarray
-
-    @classmethod
-    def from_eigenpairs(cls, eig_s: EigenPair, eig_t: EigenPair) -> "LogEuclidean":
-        """The LogEuclidean of `spd_eig`'s pairs of C_s + eps I and C_t + eps I, in two
-        d x d products and no matrix log; `grads()` adds five more. One pair passed as
-        both stands for equal inputs: then M = I, so D_s and D_t come out exact zeros.
-        Either pair may be `spd_eig`'s of a stack; then so is the result."""
-        d = eig_s.values.shape[-1]
-        m = np.eye(d) if eig_t is eig_s else eig_s.vectors.mT @ eig_t.vectors
-        # 0 - x, not -x: the off-diagonal zeros of equal inputs stay +0, as diag(l_s) - x gives
-        diff_s = 0.0 - (m * np.log(eig_t.values)[..., None, :]) @ m.mT
-        _add_to_diagonal(diff_s, np.log(eig_s.values))
-        value = np.add.reduce(diff_s * diff_s, axis=(-2, -1)) / (4.0 * d ** 2)
-        return cls(value=float(value) if value.ndim == 0 else value,
-                   eig_s=eig_s, eig_t=eig_t, m=m, diff_s=diff_s)
 
     def grads(self) -> tuple:
         """(dL/dC_s, dL/dC_t): a Daleckii-Krein backward of D_s and of
@@ -138,21 +121,28 @@ class LogEuclidean:
 
 
 def log_euclidean(cov_s: SymmetricMatrix, cov_t: SymmetricMatrix, epsilon: float) -> LogEuclidean:
-    """LogEuclidean of C_s and C_t: `LogEuclidean.from_eigenpairs` of their pairs from one
-    `spd_eig` call on C_s's items, then C_t's. Either may be a `_trusted` stack; then so
-    is the result. Equal inputs are decomposed once and passed as one pair."""
+    """LogEuclidean of C_s and C_t, in one `spd_eig` call on C_s's items, then C_t's, two
+    d x d products and no matrix log; `grads()` adds five more. Either input may be a
+    `_trusted` stack; then so is the result. Equal inputs are decomposed once and give
+    M = I, so D_s and D_t come out exact zeros."""
     s, t, d = _data(cov_s), _data(cov_t), cov_s.dim
     if cov_t.dim != d:
         raise InvalidInput(f"dimension mismatch: {d} vs {cov_t.dim}")
     if np.array_equal(s, t):
-        eig = spd_eig(cov_s, epsilon)
-        return LogEuclidean.from_eigenpairs(eig, eig)
-    # each is checked or trusted symmetric and finite, so their concatenation is too
-    eig = spd_eig(SymmetricMatrix._trusted(np.concatenate([s.reshape(-1, d, d), t.reshape(-1, d, d)])), epsilon)
-    n = s.size // (d * d)
-    return LogEuclidean.from_eigenpairs(
-        EigenPair(values=eig.values[:n].reshape(s.shape[:-1]), vectors=eig.vectors[:n].reshape(s.shape)),
-        EigenPair(values=eig.values[n:].reshape(t.shape[:-1]), vectors=eig.vectors[n:].reshape(t.shape)))
+        eig_s = eig_t = spd_eig(cov_s, epsilon)
+        m = np.eye(d)
+    else:
+        # each is checked or trusted symmetric and finite, so their concatenation is too
+        eig = spd_eig(SymmetricMatrix._trusted(np.concatenate([s.reshape(-1, d, d), t.reshape(-1, d, d)])), epsilon)
+        n = s.size // (d * d)
+        eig_s = EigenPair(values=eig.values[:n].reshape(s.shape[:-1]), vectors=eig.vectors[:n].reshape(s.shape))
+        eig_t = EigenPair(values=eig.values[n:].reshape(t.shape[:-1]), vectors=eig.vectors[n:].reshape(t.shape))
+        m = eig_s.vectors.mT @ eig_t.vectors
+    # 0 - x, not -x: the off-diagonal zeros of equal inputs stay +0, as diag(l_s) - x gives
+    diff_s = 0.0 - (m * np.log(eig_t.values)[..., None, :]) @ m.mT
+    _add_to_diagonal(diff_s, np.log(eig_s.values))
+    value = np.add.reduce(diff_s * diff_s, axis=(-2, -1)) / (4.0 * d ** 2)
+    return LogEuclidean(float(value) if value.ndim == 0 else value, eig_s, eig_t, m, diff_s)
 
 
 def logcoral_loss(cov_s: SymmetricMatrix, cov_t: SymmetricMatrix, epsilon: float = 0.0) -> LossBundle:

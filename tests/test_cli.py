@@ -102,6 +102,14 @@ class TestConfigFile:
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run"), "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["steps"] == 3
 
+    def test_byte_that_is_not_utf8_names_the_file_and_line(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"samples_per_class=20\nsteps=\xff3\n")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"{cfg}, line 2: text is not UTF-8" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_names_the_file(self, tmp_path, capsys):
         cfg = tmp_path / "absent.cfg"
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
@@ -202,6 +210,13 @@ class TestLossesCommand:
         rc = main(["losses", str(tmp_path / "absent.csv"), str(tmp_path / "absent.csv")])
         assert rc == 2
         assert "absent.csv" in capsys.readouterr().err
+
+    def test_byte_that_is_not_utf8_is_bad_input(self, feature_files, capsys):
+        a, b = feature_files
+        a.write_bytes(a.read_bytes().replace(b"\n", b"\n\xff", 1))
+        assert main(["losses", str(a), str(b)]) == 2
+        captured = capsys.readouterr()
+        assert f"{a}, line 2: text is not UTF-8" in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("cell", ["nan", "1e999"])
     def test_nonfinite_cell_names_its_file_and_line(self, feature_files, capsys, cell):

@@ -261,6 +261,34 @@ class TestCsv:
         assert np.array_equal(batch.data, [[1.0, 2.0], [3.0, 4.0]])
         assert np.array_equal(batch.labels, [0, 1])
 
+    @pytest.mark.parametrize("data, line", [
+        (b"1.0,2.0\n3.0,\xff4.0\n", 2),
+        (b"1.0,2.0\n" * 3000 + b"3.0,\xff4.0\n" + b"1.0,2.0\n" * 10, 3001),
+        (b"1.0,2.0\n" * 3000 + b"# caf\xe9\n" + b"1.0,2.0\n" * 10, 3001),
+        (b"\xef\xbb\xbf1.0,2.0\r3.0,4.0\r\n5.0,\xe2\x82\r", 3),
+    ], ids=["first_8_kib", "after_first_chunk", "in_a_comment", "cr_line_breaks"])
+    def test_byte_that_is_not_utf8_names_its_line(self, tmp_path, data, line):
+        # the first bad byte's line counts from the start of the file, as a bad row's does
+        path = tmp_path / "f.csv"
+        path.write_bytes(data)
+        with pytest.raises(ParseError) as exc:
+            load_csv(path)
+        assert exc.value.line == line and exc.value.path == path
+        assert str(exc.value) == f"{path}, line {line}: text is not UTF-8"
+
+    def test_header_is_one_line(self, tmp_path):
+        rng = np.random.default_rng(4)
+        batch = FeatureBatch(rng.standard_normal((3, 2)), labels=np.array([0, 1, 0]))
+        path = tmp_path / "f.csv"
+        for header in ("first\nsecond", "first\rsecond", "first\r\n"):
+            with pytest.raises(InvalidInput, match="^header must be one line"):
+                save_csv(path, batch, header=header)
+            assert not path.exists()
+        save_csv(path, batch, header="first, second")
+        assert path.read_text().startswith("# first, second\n")
+        back = load_csv(path, has_labels=True)
+        assert np.array_equal(back.data, batch.data) and np.array_equal(back.labels, batch.labels)
+
     def test_extreme_values_bit_exact(self, tmp_path):
         tiny, big = 5e-324, 1.7976931348623157e308
         x = np.array([[0.0, -0.0, tiny, -tiny, big, -big],
