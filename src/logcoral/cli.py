@@ -31,7 +31,7 @@ WEIGHT_KEYS = {"cls": "classification", "classification": "classification",
 def parse_weights(text: str) -> LossWeights:
     """Parse 'cls=1,logcoral=1,mean=0.5' into LossWeights. Values are
     multipliers of each loss's calibrated base scale; unmentioned losses take
-    `LossWeights.from_multipliers`' defaults: 1 for classification, else 0."""
+    `LossWeights.from_multipliers`' defaults: 1 for classification, else 0; a loss named twice is InvalidInput."""
     values = {}
     for item in text.split(","):
         item = item.strip()
@@ -43,6 +43,8 @@ def parse_weights(text: str) -> LossWeights:
         key = key.strip().lower()
         if key not in WEIGHT_KEYS:
             raise InvalidInput(f"unknown loss weight {key!r}; valid: cls, coral, logcoral, mean")
+        if WEIGHT_KEYS[key] in values:  # cls and classification name one loss
+            raise InvalidInput(f"the {WEIGHT_KEYS[key]} loss is weighted twice, the second time as {key!r}")
         try:
             values[WEIGHT_KEYS[key]] = float(val)
         except ValueError:
@@ -51,7 +53,7 @@ def parse_weights(text: str) -> LossWeights:
 
 
 def read_config_file(path) -> dict:
-    """Flat key=value file, '#' comments."""
+    """Flat key=value file, '#' comments; a key given twice is a ParseError at its second line."""
     out = {}
     with D._utf8_text(path, " config") as f:  # a leading byte-order mark is no part of the first key
         for lineno, line in enumerate(f, start=1):
@@ -61,7 +63,9 @@ def read_config_file(path) -> dict:
             if "=" not in line:
                 raise ParseError(f"expected key=value, got {line!r}", line=lineno, path=path)
             key, _, val = line.partition("=")
-            out[key.strip()] = val.strip()
+            if (key := key.strip()) in out:
+                raise ParseError(f"key {key!r} is given twice", line=lineno, path=path)
+            out[key] = val.strip()
     return out
 
 
@@ -149,18 +153,15 @@ def _load_dataset(args, config: RunConfig):
 
 
 def cmd_train(args) -> int:
-    """One `training.train` run into --out (default run/), which `train` makes once its input fits."""
-    values = run_config_values(args)
-    fixed = [key for key in ("lr", "momentum", "epsilon") if key in values] if args.resume else []
-    if fixed:  # a resumed run keeps the checkpoint's values of these keys
-        raise InvalidInput(f"--resume keeps the checkpoint's {', '.join(fixed)}: "
-                           "remove from the flags and the config file")
+    """One `training.train` run into --out (default run/), which `train` makes once its input fits. A --resume
+    run's config starts from the checkpoint's `training.RUN_SETTINGS`; `train` refuses a flag or key that differs."""
+    state = training.load_checkpoint(args.resume) if args.resume else None
+    values = ({key: getattr(state, key) for key in training.RUN_SETTINGS} if state else {}) | run_config_values(args)
     synthetic = [key for key in ("num_classes", "dim", "samples_per_class") if key in values]
     if synthetic and (args.source_csv or args.target_csv):  # these keys shape only the synthetic data
         raise InvalidInput(f"the CSV files give the data; remove the config keys {', '.join(synthetic)}")
     config = RunConfig(**values)
     dataset = _load_dataset(args, config)
-    state = training.load_checkpoint(args.resume) if args.resume else None
     out_dir = args.out or "run"
     metrics_path = os.path.join(out_dir, "metrics.jsonl")
     checkpoint_path = os.path.join(out_dir, "checkpoint.npz")

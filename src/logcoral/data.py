@@ -7,7 +7,9 @@ and second-order (rotation/scale) shift can be dialed independently.
 """
 from __future__ import annotations
 
+import math
 import re
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
@@ -43,6 +45,12 @@ class ShiftSpec:
             raise InvalidInput(f"class_means must be {self.num_classes} x {self.dim}")
         if self.class_cov.shape != (self.dim, self.dim):
             raise InvalidInput("class_cov shape mismatch")
+        if not np.array_equal(self.class_cov, self.class_cov.T):  # the factor would read one triangle
+            raise InvalidInput("class_cov must be exactly symmetric")
+        try:
+            _class_cov_factor(self)
+        except np.linalg.LinAlgError as exc:
+            raise InvalidInput("class_cov + 1e-12 I must be positive definite, for its Cholesky factor") from exc
         rot = self.rotation
         if rot.shape != (self.dim, self.dim) or np.linalg.norm(rot.T @ rot - np.eye(self.dim)) > 1e-8:
             raise InvalidInput("rotation must be orthogonal within 1e-8")
@@ -50,6 +58,11 @@ class ShiftSpec:
             raise InvalidInput("scale must be a positive length-d vector")
         if self.translation.shape != (self.dim,):
             raise InvalidInput("translation must be a length-d vector")
+
+
+def _class_cov_factor(spec: ShiftSpec) -> np.ndarray:
+    """The lower Cholesky factor of class_cov + 1e-12 I, which `generate` samples the classes with."""
+    return np.linalg.cholesky(spec.class_cov + 1e-12 * np.eye(spec.dim))
 
 
 def _check_counts(num_classes, dim, samples_per_class, seed) -> None:
@@ -87,6 +100,14 @@ class DatasetPair:
         return int(self.source.labels.max()) + 1
 
 
+def _is_finite_number(v) -> bool:
+    """Whether v is a number (`_is_number`) with a finite float value; an int past the float range is none."""
+    try:
+        return _is_number(v) and math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 def random_rotation(dim: int, rng: np.random.Generator, strength: float = 1.0) -> np.ndarray:
     """Orthogonal matrix interpolating between identity (strength 0) and a
     fully random rotation (strength 1), via the matrix exponential of a
@@ -107,8 +128,17 @@ def make_benchmark_spec(num_classes: int = 5, dim: int = 16, samples_per_class: 
                         scale_spread: float = 1.8, translation_size: float = 1.5,
                         class_separation: float = 3.0) -> ShiftSpec:
     """Default synthetic benchmark: k Gaussian classes in d dimensions, with
-    a rotation + anisotropic scaling + translation between domains."""
+    a rotation + anisotropic scaling + translation between domains. InvalidInput, before
+    anything is drawn, unless the counts pass `_check_counts`, the four shift sizes are
+    finite real numbers, and 0 <= scale_spread <= log of the largest float, so the scales are finite."""
     _check_counts(num_classes, dim, samples_per_class, seed)
+    sizes = {"rotation_strength": rotation_strength, "scale_spread": scale_spread,
+             "translation_size": translation_size, "class_separation": class_separation}
+    if bad := [k for k, v in sizes.items() if not _is_finite_number(v)]:
+        raise InvalidInput(f"{', '.join(bad)} must be finite real numbers")
+    top = math.log(sys.float_info.max)  # the scales, exp(+-scale_spread), stay finite and positive
+    if not 0 <= scale_spread <= top:
+        raise InvalidInput(f"scale_spread must be in [0, {top:.2f}], got {scale_spread}")
     rng = np.random.default_rng(seed)
     means = rng.standard_normal((num_classes, dim))
     means *= class_separation / np.maximum(np.linalg.norm(means, axis=1, keepdims=True), 1e-12)
@@ -125,7 +155,7 @@ def make_benchmark_spec(num_classes: int = 5, dim: int = 16, samples_per_class: 
 def generate(spec: ShiftSpec) -> DatasetPair:
     """Sample both domains. Deterministic per spec.seed."""
     rng = np.random.default_rng(spec.seed)
-    chol = np.linalg.cholesky(spec.class_cov + 1e-12 * np.eye(spec.dim))
+    chol = _class_cov_factor(spec)
 
     def sample_source(n_per_class):
         xs, ys = [], []

@@ -189,11 +189,8 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> LossBundle:
     whole numbers in [0, k), one per row of the n x k finite logits, n >= 1;
     NumericalFailure, with no numpy warning, if the value overflows."""
     logits = _real_array(logits, "logits", 2)
-    labels = np.asarray(labels)
     n, k = logits.shape
-    if labels.shape != (n,):
-        raise InvalidInput(f"labels must have length {n}, got shape {labels.shape}")
-    labels = _class_labels(labels)
+    labels = _class_labels(labels, n)
     if (top := np.maximum.reduce(labels)) >= k:
         raise InvalidInput(f"labels must lie in [0, {k}), got maximum {top}")
     with np.errstate(over="ignore", invalid="ignore"):  # checked at once

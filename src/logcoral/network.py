@@ -42,6 +42,14 @@ class MlpModel:
         """Layer widths, input first, read from the weight shapes."""
         return [self.weights[0].shape[0], *(w.shape[1] for w in self.weights)]
 
+    def layer_shapes(self) -> tuple:
+        """The weights' and the biases' shapes; InvalidInput unless the layers chain: at least one 2-D
+        weight, each bias and the next weight as wide as its weight's output."""
+        w, b = [np.shape(a) for a in self.weights], [np.shape(a) for a in self.biases]
+        if {len(s) for s in w} != {2} or b != [s[1:] for s in w] or any(s[1] != t[0] for s, t in zip(w, w[1:])):
+            raise InvalidInput(f"model layers do not chain: weights {w}, biases {b}")
+        return w, b
+
     @property
     def num_layers(self) -> int:
         return len(self.weights)
@@ -62,9 +70,11 @@ class MlpModel:
 
 def forward(model: MlpModel, batch: FeatureBatch) -> list:
     """The activations acts, kept for the backward pass: acts[0] is the batch's data and acts[i + 1] the
-    output of layer i, rectified except for the last."""
+    output of layer i, rectified except for the last. InvalidInput unless the model's layers chain
+    (`MlpModel.layer_shapes`) and take the batch's width."""
     acts = [_data(batch, FeatureBatch)]
-    if batch.d != (width := _checked(model, MlpModel).weights[0].shape[0]):
+    weight_shapes, _ = _checked(model, MlpModel).layer_shapes()
+    if batch.d != (width := weight_shapes[0][0]):
         raise InvalidInput(f"input has shape {batch.data.shape}, model expects (*, {width})")
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
         z = acts[-1] @ w + b
@@ -144,9 +154,9 @@ def step_objective(state: TrainState, source: FeatureBatch, target: FeatureBatch
     if source.labels is None:
         raise InvalidInput("source batch must be labeled")
     n = source.n
-    cov_layer, mean_layer = _checked(state, TrainState).model.taps
     # one forward over the rows of two checked batches, source stacked on target: no layer couples rows
-    acts = forward(state.model, FeatureBatch._trusted(np.concatenate([source.data, target.data])))
+    acts = forward(_checked(state, TrainState).model, FeatureBatch._trusted(np.concatenate([source.data, target.data])))
+    cov_layer, mean_layer = state.model.taps
 
     tap_s, tap_t = _split_tap(acts, cov_layer, n)
     batch_cov_s, batch_cov_t = batch_covariance(tap_s), batch_covariance(tap_t)

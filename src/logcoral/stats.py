@@ -35,10 +35,7 @@ class FeatureBatch:
         a = _real_array(self.data, "feature data", 2)
         object.__setattr__(self, "data", a)
         if self.labels is not None:
-            lab = np.asarray(self.labels)
-            if lab.shape != (a.shape[0],):
-                raise InvalidInput(f"labels must have length {a.shape[0]}, got shape {lab.shape}")
-            object.__setattr__(self, "labels", _class_labels(lab))
+            object.__setattr__(self, "labels", _class_labels(self.labels, a.shape[0]))
 
     @classmethod
     def _trusted(cls, data: np.ndarray, labels: Optional[np.ndarray] = None) -> "FeatureBatch":
@@ -61,10 +58,16 @@ class FeatureBatch:
         return self.data.shape[1]
 
 
-def _class_labels(lab: np.ndarray) -> np.ndarray:
-    """lab as an int array. Raises InvalidInput unless its dtype is bool, int or float and every
-    entry is a nonnegative whole number below 2**63, which int64 holds: the one label rule of
-    `FeatureBatch` and `softmax_cross_entropy`."""
+def _class_labels(labels, n: int) -> np.ndarray:
+    """labels as an int array: the one label conversion of `FeatureBatch` and `softmax_cross_entropy`.
+    Raises InvalidInput unless labels is a rectangular array of shape (n,) whose dtype is bool, int or
+    float and whose every entry is a nonnegative whole number below 2**63, which int64 holds."""
+    try:
+        lab = np.asarray(labels)
+    except ValueError as exc:  # numpy's message for a ragged sequence
+        raise InvalidInput("labels must be a rectangular array, got a ragged sequence") from exc
+    if lab.shape != (n,):
+        raise InvalidInput(f"labels must have length {n}, got shape {lab.shape}")
     if lab.dtype.kind not in "biuf":
         raise InvalidInput(f"labels must be real numbers, got dtype {lab.dtype}")
     if lab.dtype.kind in "iu":  # whole already; only the sign, or an unsigned int64 overflow, can fail

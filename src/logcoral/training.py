@@ -27,6 +27,7 @@ from .network import MlpModel, TrainState, evaluate, train_step
 from .stats import FeatureBatch, SmoothedStats, check_momentum
 
 CHECKPOINT_VERSION = 3
+RUN_SETTINGS = ("lr", "momentum", "epsilon")  # fields a RunConfig and its run's TrainState share
 
 
 @dataclass
@@ -45,11 +46,12 @@ class RunConfig:
     samples_per_class: int = 200
 
     def __post_init__(self):
-        whole = {k: [getattr(self, k)] for k in ("steps", "batch", "eval_every")} | {"hidden_dims": self.hidden_dims}
+        whole = {k: [getattr(self, k)] for k in ("steps", "batch", "eval_every")}
+        whole["hidden_dims"] = self.hidden_dims if np.iterable(self.hidden_dims) else [None]  # 64 or None: no counts
         if bad := [k for k, values in whole.items() if not all(_is_number(v, Integral) for v in values)]:
             raise InvalidInput(f"{', '.join(bad)} must be whole numbers")
         D._check_counts(self.num_classes, self.dim, self.samples_per_class, self.seed)  # the synthetic data's rule
-        if bad := [k for k in ("lr", "epsilon", "momentum") if not _is_number(getattr(self, k))]:
+        if bad := [k for k in RUN_SETTINGS if not _is_number(getattr(self, k))]:
             raise InvalidInput(f"{', '.join(bad)} must be real numbers")
         if not isinstance(self.weights, LossWeights):
             raise InvalidInput(f"weights must be a LossWeights, got {type(self.weights).__name__}")
@@ -171,13 +173,11 @@ def init_state(config: RunConfig, feature_dim: int, num_classes: int) -> TrainSt
 
 
 def check_state(state: TrainState) -> None:
-    """Raise InvalidInput unless state is one consistent run: chained layers with taps (2-D weights, each
-    bias and the next weight as wide as its weight's output), one velocity per weight and bias, of its shape,
-    tap-wide statistics, finite arrays, step >= 0, and the lr, momentum and epsilon RunConfig allows."""
+    """Raise InvalidInput unless state is one consistent run: layers that chain (`MlpModel.layer_shapes`) with
+    taps, one velocity per weight and bias, of its shape, tap-wide statistics, finite arrays, step >= 0, and
+    `RUN_SETTINGS` values (lr, momentum and epsilon) that RunConfig allows."""
     model = state.model
-    w, b = [np.shape(a) for a in model.weights], [np.shape(a) for a in model.biases]
-    if {len(s) for s in w} != {2} or w + b != [*zip(model.dims, model.dims[1:]), *zip(model.dims[1:])]:
-        raise InvalidInput(f"model layers do not chain: weights {w}, biases {b}")
+    w, b = model.layer_shapes()
     zero = _zero_stats(model)  # the taps' widths; taps raises without a hidden layer
     vw, vb = [np.shape(a) for a in state.velocity_w], [np.shape(a) for a in state.velocity_b]
     if (vw, vb) != (w, b):
@@ -191,19 +191,21 @@ def check_state(state: TrainState) -> None:
         raise InvalidInput(f"non-finite entries in {', '.join(bad)}")
     if state.step < 0:
         raise InvalidInput(f"step must be nonnegative, got {state.step}")
-    RunConfig(lr=state.lr, momentum=state.momentum, epsilon=state.epsilon)
+    RunConfig(**{key: getattr(state, key) for key in RUN_SETTINGS})
 
 
 def train(config: RunConfig, dataset: D.DatasetPair, state: TrainState = None,
           metrics_path=None, checkpoint_path=None):
-    """Run (or continue) a training run. Returns (state, records) where records is the list of per-step metric
-    dicts logged by this call. The state (fresh if none is given) must pass `check_state` and fit the dataset
+    """Run (or continue) a training run; returns (state, records), records the metric dicts this call logged.
+    The state (fresh if none is given) must pass `check_state`, keep config's `RUN_SETTINGS` and fit the dataset
     before the parent directories of metrics_path and checkpoint_path are made. A run from step 0 writes a new
     metrics file; a resumed run appends to it. A step that raises leaves the last completed state, in the
     checkpoint too, and re-raises with its class and step set."""
     num_classes = dataset.num_classes
     state = init_state(config, dataset.source.d, num_classes) if state is None else state
     check_state(state)
+    if bad := [k for k in RUN_SETTINGS if getattr(state, k) != getattr(config, k)]:
+        raise InvalidInput("; ".join(f"the state keeps its {k} {getattr(state, k)}, not {getattr(config, k)}" for k in bad))
     dims = state.model.dims
     if dims[0] != dataset.source.d or dims[-1] < num_classes:
         raise InvalidInput(f"model dims {dims} do not fit {dataset.source.d} features and {num_classes} classes")

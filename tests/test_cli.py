@@ -12,7 +12,7 @@ import logcoral
 from logcoral import losses
 from logcoral.cli import main, parse_weights, read_config_file
 from logcoral.data import generate, load_csv, make_benchmark_spec, save_csv
-from logcoral.exceptions import InvalidInput
+from logcoral.exceptions import InvalidInput, ParseError
 from logcoral.linalg import default_epsilon, regularize_psd
 from logcoral.stats import FeatureBatch, batch_covariance
 from logcoral.training import (
@@ -59,6 +59,21 @@ class TestParseWeights:
     def test_entry_without_equals_sign(self):
         with pytest.raises(InvalidInput, match="^bad weight entry 'mean', expected key=value$"):
             parse_weights("cls=1, mean")
+
+    @pytest.mark.parametrize("text, loss, second", [
+        ("cls=1,cls=2", "classification", "cls"),
+        ("cls=1,classification=2", "classification", "classification"),
+        ("mean=1,logcoral=1,MEAN=0.5", "mean", "mean"),
+    ], ids=["same_key", "alias", "any_case"])
+    def test_loss_named_twice_is_bad_input(self, tmp_path, capsys, text, loss, second):
+        # the last one won, silently
+        message = f"the {loss} loss is weighted twice, the second time as {second!r}"
+        with pytest.raises(InvalidInput, match=f"^{message}$"):
+            parse_weights(text)
+        out = tmp_path / "run"
+        assert main(["train", "--weights", text, "--steps", "2", "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestConfigFile:
@@ -108,6 +123,18 @@ class TestConfigFile:
         out = tmp_path / "run"
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
         assert f"{cfg}, line 2: text is not UTF-8" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_key_given_twice_names_its_second_line(self, tmp_path, capsys):
+        # the last one won, silently
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("steps=3\n# a comment\nsamples_per_class=20\n steps = 5\n")
+        with pytest.raises(ParseError, match="key 'steps' is given twice") as exc:
+            read_config_file(cfg)
+        assert (exc.value.path, exc.value.line) == (cfg, 4)
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"{cfg}, line 4: key 'steps' is given twice" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_file_names_the_file(self, tmp_path, capsys):
@@ -412,6 +439,19 @@ class TestTrainCommand:
                               "--weights", "cls=1,mean=1"]) == 0
         with np.load(out / "checkpoint.npz") as z:
             assert int(z["step"]) == 8
+
+    def test_resume_accepts_the_checkpoints_own_values(self, tmp_path, capsys):
+        # train refuses only a value that differs; the checkpoint's own is the run it continues
+        config = RunConfig(steps=3, batch=16, samples_per_class=20)
+        state, _ = train(config, default_dataset(config))
+        save_checkpoint(tmp_path / "ck.npz", state)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("samples_per_class=20\nbatch=16\nepsilon=0.01\n")
+        resume = ["train", "--steps", "8", "--resume", str(tmp_path / "ck.npz"), "--config", str(cfg)]
+        assert main(resume + ["--out", str(tmp_path / "plain")]) == 0
+        assert main(resume + ["--out", str(tmp_path / "same"), "--lr", "0.001", "--momentum", "0.9"]) == 0
+        for name in ("metrics.jsonl", "checkpoint.npz"):
+            assert (tmp_path / "same" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
     def test_version_1_checkpoint_rejected(self, tmp_path, capsys):
         # a version-1 file also held a covariance at the mean tap

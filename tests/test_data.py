@@ -65,6 +65,36 @@ class TestShiftSpec:
                     with pytest.raises(InvalidInput, match=message):
                         call()
 
+    @pytest.mark.parametrize("cov, message", [
+        ([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "^class_cov must be exactly symmetric$"),
+        (-np.eye(3), r"^class_cov \+ 1e-12 I must be positive definite"),
+        ([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]], r"^class_cov \+ 1e-12 I must be positive definite"),
+    ], ids=["asymmetric", "negative_definite", "indefinite"])
+    def test_class_cov_must_have_the_factor_generate_draws_with(self, cov, message):
+        # generate's Cholesky read one triangle (sampling the identity) or raised LinAlgError
+        spec = make_benchmark_spec(num_classes=3, dim=3, samples_per_class=5)
+        with pytest.raises(InvalidInput, match=message):
+            dataclasses.replace(spec, class_cov=np.array(cov))
+        assert dataclasses.replace(spec, class_cov=np.zeros((3, 3))).class_cov.shape == (3, 3)  # 1e-12 I factors
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("rotation_strength", np.nan, "^rotation_strength must be finite real numbers$"),
+        ("scale_spread", np.nan, "^scale_spread must be finite real numbers$"),
+        ("translation_size", np.inf, "^translation_size must be finite real numbers$"),
+        ("class_separation", 10 ** 400, "^class_separation must be finite real numbers$"),
+        ("class_separation", "3", "^class_separation must be finite real numbers$"),
+        ("scale_spread", -1, r"^scale_spread must be in \[0, 709.78\], got -1$"),
+        ("scale_spread", 710, r"^scale_spread must be in \[0, 709.78\], got 710$"),  # exp would overflow
+    ], ids=["rotation_nan", "scale_nan", "translation_inf", "separation_huge_int", "separation_text",
+            "scale_negative", "scale_overflows"])
+    def test_shift_sizes_are_finite_before_anything_is_drawn(self, field, value, message):
+        # numpy warned, then raised LinAlgError, OverflowError or ValueError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput, match=message):
+                make_benchmark_spec(num_classes=3, dim=4, samples_per_class=5, **{field: value})
+        assert make_benchmark_spec(scale_spread=0, rotation_strength=-1.0, class_separation=np.float32(2)).dim == 16
+
     def test_random_rotation_is_orthogonal(self):
         rng = np.random.default_rng(0)
         for strength in (0.0, 0.5, 2.0):

@@ -480,6 +480,11 @@ class TestSoftmaxCrossEntropy:
         with pytest.raises(InvalidInput, match=r"^labels must have length 2, got shape \(3,\)$"):
             softmax_cross_entropy(np.zeros((2, 3)), np.array([0, 1, 2]))
 
+    def test_ragged_labels_rejected(self):
+        # np.asarray raised numpy's "inhomogeneous shape" ValueError
+        with pytest.raises(InvalidInput, match="^labels must be a rectangular array, got a ragged sequence$"):
+            softmax_cross_entropy(np.ones((2, 2)), [[1], [1, 2]])
+
     @pytest.mark.parametrize("labels", [["a", "b"], [None, None], [1j, 2j]])
     def test_labels_that_are_not_real_numbers_rejected(self, labels):
         # the label rule runs before the range check, which would compare them with the class count

@@ -81,6 +81,25 @@ class TestHandBuiltModel:
             assert np.array_equal(a, b)
 
 
+    @pytest.mark.parametrize("weights, biases, message", [
+        ([(3, 4)], [], r"weights \[\(3, 4\)\], biases \[\]$"),  # zip ran no layer: the input scored as logits
+        ([(3, 4), (5, 2)], [(4,), (2,)], r"weights \[\(3, 4\), \(5, 2\)\], "),  # 4 outputs, 5 inputs
+        ([(3, 4)], [(1, 4)], r"weights \[\(3, 4\)\], biases \[\(1, 4\)\]$"),  # a bias numpy would broadcast
+        ([], [], r"weights \[\], biases \[\]$"),
+    ], ids=["bias_missing", "widths_unchained", "bias_2d", "no_layer"])
+    def test_forward_refuses_layers_that_do_not_chain(self, weights, biases, message):
+        # numpy's ValueError, or a model that silently lost layers, before this rule
+        model = MlpModel(weights=[np.ones(s) for s in weights], biases=[np.zeros(s) for s in biases])
+        batch = FeatureBatch(np.ones((4, 3)), labels=[0, 1, 0, 1])
+        state = dataclasses.replace(small_state(), model=model)
+        for call in (lambda: forward(model, batch), lambda: evaluate(model, batch),
+                     lambda: step_objective(state, batch, batch, LossWeights()),
+                     lambda: train_step(state, batch, batch, LossWeights())):
+            with pytest.raises(InvalidInput, match="^model layers do not chain: " + message):
+                call()
+        assert state.step == 0
+
+
 @pytest.mark.parametrize("dims", [[4], [4, 0, 3], [4, -2]])
 def test_init_rejects_bad_dims(dims):
     with pytest.raises(InvalidInput, match=r"^bad layer dims \["):

@@ -69,6 +69,12 @@ class TestFeatureBatch:
             FeatureBatch(np.zeros((2, 2)), labels=labels)
         assert FeatureBatch(np.zeros((2, 2)), labels=[True, False]).labels.tolist() == [1, 0]
 
+    @pytest.mark.parametrize("labels", [[[1], [1, 2]], [0, [1]]], ids=["rows", "scalar_and_row"])
+    def test_ragged_labels_are_bad_input(self, labels):
+        # np.asarray raised numpy's "inhomogeneous shape" ValueError
+        with pytest.raises(InvalidInput, match="^labels must be a rectangular array, got a ragged sequence$"):
+            FeatureBatch(np.ones((2, 2)), labels=labels)
+
     def test_whole_float_labels_become_integers(self):
         b = FeatureBatch(np.zeros((2, 2)), labels=[2.0, 0.0])
         assert b.labels.dtype.kind == "i" and b.labels.tolist() == [2, 0]

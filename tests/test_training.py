@@ -73,6 +73,12 @@ class TestRunConfig:
         with pytest.raises(InvalidInput, match=f"^{field} must be whole numbers$"):
             RunConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", [64, None], ids=["int", "none"])
+    def test_hidden_dims_that_are_no_sequence_are_bad_input(self, value):
+        # iterating over them raised TypeError
+        with pytest.raises(InvalidInput, match="^hidden_dims must be whole numbers$"):
+            RunConfig(hidden_dims=value)
+
     @pytest.mark.parametrize("field, value", [("steps", 0), ("batch", 1)])
     def test_too_few_steps_or_rows_rejected(self, field, value):
         with pytest.raises(InvalidInput, match=r"^steps must be >= 1 and batch >= 2$"):
@@ -251,6 +257,29 @@ class TestFailureClass:
                   checkpoint_path=out / "ck.npz")
         assert exc.value.step is None and state.step == 0
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("change", [{"lr": 0.5}, {"momentum": 0.0}, {"epsilon": 0.3},
+                                        {"lr": 0.5, "momentum": 0.0, "epsilon": 0.3}],
+                             ids=["lr", "momentum", "epsilon", "all"])
+    def test_config_that_contradicts_the_state_is_bad_input(self, tmp_path, change):
+        # a resumed run keeps its state's lr, momentum and epsilon; train names each the config gives otherwise
+        cfg = RunConfig(steps=3, batch=16, samples_per_class=20)
+        dataset = default_dataset(cfg)
+        save_checkpoint(tmp_path / "ck.npz", train(cfg, dataset)[0])
+        state = load_checkpoint(tmp_path / "ck.npz")
+        out = tmp_path / "new"
+        with pytest.raises(InvalidInput) as exc:
+            train(dataclasses.replace(cfg, steps=6, **change), dataset, state=state,
+                  metrics_path=out / "metrics.jsonl", checkpoint_path=out / "ck.npz")
+        for key, value in change.items():
+            assert f"the state keeps its {key} {getattr(cfg, key)}, not {value}" in str(exc.value)
+        assert str(exc.value).count("the state keeps its") == len(change)
+        assert exc.value.step is None and state.step == 3
+        assert (state.lr, state.momentum, state.epsilon) == (cfg.lr, cfg.momentum, cfg.epsilon)
+        assert not out.exists()
+        # the values the state keeps are the config's own: that run trains on
+        assert train(dataclasses.replace(cfg, steps=6), dataset, state=state)[0].step == 6
 
 
 class TestCheckpoint:
